@@ -4,12 +4,14 @@ A side sequence ``chi`` (entries ``"l"`` / ``"r"``) induces the permutation
 that lists the left positions in increasing order followed by the right
 positions in decreasing order.  A set partition of ``{1..k}`` is
 bi-non-crossing when it becomes non-crossing after relabelling through the
-inverse of that permutation.  This module enumerates the lattice, computes
-the refinement order, joins, the Mobius function, and the bottom-block
+inverse of that permutation, so the lattice is isomorphic to NC(k).  This
+module enumerates the lattice, computes the refinement order, joins, the
+Mobius function (a Kreweras-complement product), lattice sums of
+block-factored weights (a recursion over intervals), and the bottom-block
 embedding used to expand products sitting in the last entry of a cumulant.
 
-Everything is pure; enumeration and Mobius values are memoized on canonical
-keys, so concurrent readers are safe.
+Everything is pure; enumeration is memoized per side sequence, so
+concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Any, Callable, Collection, Iterable, Sequence
 
 ChiSeq = tuple[str, ...]
 
@@ -107,12 +109,6 @@ class BNCPartition:
     @property
     def size(self) -> int:
         return len(self.chi)
-
-    def block_of(self, element: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if element in b:
-                return b
-        raise KeyError(element)
 
     def leq(self, other: "BNCPartition") -> bool:
         """Refinement order: every block of ``self`` fits inside a block of ``other``."""
@@ -278,46 +274,76 @@ def leq(sigma: BNCPartition, pi: BNCPartition) -> bool:
     return sigma.leq(pi)
 
 
-# -- Mobius function ---------------------------------------------------------
-
-_MOBIUS_CACHE: dict[tuple[ChiSeq, Blocks, Blocks], int] = {}
+# -- Mobius function and interval sums ---------------------------------------
 
 
-def mobius(sigma: BNCPartition, pi: BNCPartition) -> int:
-    """Mobius function from the defining recursion
-    sum_{sigma <= rho <= pi} mu(rho, pi) = [sigma == pi], memoized."""
-    _check_same_chi(sigma, pi)
-    if not sigma.leq(pi):
-        raise ValueError("mobius requires sigma <= pi")
-    key = (sigma.chi, sigma.blocks, pi.blocks)
-    cached = _MOBIUS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if sigma.blocks == pi.blocks:
-        value = 1
-    else:
-        value = -sum(
-            mobius(rho, pi)
-            for rho in enumerate_bnc(sigma.chi)
-            if rho.blocks != sigma.blocks and sigma.leq(rho) and rho.leq(pi)
-        )
-    _MOBIUS_CACHE[key] = value
+def _kreweras_mobius(blocks: Iterable[Iterable[int]], n: int) -> int:
+    """mu(sigma, 1_n) in NC(n), sigma given by its blocks over 1..n: the
+    product of (-1)^(s-1) Cat(s-1) over the block sizes s of the Kreweras
+    complement sigma^-1 gamma_n (Nica-Speicher, Lectures 9-10)."""
+    pred = list(range(n + 1))  # sigma^-1, each block a cycle in increasing order
+    for block in blocks:
+        b = sorted(block)
+        for x, y in zip(b, b[1:] + b[:1]):
+            pred[y] = x
+    seen, value = set(), 1
+    for start in range(1, n + 1):
+        s, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            s, i = s + 1, pred[i % n + 1]
+        if s:
+            value *= (-1) ** (s - 1) * catalan(s - 1)
     return value
 
 
-def mobius_zero_one(chi: Sequence[str]) -> int:
-    """mu(0, 1) on the full lattice.
+def mobius(sigma: BNCPartition, pi: BNCPartition) -> int:
+    """Mobius function: through ``sigma_chi``, [sigma, pi] is an interval of
+    NC(k), a product over the blocks V of pi of [sigma restricted to V, 1_V],
+    each ranked in relabelled order and given by the Kreweras product."""
+    _check_same_chi(sigma, pi)
+    if not sigma.leq(pi):
+        raise ValueError("mobius requires sigma <= pi")
+    inv = _inverse_perm(sigma_chi(sigma.chi))
+    value = 1
+    for block in pi.blocks:
+        rank = {e: r for r, e in enumerate(sorted(block, key=lambda e: inv[e - 1]), 1)}
+        inner = [[rank[e] for e in b] for b in sigma.blocks if b[0] in rank]
+        value *= _kreweras_mobius(inner, len(block))
+    return value
 
-    Uses the defining recursion up to length 8; beyond that the value
-    (-1)^(k-1) * Catalan(k-1) is returned directly, valid because the lattice
-    is order-isomorphic to the non-crossing lattice of the same size (the
-    recursion is infeasible at Catalan scale).
-    """
-    chi = validate_chi(chi)
-    k = len(chi)
-    if k <= 8:
-        return mobius(zero_partition(chi), one_partition(chi))
-    return (-1) ** (k - 1) * catalan(k - 1)
+
+def _nc_block_sum(chi: ChiSeq, sizes: Collection[int], weight: Callable[[tuple[int, ...]], Any]):
+    """Sum over the lattice of the product of ``weight(V)`` over the blocks V
+    of partitions whose block sizes all lie in ``sizes``, by first-block
+    recursion over intervals of the relabelled order (the gaps the first
+    block leaves are intervals again), memoized for this call only.
+    ``weight`` sees V in original positions, ascending."""
+    perm = sigma_chi(chi)
+    longest = max(sizes, default=0)
+
+    @lru_cache(maxsize=None)
+    def interval(i: int, j: int):
+        # sum over non-crossing partitions of relabelled positions i..j-1
+        if i == j:
+            return 1
+        total = 0
+        stack = [((i,), 1)]
+        while stack:
+            block, gaps = stack.pop()
+            last = block[-1]
+            if len(block) in sizes:
+                w = weight(tuple(sorted(perm[v] for v in block)))
+                if w:
+                    total += w * gaps * interval(last + 1, j)
+            if len(block) < longest:
+                for nxt in range(last + 1, j):
+                    gap = interval(last + 1, nxt)
+                    if gap:
+                        stack.append((block + (nxt,), gaps * gap))
+        return total
+
+    return interval(0, len(chi))
 
 
 # -- hat embedding -----------------------------------------------------------

@@ -4,10 +4,11 @@ Subcommands: ``lattice``, ``cumulants``, ``moments``, ``dq``,
 ``conjugate-check``, ``gaussian {fisher|entropy|dimension|moments}``,
 ``bipartite {fisher|conjugate|make-semicircular}``, ``selftest``.
 
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
-Error text goes to standard error.  Rationals are serialized as ``"p/q"``
-strings in JSON and floats with 12 significant digits; text output uses 11
-significant digits.  Existing files are never overwritten without --force.
+Exit codes: 0 success, 1 a failing self-test check, 2 validation error,
+3 numerical non-convergence.  Error text goes to standard error.  Rationals
+are serialized as ``"p/q"`` strings in JSON and floats with 12 significant
+digits; text output uses 11 significant digits.  Existing files are never
+overwritten without --force.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from . import gaussfam as gf
 from .bnclattice import (
     CapExceededError,
     enumerate_bnc,
-    mobius_zero_one,
+    mobius,
+    one_partition,
     validate_chi,
+    zero_partition,
 )
 from .cumulant import (
     CumulantMomentFunctional,
@@ -132,7 +135,7 @@ def _cmd_lattice(args) -> int:
         "chi": "".join(chi),
         "count": len(partitions),
         "partitions": [[list(b) for b in p.blocks] for p in partitions],
-        "mobius_0_to_1": mobius_zero_one(chi),
+        "mobius_0_to_1": mobius(zero_partition(chi), one_partition(chi)),
     }
 
     def text(p):

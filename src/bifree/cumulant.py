@@ -3,9 +3,9 @@
 A moment functional assigns an exact rational to every word up to a degree
 bound.  It can be backed by an explicit word table or by a cumulant
 specification (a map from letter patterns to rationals), in which case
-moments are produced by summing block-factored cumulants over the
+moments sum block-factored cumulants by a recursion over intervals of the
 bi-non-crossing lattice.  The inverse transform recovers cumulants from
-moments by Mobius inversion.
+moments by Mobius inversion over the enumerated lattice.
 """
 
 from __future__ import annotations
@@ -18,13 +18,15 @@ from typing import Mapping, Sequence
 from .bnclattice import (
     BNCPartition,
     ChiSeq,
+    _inverse_perm,
+    _kreweras_mobius,
+    _nc_block_sum,
     enumerate_bnc,
     hat_chi,
     hat_embed,
     hat_zero,
     join,
-    mobius,
-    one_partition,
+    sigma_chi,
     validate_chi,
 )
 from .ncalg import (
@@ -189,6 +191,7 @@ class CumulantMomentFunctional(MomentFunctional):
         cached = self._memo.get(word)
         if cached is not None:
             return cached
+        self.mode.check_word(word)
         for letter in word:
             if letter.kind != VAR:
                 raise ValueError("cumulant-backed functionals cover variables only")
@@ -218,14 +221,16 @@ def moment_pi(phi: MomentFunctional, pi: BNCPartition, args: Sequence[Word]) -> 
 
 
 def cumulant_chi(phi: MomentFunctional, chi: Sequence[str], args: Sequence[Word]) -> Fraction:
-    """Mobius-inversion cumulant of the arguments against the functional."""
+    """Mobius-inversion cumulant of the arguments against the functional,
+    with mu(pi, 1) the Kreweras product of pi relabelled through ``sigma_chi``."""
     chi = validate_chi(chi)
     if len(args) != len(chi):
         raise ValueError("argument count must match |chi|")
-    top = one_partition(chi)
+    inv = _inverse_perm(sigma_chi(chi))
     total = Fraction(0)
     for pi in enumerate_bnc(chi):
-        total += moment_pi(phi, pi, args) * mobius(pi, top)
+        mu = _kreweras_mobius(([inv[e - 1] for e in b] for b in pi.blocks), len(chi))
+        total += moment_pi(phi, pi, args) * mu
     return total
 
 
@@ -244,7 +249,7 @@ def moments_from_cumulants(
     spec: CumulantSpec, chi: Sequence[str], args: Sequence[Word]
 ) -> Fraction:
     """Moment of single-letter arguments under a cumulant specification:
-    the sum over the lattice of block-factored cumulants."""
+    the sum over the lattice of block-factored cumulants, by interval recursion."""
     chi = validate_chi(chi)
     if len(args) != len(chi):
         raise ValueError("argument count must match |chi|")
@@ -258,16 +263,10 @@ def moments_from_cumulants(
         letters.append(letter)
     if len(letters) > spec.degree_bound:
         raise DegreeBoundError("degree bound exceeded")
-    total = Fraction(0)
-    for pi in enumerate_bnc(chi):
-        product = Fraction(1)
-        for block in pi.blocks:
-            pattern = pattern_of_letters([letters[p - 1] for p in sorted(block)])
-            product *= spec.kappa(pattern)
-            if not product:
-                break
-        total += product
-    return total
+    def weight(block):
+        return spec.kappa(pattern_of_letters([letters[p - 1] for p in block]))
+
+    return Fraction(_nc_block_sum(chi, {len(pattern) for pattern in spec.entries}, weight))
 
 
 def expand_product_last_entry(

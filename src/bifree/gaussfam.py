@@ -1,13 +1,13 @@
 """Central-limit (Gaussian) families from a covariance matrix.
 
 A covariance over n left and m right coordinates determines a family whose
-mixed moments are sums over bi-non-crossing pair partitions.  The same
-moments fall out of a truncated Fock-space matrix model, which serves as an
-independent oracle.  Closed forms: polynomial conjugate variables solve
-A b = e_k, Fisher information is Tr(A^-1), entropy is
-(n+m)/2 log(2 pi e) + 1/2 log det A, and the entropy dimension is rank(A).
-The entropy is also recovered numerically by integrating the Fisher
-information of the family perturbed along A + tI.
+mixed moments are sums over bi-non-crossing pair partitions, computed by an
+interval recursion.  The same moments fall out of a truncated Fock-space
+matrix model, which serves as an independent oracle.  Closed forms:
+polynomial conjugate variables solve A b = e_k, Fisher information is
+Tr(A^-1), entropy is (n+m)/2 log(2 pi e) + 1/2 log det A, and the entropy
+dimension is rank(A).  The entropy is also recovered numerically by
+integrating the Fisher information of the family perturbed along A + tI.
 
 Infinity and minus infinity are returned as ``math.inf`` / ``-math.inf``,
 never as sentinel floats.
@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .bnclattice import is_bnc
+from .bnclattice import _nc_block_sum
 
 Pattern = Sequence[tuple[str, int]]
 
@@ -61,6 +61,8 @@ class Covariance:
         A = np.asarray(self.A, dtype=float)
         if A.shape != (k, k):
             raise ValueError(f"covariance must be {k}x{k}, got {A.shape}")
+        if not np.isfinite(A).all():
+            raise ValueError("covariance entries must be finite")
         scale = max(1.0, float(np.abs(A).max(initial=0.0)))
         if np.abs(A - A.T).max(initial=0.0) > 1e-10 * scale:
             raise ValueError("covariance must be symmetric")
@@ -93,52 +95,17 @@ class Covariance:
         return cls(int(data["n"]), int(data["m"]), np.asarray(data["matrix"], dtype=float))
 
 
-def _pair_partitions(k: int):
-    """All perfect matchings of range(k) as tuples of index pairs."""
-    if k % 2:
-        return
-    if k == 0:
-        yield ()
-        return
-    items = list(range(k))
-
-    def rec(free: list[int]):
-        if not free:
-            yield ()
-            return
-        head = free[0]
-        for pos in range(1, len(free)):
-            mate = free[pos]
-            rest = free[1:pos] + free[pos + 1:]
-            for tail in rec(rest):
-                yield ((head, mate),) + tail
-
-    yield from rec(items)
-
-
-def gaussian_moment(cov: Covariance, pattern: Pattern, degree_cap: int = 16) -> float:
+def gaussian_moment(cov: Covariance, pattern: Pattern) -> float:
     """Mixed moment by the combinatorial formula: sum over bi-non-crossing
-    pair partitions of products of covariance entries; zero for odd length."""
+    pair partitions of products of covariance entries, run as the interval
+    recursion M(i, j) = sum_p A[i, p] M(i+1, p-1) M(p+1, j) in relabelled
+    order; zero for odd length."""
     pattern = [(side, index) for side, index in pattern]
     flats = [cov.flat_index(side, index) for side, index in pattern]
-    k = len(pattern)
-    if k > degree_cap:
-        raise ValueError(f"pattern length {k} exceeds cap {degree_cap}")
-    if k == 0:
+    if not flats:
         return 1.0
-    if k % 2:
-        return 0.0
     chi = tuple(side for side, _ in pattern)
-    total = 0.0
-    for matching in _pair_partitions(k):
-        blocks = [(a + 1, b + 1) for a, b in matching]
-        if not is_bnc(blocks, chi):
-            continue
-        product = 1.0
-        for a, b in matching:
-            product *= cov.A[flats[a], flats[b]]
-        total += product
-    return total
+    return float(_nc_block_sum(chi, {2}, lambda V: cov.A[flats[V[0] - 1], flats[V[1] - 1]]))
 
 
 # -- Fock matrix model ---------------------------------------------------------

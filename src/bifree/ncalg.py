@@ -135,10 +135,6 @@ def word_sort_key(word: Word) -> tuple:
     return (len(word), tuple(l.sort_key() for l in word))
 
 
-def word_degree(word: Word) -> int:
-    return len(word)
-
-
 def _clean(terms: Iterable[tuple[Word, Fraction]]) -> dict[Word, Fraction]:
     out: dict[Word, Fraction] = {}
     for word, coeff in terms:
@@ -233,9 +229,6 @@ class NCPolynomial:
         if coeff:
             poly._terms = {w: c * coeff for w, c in self._terms.items()}
         return poly
-
-    def map_words(self, fn) -> "NCPolynomial":
-        return NCPolynomial.from_pairs((fn(w), c) for w, c in self._terms.items())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, NCPolynomial) and self._terms == other._terms
@@ -579,6 +572,8 @@ def parse_tensor(text: str, mode: AlgebraMode) -> TensorPoly:
             left_text, _, right_text = term.partition("⊗")
         elif "(x)" in term:
             left_text, _, right_text = term.partition("(x)")
+        elif _NUMBER_RE.match(term) and not Fraction(term):
+            continue  # a zero term; format_tensor writes the zero tensor as "0"
         else:
             raise ValueError(f"tensor term missing ⊗: {term!r}")
         coeff = Fraction(term_sign)

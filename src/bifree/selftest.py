@@ -2,8 +2,8 @@
 
 Each check re-derives a known value (worked difference quotients, the
 semicircular pair's conjugate variable, Fisher/entropy/dimension closed
-forms, the two-variable semicircular density) and fails loudly on any
-mismatch.  ``run_selftest`` prints one PASS/FAIL line per item.
+forms, the two-variable semicircular density) and raises on any mismatch,
+also under ``python -O``.  ``run_selftest`` prints one PASS/FAIL line per item.
 """
 
 from __future__ import annotations
@@ -49,6 +49,11 @@ WORKED_RIGHT_FLIPPED = (
 )
 
 
+def _require(ok: bool, detail: object) -> None:
+    if not ok:  # an explicit raise, which ``python -O`` keeps
+        raise AssertionError(detail)
+
+
 def _semicircular_pair(c: Fraction):
     mode = bipartite_mode(1, 1)
     spec = gaussian_cumulant_spec(1, 1, [[1, c], [c, 1]], degree_bound=10)
@@ -69,8 +74,8 @@ def check_tensor_star_swap() -> None:
     b = parse_word("y1 y2", mode)
     t = TensorPoly.from_words(a, b)
     expected = TensorPoly.from_words(parse_word("y2 y1", mode), parse_word("X1 x1", mode))
-    assert tensor_star(t) == expected
-    assert tensor_star(TensorPoly.one()) == TensorPoly.one()
+    _require(tensor_star(t) == expected, "tensor_star does not swap and reverse the legs")
+    _require(tensor_star(TensorPoly.one()) == TensorPoly.one(), "tensor_star moves 1 ⊗ 1")
 
 
 def check_hat_embedding() -> None:
@@ -78,26 +83,27 @@ def check_hat_embedding() -> None:
     chi_prime = ("l", "r")  # positions 3..4
     pi = one_partition(chi)
     top = hat_embed(pi, chi_prime)
-    assert top.blocks == one_partition(top.chi).blocks
+    _require(top.blocks == one_partition(top.chi).blocks, f"top embeds as {top.blocks}")
     bottom = hat_zero(chi, chi_prime)
-    assert bottom.blocks == ((1,), (2,), (3, 4))
+    _require(bottom.blocks == ((1,), (2,), (3, 4)), f"hat_zero gives {bottom.blocks}")
 
 
 def check_central_limit_cumulants() -> None:
     c = Fraction(1, 2)
     mode, phi = _semicircular_pair(c)
     s, t = (lvar(1),), (rvar(1),)
-    assert cumulant_chi(phi, ("l", "r"), [s, t]) == c
+    _require(cumulant_chi(phi, ("l", "r"), [s, t]) == c, "pair cumulant is not c")
     letters = {"l": s, "r": t}
     for labels in (("l", "l", "l"), ("l", "r", "l"), ("r", "r", "l"), ("r", "l", "r")):
         args = [letters[lab] for lab in labels]
-        assert cumulant_chi(phi, labels, args) == 0
+        _require(cumulant_chi(phi, labels, args) == 0, f"cumulant {labels} does not vanish")
 
 
 def _check_worked(word_text: str, kind: QuotientKind, expected: str) -> None:
     mode = free_mode(1, 1)
     p = NCPolynomial.from_word(parse_word(word_text, mode))
-    assert format_tensor(bifree_dq(p, kind, mode)) == expected
+    got = format_tensor(bifree_dq(p, kind, mode))
+    _require(got == expected, f"got {got!r}")
 
 
 def check_worked_left() -> None:
@@ -121,20 +127,20 @@ def check_conjugate_semicircular() -> None:
     mode, phi = _semicircular_pair(c)
     xi = _semicircular_xi(c, mode)
     report = conjugate_check(phi, QuotientKind("l", 1), xi, max_degree=6)
-    assert report.passed, report.first_failure
+    _require(report.passed, report.first_failure)
     eta = (
         NCPolynomial.from_letter(rvar(1), 1 / (1 - c * c))
         - NCPolynomial.from_letter(lvar(1), c / (1 - c * c))
     )
     report = conjugate_check(phi, QuotientKind("r", 1), eta, max_degree=6)
-    assert report.passed, report.first_failure
+    _require(report.passed, report.first_failure)
 
 
 def check_conjugate_independent() -> None:
     mode, phi = _semicircular_pair(Fraction(0))
     xi = NCPolynomial.from_letter(lvar(1))  # pure-left one-variable conjugate
     report = conjugate_check(phi, QuotientKind("l", 1), xi, max_degree=6)
-    assert report.passed, report.first_failure
+    _require(report.passed, report.first_failure)
 
 
 def check_adjoint_at_unit() -> None:
@@ -142,14 +148,14 @@ def check_adjoint_at_unit() -> None:
     mode, phi = _semicircular_pair(c)
     xi = _semicircular_xi(c, mode)
     out = adjoint_apply(phi, xi, TensorPoly.one(), QuotientKind("l", 1, flipped=True))
-    assert out == xi
+    _require(out == xi, f"adjoint at 1 ⊗ 1 gives {out}")
 
 
 def check_fisher_closed_form() -> None:
     cov = gf.Covariance(1, 1, np.array([[1.0, 0.5], [0.5, 1.0]]))
-    assert abs(gf.fisher(cov) - 8.0 / 3.0) < 1e-12
+    _require(abs(gf.fisher(cov) - 8.0 / 3.0) < 1e-12, f"fisher {gf.fisher(cov)}, expected 8/3")
     degenerate = gf.Covariance(1, 1, np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert gf.fisher(degenerate) == math.inf
+    _require(gf.fisher(degenerate) == math.inf, "singular covariance has finite fisher")
 
 
 def check_conjugate_coefficients() -> None:
@@ -157,26 +163,26 @@ def check_conjugate_coefficients() -> None:
     cov = gf.Covariance(1, 1, np.array([[1.0, c], [c, 1.0]]))
     b = gf.conjugate_coeffs(cov, 1)
     expected = np.array([1.0, -c]) / (1.0 - c * c)
-    assert np.allclose(b, expected, atol=1e-12)
+    _require(np.allclose(b, expected, atol=1e-12), f"coefficients {b}, expected {expected}")
 
 
 def check_entropy_closed_instance() -> None:
     cov = gf.Covariance(1, 1, np.array([[1.0, 0.5], [0.5, 1.0]]))
     expected = math.log(2 * math.pi * math.e) + 0.5 * math.log(0.75)
-    assert abs(gf.entropy_closed(cov) - expected) < 1e-12
+    _require(abs(gf.entropy_closed(cov) - expected) < 1e-12, gf.entropy_closed(cov))
 
 
 def check_dimension_degenerate() -> None:
     full = gf.Covariance(1, 1, np.array([[1.0, 0.5], [0.5, 1.0]]))
     line = gf.Covariance(1, 1, np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert gf.entropy_dimension(full) == 2
-    assert gf.entropy_dimension(line) == 1
+    _require(gf.entropy_dimension(full) == 2, "full-rank dimension is not 2")
+    _require(gf.entropy_dimension(line) == 1, "rank-one dimension is not 1")
 
 
 def check_semicircular_origin() -> None:
     grid = bp.semicircular_density(0.0, bp.GridSpec(129, 129))
     sampled = grid.values[64, 64] * grid.raw_mass  # undo unit-mass normalization
-    assert abs(sampled - 1.0 / math.pi ** 2) < 1e-12
+    _require(abs(sampled - 1.0 / math.pi ** 2) < 1e-12, f"density at the origin {sampled}")
 
 
 def make_grid_checks(fast: bool):
@@ -188,12 +194,12 @@ def make_grid_checks(fast: bool):
         fld = bp.conjugate_field(grid)
         target = np.where(fld.mask, 0.0, np.broadcast_to(grid.x[:, None], fld.xi_left.shape))
         err = bp.field_l2_error(grid, fld.xi_left, target)
-        assert err < tol, f"relative L2 error {err:.4f} exceeds {tol}"
+        _require(err < tol, f"relative L2 error {err:.4f} exceeds {tol}")
         # constant across y on the unmasked interior
         rows = slice(n // 4, 3 * n // 4)
         shielded = np.where(~fld.mask, fld.xi_left, np.nan)[rows]
         column_spread = float(np.nanmax(np.nanstd(shielded, axis=1)))
-        assert column_spread < 0.1, f"field varies across y: {column_spread:.4f}"
+        _require(column_spread < 0.1, f"field varies across y: {column_spread:.4f}")
 
     def check_linear_field() -> None:
         c = 0.5
@@ -201,14 +207,14 @@ def make_grid_checks(fast: bool):
         fld = bp.conjugate_field(grid)
         target = (grid.x[:, None] - c * grid.y[None, :]) / (1.0 - c * c)
         err = bp.field_l2_error(grid, fld.xi_left, np.where(fld.mask, 0.0, target))
-        assert err < tol, f"relative L2 error {err:.4f} exceeds {tol}"
+        _require(err < tol, f"relative L2 error {err:.4f} exceeds {tol}")
 
     def check_numeric_fisher() -> None:
         for c in (0.0, 0.5):
             grid = bp.semicircular_density(c, bp.GridSpec(n, n))
             value = bp.fisher_numeric(grid)
             target = 2.0 / (1.0 - c * c)
-            assert abs(value - target) / target < tol, (c, value, target)
+            _require(abs(value - target) / target < tol, (c, value, target))
 
     return [
         ("independent-conjugate-field-constant", check_independent_field_constant),

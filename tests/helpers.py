@@ -1,13 +1,16 @@
-"""Shared deterministic random generators for the test suite."""
+"""Shared deterministic random generators and brute-force oracles for the
+test suite."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from bifree.cumulant import TableMomentFunctional
+from bifree.bnclattice import enumerate_bnc, is_bnc
+from bifree.cumulant import TableMomentFunctional, pattern_of_letters
 from bifree.derivation import enumerate_words
 from bifree.ncalg import (
     AlgebraMode,
@@ -106,3 +109,95 @@ def all_set_partitions(k: int):
             assignment.pop()
 
     yield from rec(0, [], 0)
+
+
+# -- enumeration oracles ---------------------------------------------------------
+# Definitions by brute force over the lattice, kept only to check the library's
+# closed forms and interval recursions.
+
+
+def mobius_by_recursion(lattice):
+    """mu(sigma, pi) on ``lattice`` from the defining recursion
+    sum_{sigma <= rho <= pi} mu(rho, pi) = [sigma == pi], memoized per lattice."""
+    memo: dict = {}
+
+    def mu(sigma, pi) -> int:
+        key = (sigma.blocks, pi.blocks)
+        if key not in memo:
+            if sigma == pi:
+                memo[key] = 1
+            else:
+                memo[key] = -sum(
+                    mu(rho, pi)
+                    for rho in lattice
+                    if rho != sigma and sigma.leq(rho) and rho.leq(pi)
+                )
+        return memo[key]
+
+    return mu
+
+
+def moment_by_lattice_sum(spec, chi, word) -> Fraction:
+    """Sum over the whole lattice of block-factored cumulants of single letters."""
+    total = Fraction(0)
+    for pi in enumerate_bnc(chi):
+        product = Fraction(1)
+        for block in pi.blocks:
+            product *= spec.kappa(pattern_of_letters([word[p - 1] for p in block]))
+        total += product
+    return total
+
+
+def pair_partitions(k: int):
+    """All perfect matchings of range(k) as tuples of index pairs."""
+    if k % 2:
+        return
+    if k == 0:
+        yield ()
+        return
+
+    def rec(free: list[int]):
+        if not free:
+            yield ()
+            return
+        head = free[0]
+        for pos in range(1, len(free)):
+            rest = free[1:pos] + free[pos + 1:]
+            for tail in rec(rest):
+                yield ((head, free[pos]),) + tail
+
+    yield from rec(list(range(k)))
+
+
+def gaussian_moment_by_pairings(cov, pattern) -> float:
+    """Sum over every pairing that is bi-non-crossing of covariance products."""
+    if not pattern:
+        return 1.0
+    chi = tuple(side for side, _ in pattern)
+    flats = [cov.flat_index(side, index) for side, index in pattern]
+    total = 0.0
+    for matching in pair_partitions(len(pattern)):
+        if is_bnc([(a + 1, b + 1) for a, b in matching], chi):
+            total += math.prod(cov.A[flats[a], flats[b]] for a, b in matching)
+    return total
+
+
+def nc_block_type_count(sizes) -> int:
+    """Non-crossing partitions of {1..n} whose block sizes are the multiset
+    ``sizes`` (Kreweras): n! / ((n - b + 1)! prod_i m_i!) with b blocks and
+    m_i blocks of size i."""
+    n, b = sum(sizes), len(sizes)
+    denominator = math.factorial(n - b + 1)
+    for size in set(sizes):
+        denominator *= math.factorial(sizes.count(size))
+    return math.factorial(n) // denominator
+
+
+def integer_partitions(n: int, largest: int):
+    """Partitions of n into parts of size at most ``largest``, as tuples."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in integer_partitions(n - part, part):
+            yield (part,) + rest

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifree.bnclattice import (
     BNCPartition,
@@ -14,12 +16,11 @@ from bifree.bnclattice import (
     is_bnc,
     join,
     mobius,
-    mobius_zero_one,
     one_partition,
     sigma_chi,
     zero_partition,
 )
-from helpers import all_set_partitions, rand_chi
+from helpers import all_set_partitions, mobius_by_recursion, rand_chi
 
 LRLR = ("l", "r", "l", "r")
 
@@ -154,7 +155,23 @@ class TestMobius:
             chi = rand_chi(rng, k)
             value = mobius(zero_partition(chi), one_partition(chi))
             assert value == (-1) ** (k - 1) * catalan(k - 1)
-            assert mobius_zero_one(chi) == value
+
+    @given(st.lists(st.sampled_from("lr"), min_size=1, max_size=5).map(tuple))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_defining_recursion_on_every_interval(self, chi):
+        lattice = enumerate_bnc(chi)
+        oracle = mobius_by_recursion(lattice)
+        for pi in lattice:
+            for sigma in lattice:
+                if sigma.leq(pi):
+                    assert mobius(sigma, pi) == oracle(sigma, pi), (chi, sigma, pi)
+
+    def test_full_interval_past_the_enumeration_cap(self):
+        rng = random.Random(9)
+        for k in (13, 20, 40):
+            chi = rand_chi(rng, k)
+            value = mobius(zero_partition(chi), one_partition(chi))
+            assert value == (-1) ** (k - 1) * catalan(k - 1)
 
     def test_block_factorization(self):
         # mu(sigma, pi) equals the product over blocks of pi of the full-interval

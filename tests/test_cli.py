@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bifree
 from bifree import bipartite_num as bp
 from bifree.cli import main
 from bifree.cumulant import gaussian_cumulant_spec, save_spec
@@ -155,6 +160,10 @@ class TestCumulantCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == "5/4"
 
+    def test_moment_of_undeclared_letters_rejected(self, spec_file, capsys):
+        assert main(["moments", "--spec", spec_file, "--word", "X5 Y7"]) == 2
+        assert "arity" in capsys.readouterr().err
+
     def test_conjugate_check_passes(self, spec_file, capsys):
         rc = main(
             [
@@ -267,3 +276,24 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 15
+
+    def test_failing_check_reported_under_optimize(self):
+        # the checks raise explicitly, so python -O cannot turn a failure into PASS
+        code = (
+            "import sys\n"
+            "import bifree.selftest as st\n"
+            "st.WORKED_LEFT = 'X1 ⊗ X1'\n"
+            "checks = [c for c in st.all_checks(True) if c[0] == 'difference-quotient-left']\n"
+            "st.all_checks = lambda fast=False: checks\n"
+            "sys.exit(st.run_selftest(fast=True))\n"
+        )
+        src = str(Path(bifree.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "FAIL difference-quotient-left" in proc.stdout

@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bifree.bnclattice import one_partition, zero_partition
+from bifree.bnclattice import ENUMERATION_CAP, one_partition, zero_partition
 from bifree.cumulant import (
     CumulantMomentFunctional,
     CumulantSpec,
@@ -24,8 +27,15 @@ from bifree.cumulant import (
     spec_to_json_dict,
 )
 from bifree.derivation import enumerate_words
-from bifree.ncalg import bipartite_mode, free_mode, lvar, rvar
-from helpers import rand_chi, rand_frac, rand_functional
+from bifree.ncalg import ArityError, bipartite_mode, free_mode, lvar, rvar
+from helpers import (
+    integer_partitions,
+    moment_by_lattice_sum,
+    nc_block_type_count,
+    rand_chi,
+    rand_frac,
+    rand_functional,
+)
 
 HALF = Fraction(1, 2)
 S, T = (lvar(1),), (rvar(1),)
@@ -145,6 +155,49 @@ class TestMomentsFromCumulants:
         spec, _ = semicircular_pair(HALF)
         with pytest.raises(ValueError):
             moments_from_cumulants(spec, ("l",), [T])
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_lattice_sum(self, data):
+        n, m = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        letter = st.one_of(
+            st.integers(1, n).map(lambda i: ("l", i)),
+            st.integers(1, m).map(lambda j: ("r", j)),
+        )
+        value = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+        entries = data.draw(st.dictionaries(
+            st.lists(letter, min_size=1, max_size=4).map(tuple), value, max_size=40
+        ))
+        spec = CumulantSpec(n, m, entries)
+        word = tuple(lvar(i) if side == "l" else rvar(i)
+                     for side, i in data.draw(st.lists(letter, min_size=1, max_size=7)))
+        chi = tuple(l.side for l in word)
+        expected = moment_by_lattice_sum(spec, chi, word)
+        assert moments_from_cumulants(spec, chi, [(l,) for l in word]) == expected
+
+    def test_kreweras_block_type_count_past_the_cap(self):
+        # kappa depends on the block length only, so the moment counts the
+        # non-crossing partitions of each block type
+        k = 14
+        weight = {1: Fraction(2), 2: Fraction(-1, 3), 3: Fraction(5, 7), 4: Fraction(3, 2)}
+        entries = {
+            tuple(zip(sides, (1,) * size)): w
+            for size, w in weight.items()
+            for sides in product("lr", repeat=size)
+        }
+        spec = CumulantSpec(1, 1, entries, degree_bound=k)
+        expected = sum(
+            nc_block_type_count(sizes) * math.prod(weight[s] for s in sizes)
+            for sizes in integer_partitions(k, 4)
+        )
+        rng = random.Random(14)
+        phi = CumulantMomentFunctional(free_mode(1, 1), spec)
+        assert k > ENUMERATION_CAP
+        for _ in range(3):
+            chi = rand_chi(rng, k)
+            word = tuple(lvar(1) if side == "l" else rvar(1) for side in chi)
+            assert moments_from_cumulants(spec, chi, [(l,) for l in word]) == expected
+            assert phi.phi(word) == expected
 
 
 class TestRoundTrips:
@@ -302,6 +355,12 @@ class TestFunctionals:
         spec, phi = semicircular_pair(HALF)
         with pytest.raises(DegreeBoundError):
             phi.phi(S * 11)
+
+    def test_cumulant_backed_rejects_undeclared_letters(self):
+        spec, _ = semicircular_pair(HALF)
+        phi = CumulantMomentFunctional(free_mode(1, 1), spec)
+        with pytest.raises(ArityError):
+            phi.phi((lvar(5), rvar(7)))
 
     def test_cumulant_backed_matches_direct_sum(self):
         spec, phi = semicircular_pair(HALF)

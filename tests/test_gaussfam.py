@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifree.cumulant import CumulantMomentFunctional, gaussian_cumulant_spec
 from bifree.derivation import QuotientKind, conjugate_check
@@ -25,7 +27,7 @@ from bifree.gaussfam import (
     gaussian_moment,
 )
 from bifree.ncalg import NCPolynomial, bipartite_mode, lvar, rvar
-from helpers import rand_psd, rand_psd_spectrum
+from helpers import gaussian_moment_by_pairings, rand_psd, rand_psd_spectrum
 
 
 def cov2(c):
@@ -49,6 +51,19 @@ class TestCovariance:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             Covariance(1, 1, np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @given(
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rejects_non_finite(self, bad, i, j, seed):
+        A = rand_psd(np.random.default_rng(seed), 3)
+        A[i, j] = A[j, i] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Covariance(2, 1, A)
 
     def test_json_round_trip(self):
         cov = cov2(0.25)
@@ -107,6 +122,30 @@ class TestGaussianMoment:
         assert gaussian_moment(cov2(0.5), pattern) == pytest.approx(
             float(phi.phi(word)), abs=1e-12
         )
+
+
+    @given(
+        st.integers(1, 2),
+        st.integers(0, 2),
+        st.lists(st.integers(0, 3), max_size=8),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_pairing_sum_and_fock(self, n, m, picks, seed):
+        cov = Covariance(n, m, rand_psd(np.random.default_rng(seed), n + m))
+        sides = [("l", i + 1) for i in range(n)] + [("r", j + 1) for j in range(m)]
+        pattern = [sides[p % len(sides)] for p in picks]
+        value = gaussian_moment(cov, pattern)
+        scale = max(1.0, abs(value))
+        assert abs(value - gaussian_moment_by_pairings(cov, pattern)) <= 1e-10 * scale
+        if len(pattern) <= 6:  # the Fock basis grows like (n+m)^depth
+            model = build_fock_model(cov, len(pattern))
+            assert abs(value - fock_moment(model, pattern)) <= 1e-10 * scale
+
+    def test_one_sided_catalan_past_the_old_cap(self):
+        a, p = 1.5, 10
+        value = gaussian_moment(Covariance(1, 0, np.array([[a]])), [("l", 1)] * (2 * p))
+        assert value == pytest.approx(math.comb(2 * p, p) // (p + 1) * a**p, rel=1e-12)
 
 
 class TestFockModel:

@@ -219,6 +219,9 @@ class TestLiterals:
                 rand_poly(rng, FREE, LETTERS, 3, 3), rand_poly(rng, FREE, LETTERS, 3, 3)
             )
             assert parse_tensor(format_tensor(t), FREE) == t
+        zero = TensorPoly({})
+        assert format_tensor(zero) == "0"
+        assert parse_tensor(format_tensor(zero), FREE) == zero
 
     def test_canonical_order_degree_then_lex(self):
         p = parse_poly("Y1 + X1 X1 + X1 + 1", FREE)
