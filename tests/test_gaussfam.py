@@ -88,6 +88,10 @@ class TestGaussianMoment:
         # pure-left moments of a unit-variance coordinate count pairings
         assert gaussian_moment(cov2(0.0), [("l", 1)] * 4) == pytest.approx(2.0)
         assert gaussian_moment(cov2(0.0), [("l", 1)] * 6) == pytest.approx(5.0)
+        # variance a, length 2p = 20, past the old length cap of 16: Cat(p) a^p
+        a, p = 1.5, 10
+        value = gaussian_moment(Covariance(1, 0, np.array([[a]])), [("l", 1)] * (2 * p))
+        assert value == pytest.approx(math.comb(2 * p, p) // (p + 1) * a**p, rel=1e-12)
 
     def test_recursion_over_boundary_letter(self):
         # phi(S^n T^m S) = sum_i phi(S^i T^m) phi(S^(n-i-1))
@@ -141,11 +145,6 @@ class TestGaussianMoment:
         if len(pattern) <= 6:  # the Fock basis grows like (n+m)^depth
             model = build_fock_model(cov, len(pattern))
             assert abs(value - fock_moment(model, pattern)) <= 1e-10 * scale
-
-    def test_one_sided_catalan_past_the_old_cap(self):
-        a, p = 1.5, 10
-        value = gaussian_moment(Covariance(1, 0, np.array([[a]])), [("l", 1)] * (2 * p))
-        assert value == pytest.approx(math.comb(2 * p, p) // (p + 1) * a**p, rel=1e-12)
 
 
 class TestFockModel:
