@@ -11,7 +11,8 @@ field is symmetric.  Fisher information is the integral of
 (xi_l^2 + xi_r^2) f over the grid.  The built-in reference family is the
 two-variable semicircular density with covariance c on [-2, 2]^2.
 
-Grids are uniform with trapezoid weights; the kernel regularization defaults
+Grids are finite and uniform (anything else raises ``ValueError``), with
+trapezoid weights; the kernel regularization defaults
 to one grid spacing, with an optional two-point Richardson extrapolation in
 the regularization parameter.
 """
@@ -110,6 +111,13 @@ def make_density_grid(x: np.ndarray, y: np.ndarray, values: np.ndarray) -> Densi
     values = np.asarray(values, dtype=float)
     if values.shape != (x.size, y.size):
         raise ValueError(f"values must have shape (nx, ny) = {(x.size, y.size)}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(values).all()):
+        raise ValueError("grid axes and density values must be finite")
+    for name, axis in (("x", x), ("y", y)):
+        # the trapezoid weights and the default eps assume one spacing per axis
+        steps = np.diff(axis)
+        if steps.size and (steps.min() <= 0 or steps.max() - steps.min() > 1e-9 * steps.max()):
+            raise ValueError(f"the {name} axis must be strictly increasing and uniformly spaced")
     top = float(values.max(initial=0.0))
     if values.min(initial=0.0) < -1e-12 * max(top, 1.0):
         raise ValueError("density values must be nonnegative")

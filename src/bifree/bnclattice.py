@@ -106,10 +106,6 @@ class BNCPartition:
         if not is_bnc(self.blocks, self.chi):
             raise ValueError(f"partition {self.blocks} is not bi-non-crossing for {self.chi}")
 
-    @property
-    def size(self) -> int:
-        return len(self.chi)
-
     def leq(self, other: "BNCPartition") -> bool:
         """Refinement order: every block of ``self`` fits inside a block of ``other``."""
         _check_same_chi(self, other)
@@ -268,10 +264,6 @@ def join(sigma: BNCPartition, pi: BNCPartition) -> BNCPartition:
     joined = _set_join(a, b, k)
     joined = _nc_closure(joined)
     return BNCPartition(chi, relabel(canonical_blocks(joined), perm))
-
-
-def leq(sigma: BNCPartition, pi: BNCPartition) -> bool:
-    return sigma.leq(pi)
 
 
 # -- Mobius function and interval sums ---------------------------------------

@@ -43,10 +43,11 @@ from .ncalg import (
     VAR,
     AlgebraMode,
     ArityError,
+    _literal_terms,
     format_tensor,
     format_word,
-    letter_from_token,
     parse_poly,
+    parse_word,
 )
 from .selftest import run_selftest
 
@@ -70,12 +71,14 @@ def _jfloat(v: float):
 def _write_output(text: str, args) -> None:
     out = getattr(args, "out", None)
     if out:
-        if os.path.exists(out) and not getattr(args, "force", False):
-            raise CliError(f"refusing to overwrite {out} without --force")
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+        open_mode = "w" if getattr(args, "force", False) else "x"
+        try:
+            with open(out, open_mode, encoding="utf-8") as handle:
+                handle.write(text)
+                if not text.endswith("\n"):
+                    handle.write("\n")
+        except FileExistsError:
+            raise CliError(f"refusing to overwrite {out} without --force") from None
     else:
         print(text)
 
@@ -103,25 +106,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _infer_mode(poly_text: str, mode_name: str, left_arity, right_arity, extra=()):
-    max_left = 0
-    max_right = 0
-    for token in poly_text.replace("⊗", " ").split():
-        body = token.partition("*")[2] if "*" in token else token
-        if not body or body[0] not in "XYxy":
-            continue
-        letter = letter_from_token(body)
-        if letter.kind == VAR:
-            if letter.side == LEFT:
-                max_left = max(max_left, letter.index)
-            else:
-                max_right = max(max_right, letter.index)
-    for side, index in extra:
-        if side == LEFT:
-            max_left = max(max_left, index)
-        else:
-            max_right = max(max_right, index)
-    n = left_arity if left_arity is not None else max_left
-    m = right_arity if right_arity is not None else max_right
+    top = {LEFT: 0, RIGHT: 0}
+    letters = [l for _, legs in _literal_terms(poly_text) for leg in legs for l in leg]
+    for side, index in [(l.side, l.index) for l in letters if l.kind == VAR] + list(extra):
+        top[side] = max(top[side], index)
+    n = left_arity if left_arity is not None else top[LEFT]
+    m = right_arity if right_arity is not None else top[RIGHT]
     return AlgebraMode(mode_name, n, m)
 
 
@@ -156,12 +146,7 @@ def _functional_from_spec(path: str):
 
 def _cmd_cumulants(args) -> int:
     spec, mode, phi = _functional_from_spec(args.spec)
-    word = []
-    for token in args.word.split():
-        if token == "1":
-            continue
-        word.append(letter_from_token(token))
-    mode.check_word(tuple(word))
+    word = parse_word(args.word, mode)
     if not word:
         raise CliError("cumulants need at least one letter")
     chi = tuple(l.side for l in word)
@@ -173,12 +158,7 @@ def _cmd_cumulants(args) -> int:
 
 def _cmd_moments(args) -> int:
     spec, mode, phi = _functional_from_spec(args.spec)
-    word = []
-    for token in args.word.split():
-        if token == "1":
-            continue
-        word.append(letter_from_token(token))
-    value = phi.phi(tuple(word))
+    value = phi.phi(parse_word(args.word, mode))
     payload = {"word": args.word, "value": str(value)}
     _emit(payload, args, "json", lambda p: p["value"])
     return 0

@@ -171,7 +171,11 @@ class TableMomentFunctional(MomentFunctional):
     def phi(self, word: Word) -> Fraction:
         word = normal_form(tuple(word), self.mode)
         self._check_degree(len(word))
-        return self._table.get(word, Fraction(0))
+        value = self._table.get(word)
+        if value is None:
+            self.mode.check_word(word)
+            return Fraction(0)
+        return value
 
 
 class CumulantMomentFunctional(MomentFunctional):

@@ -2,8 +2,10 @@
 
 A covariance over n left and m right coordinates determines a family whose
 mixed moments are sums over bi-non-crossing pair partitions, computed by an
-interval recursion.  The same moments fall out of a truncated Fock-space
-matrix model, which serves as an independent oracle.  Closed forms:
+interval recursion.  The same moments fall out of the full Fock space, where
+lefts act on the head of a word and rights on its tail; the field operators
+are applied without a matrix, by contracting one tensor per word length, and
+serve as an independent oracle.  Closed forms:
 polynomial conjugate variables solve A b = e_k, Fisher information is
 Tr(A^-1), entropy is (n+m)/2 log(2 pi e) + 1/2 log det A, and the entropy
 dimension is rank(A).  The entropy is also recovered numerically by
@@ -18,11 +20,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .bnclattice import _nc_block_sum
 
@@ -108,76 +108,64 @@ def gaussian_moment(cov: Covariance, pattern: Pattern) -> float:
     return float(_nc_block_sum(chi, {2}, lambda V: cov.A[flats[V[0] - 1], flats[V[1] - 1]]))
 
 
-# -- Fock matrix model ---------------------------------------------------------
+# -- Fock model --------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FockModel:
-    """Truncated Fock-space representation whose vacuum moments realize the family.
+    """Truncated full Fock space over the n+m coordinates whose vacuum moments
+    realize the family.
 
-    The basis is all words of length <= depth over the n+m coordinates, with
-    Gram inner products from the covariance; coordinate k acts by creation
-    plus annihilation, on the head for lefts and on the tail for rights.
-    Moments of total degree <= depth are unaffected by the truncation.
+    A vector is held as one tensor per level, level L of shape (k,)*L with
+    axis 0 the head of a word and axis -1 its tail.  Coordinate c acts by
+    creation plus annihilation: a left creation puts e_c on the head axis and
+    a left annihilation contracts the head axis with A[:, c]; rights do the
+    same on the tail.  Moments of total degree <= depth are unaffected by
+    the truncation.
     """
 
     cov: Covariance
     depth: int
-    ops: tuple[csr_matrix, ...]
-    dim: int
 
 
 def build_fock_model(cov: Covariance, depth: int) -> FockModel:
-    k = cov.size
-    if k == 0:
+    if cov.size == 0:
         raise ValueError("empty covariance")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    words: list[tuple[int, ...]] = []
-    for length in range(depth + 1):
-        words.extend(tuple(w) for w in iproduct(range(k), repeat=length))
-    index = {w: i for i, w in enumerate(words)}
-    dim = len(words)
-    A = cov.A
-    ops = []
-    for coord in range(k):
-        is_left = coord < cov.n
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        for w, col in index.items():
-            if len(w) < depth:  # creation
-                target = (coord,) + w if is_left else w + (coord,)
-                rows.append(index[target])
-                cols.append(col)
-                data.append(1.0)
-            if w:  # annihilation against the Gram form
-                if is_left:
-                    factor = A[w[0], coord]
-                    target = w[1:]
-                else:
-                    factor = A[w[-1], coord]
-                    target = w[:-1]
-                if factor:
-                    rows.append(index[target])
-                    cols.append(col)
-                    data.append(float(factor))
-        ops.append(csr_matrix((data, (rows, cols)), shape=(dim, dim)))
-    return FockModel(cov, depth, tuple(ops), dim)
+    return FockModel(cov, depth)
 
 
 def fock_moment(model: FockModel, pattern: Pattern) -> float:
-    """Vacuum expectation of the product of field operators for ``pattern``."""
+    """Vacuum expectation of the product of field operators for ``pattern``.
+
+    The operators are applied right to left.  Only levels that can still
+    return to the vacuum are carried: after s of N operators, level L needs
+    L <= N - s, so no tensor has more than N/2 axes.
+    """
     pattern = [(side, index) for side, index in pattern]
     if len(pattern) > model.depth:
         raise ValueError(
             f"pattern length {len(pattern)} exceeds truncation depth {model.depth}"
         )
-    vec = np.zeros(model.dim)
-    vec[0] = 1.0
+    cov = model.cov
+    unit = np.eye(cov.size)
+    remaining = len(pattern)
+    levels = {0: np.ones(())}
     for side, index in reversed(pattern):
-        vec = model.ops[model.cov.flat_index(side, index)] @ vec
-    return float(vec[0])
+        c = cov.flat_index(side, index)
+        axis = 0 if side == "l" else -1
+        remaining -= 1
+        out: dict[int, np.ndarray] = {}
+        for level, vec in levels.items():
+            if level < remaining:
+                factors = (unit[c], vec) if axis == 0 else (vec, unit[c])
+                out[level + 1] = out.get(level + 1, 0.0) + np.multiply.outer(*factors)
+            if level:
+                down = np.tensordot(vec, cov.A[:, c], axes=([axis], [0]))
+                out[level - 1] = out.get(level - 1, 0.0) + down
+        levels = out
+    return float(levels.get(0, 0.0))
 
 
 # -- closed forms ----------------------------------------------------------------

@@ -135,39 +135,100 @@ def word_sort_key(word: Word) -> tuple:
     return (len(word), tuple(l.sort_key() for l in word))
 
 
-def _clean(terms: Iterable[tuple[Word, Fraction]]) -> dict[Word, Fraction]:
-    out: dict[Word, Fraction] = {}
-    for word, coeff in terms:
+def format_word(word: Word) -> str:
+    if not word:
+        return "1"
+    return " ".join(l.token() for l in word)
+
+
+def _accumulate(terms: dict, pairs: Iterable[tuple[object, Fraction]]) -> dict:
+    """Add ``pairs`` into ``terms`` in place, dropping keys whose sum is zero."""
+    for key, coeff in pairs:
         if coeff:
-            acc = out.get(word)
+            acc = terms.get(key)
             if acc is None:
-                out[word] = coeff
+                terms[key] = coeff
             else:
                 acc = acc + coeff
                 if acc:
-                    out[word] = acc
+                    terms[key] = acc
                 else:
-                    del out[word]
-    return out
+                    del terms[key]
+    return terms
 
 
-class NCPolynomial:
-    """A noncommutative polynomial: finitely many words with rational coefficients."""
+class _LinearCombination:
+    """Finitely many keys with nonzero rational coefficients.
+
+    A subclass fixes the key: ``_key`` normalizes one and ``_key_literal``
+    writes it in literal syntax.  Equality is type-strict, so a polynomial
+    never equals a tensor, not even the zero ones.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Word, Fraction | int] | None = None):
+    def __init__(self, terms: Mapping | None = None):
         data = {}
         if terms:
-            for word, coeff in terms.items():
+            for key, coeff in terms.items():
                 coeff = Fraction(coeff)
                 if coeff:
-                    data[tuple(word)] = coeff
+                    data[self._key(key)] = coeff
         self._terms = data
 
     @classmethod
-    def zero(cls) -> "NCPolynomial":
+    def _of(cls, terms: dict):
+        combo = cls.__new__(cls)
+        combo._terms = terms
+        return combo
+
+    @classmethod
+    def zero(cls):
         return cls()
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[object, Fraction | int]]):
+        return cls._of(_accumulate({}, ((cls._key(k), Fraction(c)) for k, c in pairs)))
+
+    def items(self) -> Iterator[tuple[object, Fraction]]:
+        return iter(self._terms.items())
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __add__(self, other):
+        return self._of(_accumulate(dict(self._terms), other._terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._of({k: -c for k, c in self._terms.items()})
+
+    def scale(self, coeff: Fraction | int):
+        coeff = Fraction(coeff)
+        return self._of({k: c * coeff for k, c in self._terms.items()} if coeff else {})
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({_format_literal(self)!r})"
+
+
+class NCPolynomial(_LinearCombination):
+    """A noncommutative polynomial: finitely many words with rational coefficients."""
+
+    __slots__ = ()
+    _key = staticmethod(tuple)
+    _key_literal = staticmethod(format_word)
 
     @classmethod
     def one(cls) -> "NCPolynomial":
@@ -181,66 +242,14 @@ class NCPolynomial:
     def from_letter(cls, letter: Letter, coeff: Fraction | int = 1) -> "NCPolynomial":
         return cls({(letter,): Fraction(coeff)})
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Word, Fraction | int]]) -> "NCPolynomial":
-        poly = cls()
-        poly._terms = _clean((tuple(w), Fraction(c)) for w, c in pairs)
-        return poly
-
-    def items(self) -> Iterator[tuple[Word, Fraction]]:
-        return iter(self._terms.items())
-
     def coeff(self, word: Word) -> Fraction:
         return self._terms.get(tuple(word), Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def degree(self) -> int:
         return max((len(w) for w in self._terms), default=0)
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            acc = out.get(word, Fraction(0)) + coeff
-            if acc:
-                out[word] = acc
-            else:
-                out.pop(word, None)
-        poly = NCPolynomial()
-        poly._terms = out
-        return poly
-
-    def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "NCPolynomial":
-        poly = NCPolynomial()
-        poly._terms = {w: -c for w, c in self._terms.items()}
-        return poly
-
-    def scale(self, coeff: Fraction | int) -> "NCPolynomial":
-        coeff = Fraction(coeff)
-        poly = NCPolynomial()
-        if coeff:
-            poly._terms = {w: c * coeff for w, c in self._terms.items()}
-        return poly
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, NCPolynomial) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
         return sorted(self._terms.items(), key=lambda kv: word_sort_key(kv[0]))
-
-    def __repr__(self) -> str:
-        return f"NCPolynomial({format_poly(self)!r})"
 
 
 def normalize_poly(p: NCPolynomial, mode: AlgebraMode) -> NCPolynomial:
@@ -266,23 +275,19 @@ def star(p: NCPolynomial) -> NCPolynomial:
     return NCPolynomial.from_pairs((tuple(reversed(w)), c) for w, c in p.items())
 
 
-class TensorPoly:
+class TensorPoly(_LinearCombination):
     """An element of the tensor square: rational combination of word pairs."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[tuple[Word, Word], Fraction | int] | None = None):
-        data = {}
-        if terms:
-            for (w1, w2), coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    data[(tuple(w1), tuple(w2))] = coeff
-        self._terms = data
+    @staticmethod
+    def _key(key: tuple[Word, Word]) -> tuple[Word, Word]:
+        w1, w2 = key
+        return (tuple(w1), tuple(w2))
 
-    @classmethod
-    def zero(cls) -> "TensorPoly":
-        return cls()
+    @staticmethod
+    def _key_literal(key: tuple[Word, Word]) -> str:
+        return f"{format_word(key[0])} ⊗ {format_word(key[1])}"
 
     @classmethod
     def one(cls) -> "TensorPoly":
@@ -292,77 +297,12 @@ class TensorPoly:
     def from_words(cls, w1: Word, w2: Word, coeff: Fraction | int = 1) -> "TensorPoly":
         return cls({(tuple(w1), tuple(w2)): Fraction(coeff)})
 
-    @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[tuple[tuple[Word, Word], Fraction | int]]
-    ) -> "TensorPoly":
-        data: dict[tuple[Word, Word], Fraction] = {}
-        for key, coeff in pairs:
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            key = (tuple(key[0]), tuple(key[1]))
-            acc = data.get(key, Fraction(0)) + coeff
-            if acc:
-                data[key] = acc
-            else:
-                data.pop(key, None)
-        t = cls()
-        t._terms = data
-        return t
-
-    def items(self) -> Iterator[tuple[tuple[Word, Word], Fraction]]:
-        return iter(self._terms.items())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = out.get(key, Fraction(0)) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        t = TensorPoly()
-        t._terms = out
-        return t
-
-    def __sub__(self, other: "TensorPoly") -> "TensorPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "TensorPoly":
-        t = TensorPoly()
-        t._terms = {k: -c for k, c in self._terms.items()}
-        return t
-
-    def scale(self, coeff: Fraction | int) -> "TensorPoly":
-        coeff = Fraction(coeff)
-        t = TensorPoly()
-        if coeff:
-            t._terms = {k: c * coeff for k, c in self._terms.items()}
-        return t
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TensorPoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
     def sorted_terms(self) -> list[tuple[tuple[Word, Word], Fraction]]:
         def key(kv):
             (w1, w2), _ = kv
             return (len(w1) + len(w2), word_sort_key(w1), word_sort_key(w2))
 
         return sorted(self._terms.items(), key=key)
-
-    def __repr__(self) -> str:
-        return f"TensorPoly({format_tensor(self)!r})"
 
 
 def tensor_of(p: NCPolynomial, q: NCPolynomial) -> TensorPoly:
@@ -448,164 +388,83 @@ def letter_from_token(token: str) -> Letter:
     return Letter(side, int(match.group(2)), kind)
 
 
-def format_word(word: Word) -> str:
-    if not word:
-        return "1"
-    return " ".join(l.token() for l in word)
+def _literal_terms(text: str) -> list[tuple[Fraction, list[Word]]]:
+    """The terms of a polynomial or tensor literal as (coefficient, legs).
 
-
-def parse_word(text: str, mode: AlgebraMode) -> Word:
-    tokens = text.split()
-    letters = []
-    for token in tokens:
-        if token == "1":
+    Legs are split at ``⊗`` (or ``(x)``); their letters are as written, with
+    no normal form and no arity check.
+    """
+    terms = []
+    sign, coeff, legs = 1, Fraction(1), None
+    for token in text.replace("⊗", " ⊗ ").replace("(x)", " ⊗ ").split() + ["+"]:
+        if token in ("+", "-"):
+            if legs is not None:
+                terms.append((sign * coeff, [tuple(leg) for leg in legs]))
+            sign, coeff, legs = (-1 if token == "-" else 1), Fraction(1), None
             continue
-        letters.append(letter_from_token(token))
-    word = normal_form(tuple(letters), mode)
+        if legs is None:
+            legs = [[]]
+        if token == "⊗":
+            legs.append([])
+            continue
+        if "*" in token:
+            number, _, token = token.partition("*")
+            coeff *= Fraction(number)
+        if _NUMBER_RE.match(token):
+            coeff *= Fraction(token)
+        elif token:
+            legs[-1].append(letter_from_token(token))
+    return terms
+
+
+def _checked(word: Word, mode: AlgebraMode) -> Word:
+    word = normal_form(word, mode)
     mode.check_word(word)
     return word
 
 
-class _TermAccumulator:
-    def __init__(self) -> None:
-        self.sign = 1
-        self.coeff = Fraction(1)
-        self.letters: list[Letter] = []
-        self.open = False
-
-    def commit(self, sink) -> None:
-        if self.open:
-            sink(tuple(self.letters), self.sign * self.coeff)
-        self.sign = 1
-        self.coeff = Fraction(1)
-        self.letters = []
-        self.open = False
-
-
-def _parse_terms(text: str, on_term) -> None:
-    acc = _TermAccumulator()
-    for token in text.split():
-        if token == "+":
-            acc.commit(on_term)
-            continue
-        if token == "-":
-            acc.commit(on_term)
-            acc.sign = -1
-            continue
-        acc.open = True
-        if token == "1":
-            continue
-        if "*" in token:
-            num, _, rest = token.partition("*")
-            acc.coeff *= Fraction(num)
-            if rest and rest != "1":
-                acc.letters.append(letter_from_token(rest))
-            continue
-        if _NUMBER_RE.match(token):
-            acc.coeff *= Fraction(token)
-            continue
-        acc.letters.append(letter_from_token(token))
-    acc.commit(on_term)
+def parse_word(text: str, mode: AlgebraMode) -> Word:
+    terms = _literal_terms(text) or [(Fraction(1), [EMPTY_WORD])]
+    if len(terms) != 1 or terms[0][0] != 1 or len(terms[0][1]) != 1:
+        raise ValueError(f"not a word: {text!r}")
+    return _checked(terms[0][1][0], mode)
 
 
 def parse_poly(text: str, mode: AlgebraMode) -> NCPolynomial:
     pairs: list[tuple[Word, Fraction]] = []
-
-    def sink(word: Word, coeff: Fraction) -> None:
-        word = normal_form(word, mode)
-        mode.check_word(word)
-        pairs.append((word, coeff))
-
-    _parse_terms(text, sink)
+    for coeff, legs in _literal_terms(text):
+        if len(legs) != 1:
+            raise ValueError(f"polynomial term with ⊗: {text!r}")
+        pairs.append((_checked(legs[0], mode), coeff))
     return NCPolynomial.from_pairs(pairs)
-
-
-def _format_term_body(coeff: Fraction, body: str, is_unit: bool) -> str:
-    mag = abs(coeff)
-    if is_unit:
-        return str(mag)
-    if mag == 1:
-        return body
-    return f"{mag}*{body}"
-
-
-def _join_terms(rendered: list[tuple[Fraction, str]]) -> str:
-    if not rendered:
-        return "0"
-    pieces = []
-    for i, (coeff, body) in enumerate(rendered):
-        if i == 0:
-            pieces.append(("- " + body) if coeff < 0 else body)
-        else:
-            pieces.append(("- " if coeff < 0 else "+ ") + body)
-    return " ".join(pieces)
-
-
-def format_poly(p: NCPolynomial) -> str:
-    rendered = []
-    for word, coeff in p.sorted_terms():
-        body = _format_term_body(coeff, format_word(word), is_unit=not word)
-        rendered.append((coeff, body))
-    return _join_terms(rendered)
 
 
 def parse_tensor(text: str, mode: AlgebraMode) -> TensorPoly:
     pairs: list[tuple[tuple[Word, Word], Fraction]] = []
-
-    # Split into sign-separated terms first, then split each on the tensor sign.
-    acc_terms: list[tuple[str, int]] = []
-    sign = 1
-    current: list[str] = []
-    for token in text.split():
-        if token in ("+", "-"):
-            if current:
-                acc_terms.append((" ".join(current), sign))
-                current = []
-            sign = -1 if token == "-" else 1
-            continue
-        current.append(token)
-    if current:
-        acc_terms.append((" ".join(current), sign))
-
-    for term, term_sign in acc_terms:
-        if "⊗" in term:
-            left_text, _, right_text = term.partition("⊗")
-        elif "(x)" in term:
-            left_text, _, right_text = term.partition("(x)")
-        elif _NUMBER_RE.match(term) and not Fraction(term):
+    for coeff, legs in _literal_terms(text):
+        if legs == [EMPTY_WORD] and not coeff:
             continue  # a zero term; format_tensor writes the zero tensor as "0"
-        else:
-            raise ValueError(f"tensor term missing ⊗: {term!r}")
-        coeff = Fraction(term_sign)
-        legs = []
-        for leg_text in (left_text, right_text):
-            letters: list[Letter] = []
-            for token in leg_text.split():
-                if token == "1":
-                    continue
-                if "*" in token:
-                    num, _, rest = token.partition("*")
-                    coeff *= Fraction(num)
-                    if rest and rest != "1":
-                        letters.append(letter_from_token(rest))
-                    continue
-                if _NUMBER_RE.match(token):
-                    coeff *= Fraction(token)
-                    continue
-                letters.append(letter_from_token(token))
-            word = normal_form(tuple(letters), mode)
-            mode.check_word(word)
-            legs.append(word)
-        pairs.append(((legs[0], legs[1]), coeff))
+        if len(legs) != 2:
+            problem = "missing ⊗" if len(legs) < 2 else "with more than one ⊗"
+            raise ValueError(f"tensor term {problem}: {text!r}")
+        pairs.append(((_checked(legs[0], mode), _checked(legs[1], mode)), coeff))
     return TensorPoly.from_pairs(pairs)
 
 
-def format_tensor(t: TensorPoly) -> str:
-    rendered = []
-    for (w1, w2), coeff in t.sorted_terms():
-        body = f"{format_word(w1)} ⊗ {format_word(w2)}"
+def _format_literal(combo: _LinearCombination) -> str:
+    pieces = []
+    for key, coeff in combo.sorted_terms():
+        body = combo._key_literal(key)
         mag = abs(coeff)
         if mag != 1:
-            body = f"{mag}*{body}"
-        rendered.append((coeff, body))
-    return _join_terms(rendered)
+            body = str(mag) if body == "1" else f"{mag}*{body}"
+        pieces.append(("- " if coeff < 0 else "+ " if pieces else "") + body)
+    return " ".join(pieces) or "0"
+
+
+def format_poly(p: NCPolynomial) -> str:
+    return _format_literal(p)
+
+
+def format_tensor(t: TensorPoly) -> str:
+    return _format_literal(t)

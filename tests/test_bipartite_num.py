@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifree.bipartite_num import (
     FieldConfig,
@@ -54,6 +56,42 @@ class TestDensityGrid:
         x = np.linspace(0, 1, 8)
         with pytest.raises(ZeroMassError):
             make_density_grid(x, x, np.zeros((8, 8)))
+
+    @given(
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.sampled_from(["x", "y", "values"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rejects_non_finite(self, bad, where, seed):
+        rng = np.random.default_rng(seed)
+        arrays = {"x": np.linspace(-2, 2, 9), "y": np.linspace(-2, 2, 7),
+                  "values": rng.random((9, 7))}
+        target = arrays[where].reshape(-1)
+        target[rng.integers(target.size)] = bad
+        with pytest.raises(ValueError, match="finite"):
+            make_density_grid(arrays["x"], arrays["y"], arrays["values"])
+
+    @given(
+        st.integers(3, 2048),
+        st.floats(-10, 10),
+        st.floats(0.1, 10),
+        st.integers(0, 2**32 - 1),
+        st.floats(1e-6, 0.9),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rejects_non_uniform_axes(self, n, lo, width, seed, shift, reverse):
+        x = np.linspace(lo, lo + width, n)
+        make_density_grid(x, x[:3], np.ones((n, 3)))  # linspace spacing is accepted
+        bent = x.copy()
+        i = int(np.random.default_rng(seed).integers(1, n - 1))
+        bent[i] += shift * (x[1] - x[0])
+        for axis in (bent, x[::-1]) if reverse else (bent,):
+            with pytest.raises(ValueError, match="uniformly spaced"):
+                make_density_grid(axis, x[:3], np.ones((n, 3)))
+            with pytest.raises(ValueError, match="uniformly spaced"):
+                make_density_grid(x[:3], axis, np.ones((3, n)))
 
     def test_json_round_trip(self, tmp_path):
         g = semicircular_density(0.5, GridSpec(32, 32))

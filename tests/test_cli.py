@@ -13,6 +13,17 @@ from bifree.cumulant import gaussian_cumulant_spec, save_spec
 from fractions import Fraction
 
 
+def run_child(*args):
+    """Run a fresh interpreter with this checkout's ``bifree`` importable."""
+    src = str(Path(bifree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 @pytest.fixture
 def cov_file(tmp_path):
     path = tmp_path / "cov.json"
@@ -114,6 +125,17 @@ class TestLatticeCli:
 
     def test_bad_chi(self, capsys):
         assert main(["lattice", "--chi", "lrq"]) == 2
+
+    def test_out_refuses_existing_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "lattice.json"
+        out.write_text("keep me\n")
+        # as if the file appeared after an existence check: only the open may decide
+        monkeypatch.setattr(os.path, "exists", lambda path: False)
+        assert main(["lattice", "--chi", "lr", "--out", str(out)]) == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert out.read_text() == "keep me\n"
+        assert main(["lattice", "--chi", "lr", "--out", str(out), "--force"]) == 0
+        assert json.loads(out.read_text())["count"] == 2
 
     def test_cap_error(self, capsys):
         assert main(["lattice", "--chi", "l" * 13]) == 2
@@ -287,13 +309,12 @@ class TestSelftest:
             "st.all_checks = lambda fast=False: checks\n"
             "sys.exit(st.run_selftest(fast=True))\n"
         )
-        src = str(Path(bifree.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_child("-O", "-c", code)
         assert proc.returncode == 1, proc.stderr
         assert "FAIL difference-quotient-left" in proc.stdout
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, bifree\nsys.exit(0 if 'scipy' not in sys.modules else 3)\n"
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr

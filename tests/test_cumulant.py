@@ -351,6 +351,13 @@ class TestFunctionals:
         phi = TableMomentFunctional(mode, {S + T: Fraction(5)})
         assert phi.phi(T + S) == 5
 
+    def test_table_rejects_undeclared_letters(self):
+        phi = TableMomentFunctional(free_mode(1, 1), {S: HALF})
+        assert phi.phi(S) == HALF
+        assert phi.phi(T) == 0
+        with pytest.raises(ArityError):
+            phi.phi((lvar(5), rvar(7)))
+
     def test_cumulant_backed_degree_bound(self):
         spec, phi = semicircular_pair(HALF)
         with pytest.raises(DegreeBoundError):

@@ -155,6 +155,9 @@ class TestFockModel:
     def test_fourth_moment(self):
         model = build_fock_model(cov2(0.0), 4)
         assert fock_moment(model, [("l", 1)] * 4) == pytest.approx(2.0, abs=1e-12)
+        # k=4, length 16, where a basis of all words would hold 4^16: Cat(8) a^8
+        model = build_fock_model(Covariance(2, 2, 1.4 * np.eye(4) + 0.1), 16)
+        assert fock_moment(model, [("l", 1)] * 16) == pytest.approx(1430 * 1.5**8, rel=1e-12)
 
     def test_left_right_commutation(self):
         model = build_fock_model(cov2(0.7), 6)
