@@ -318,14 +318,26 @@ def density_to_json_dict(g: DensityGrid) -> dict:
     }
 
 
+def _json_object(data, keys=()) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"density JSON must be an object, not {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"density JSON lacks {key!r}")
+    return data
+
+
 def density_from_json_dict(data: dict) -> DensityGrid:
+    data = _json_object(data, ("xmin", "xmax", "ymin", "ymax", "nx", "ny", "values"))
     x = np.linspace(float(data["xmin"]), float(data["xmax"]), int(data["nx"]))
     y = np.linspace(float(data["ymin"]), float(data["ymax"]), int(data["ny"]))
     return make_density_grid(x, y, np.asarray(data["values"], dtype=float))
 
 
-def save_density(g: DensityGrid, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+def save_density(g: DensityGrid, path: str, overwrite: bool = True) -> None:
+    """Write the JSON form; without ``overwrite`` an existing file raises
+    ``FileExistsError`` at the open."""
+    with open(path, "w" if overwrite else "x", encoding="utf-8") as handle:
         json.dump(density_to_json_dict(g), handle)
         handle.write("\n")
 
@@ -335,27 +347,36 @@ def load_density(path: str) -> DensityGrid:
         return density_from_json_dict(json.load(handle))
 
 
-def save_density_csv(g: DensityGrid, header_path: str, csv_path: str) -> None:
-    """Two-file form: a JSON header plus CSV values, one row per x sample."""
+def save_density_csv(
+    g: DensityGrid, header_path: str, csv_path: str, overwrite: bool = True
+) -> None:
+    """Two-file form: a JSON header plus CSV values, one row per x sample.
+    Without ``overwrite`` an existing file of either name raises
+    ``FileExistsError`` at the open, and neither file is left written."""
     header = density_to_json_dict(g)
     del header["values"]
     header["values_csv"] = os.path.basename(csv_path)
-    with open(header_path, "w", encoding="utf-8") as handle:
-        json.dump(header, handle)
-        handle.write("\n")
-    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        for row in g.values:
-            writer.writerow([repr(float(v)) for v in row])
+    mode = "w" if overwrite else "x"
+    with open(header_path, mode, encoding="utf-8") as handle:
+        try:
+            values = open(csv_path, mode, encoding="utf-8", newline="")
+        except FileExistsError:
+            handle.close()
+            os.remove(header_path)  # the exclusive open above created it
+            raise
+        with values:
+            json.dump(header, handle)
+            handle.write("\n")
+            writer = csv.writer(values)
+            for row in g.values:
+                writer.writerow([repr(float(v)) for v in row])
 
 
 def load_density_csv(header_path: str, csv_path: str) -> DensityGrid:
     with open(header_path, encoding="utf-8") as handle:
-        header = json.load(handle)
+        header = _json_object(json.load(handle))
     rows = []
     with open(csv_path, encoding="utf-8", newline="") as handle:
         for row in csv.reader(handle):
             rows.append([float(v) for v in row])
-    header = dict(header)
-    header["values"] = rows
-    return density_from_json_dict(header)
+    return density_from_json_dict({**header, "values": rows})

@@ -5,10 +5,12 @@ that lists the left positions in increasing order followed by the right
 positions in decreasing order.  A set partition of ``{1..k}`` is
 bi-non-crossing when it becomes non-crossing after relabelling through the
 inverse of that permutation, so the lattice is isomorphic to NC(k).  This
-module enumerates the lattice, computes the refinement order, joins, the
-Mobius function (a Kreweras-complement product), lattice sums of
-block-factored weights (a recursion over intervals), and the bottom-block
-embedding used to expand products sitting in the last entry of a cumulant.
+module enumerates the lattice (NC(k) generated with a stack of open blocks,
+then relabelled), computes the refinement order, joins (union-find and one
+stack pass that merges crossing blocks), the Mobius function (a
+Kreweras-complement product), lattice sums of block-factored weights (a
+recursion over intervals), and the bottom-block embedding used to expand
+products sitting in the last entry of a cumulant.
 
 Everything is pure; enumeration is memoized per side sequence, so
 concurrent readers are safe.
@@ -64,33 +66,17 @@ def canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
     return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
-def _is_noncrossing(blocks: Blocks) -> bool:
-    # Two blocks cross iff their merged, block-labelled element list
-    # alternates at least four times.
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            merged = sorted(
-                [(e, 0) for e in blocks[i]] + [(e, 1) for e in blocks[j]]
-            )
-            runs = 1
-            for (_, a), (_, b) in zip(merged, merged[1:]):
-                if a != b:
-                    runs += 1
-            if runs >= 4:
-                return False
-    return True
-
-
 def is_bnc(blocks: Iterable[Iterable[int]], chi: Sequence[str]) -> bool:
-    """Whether the given set partition of ``{1..len(chi)}`` is bi-non-crossing."""
+    """Whether the given set partition of ``{1..len(chi)}`` is bi-non-crossing:
+    relabelled, it must come through the non-crossing pass unmerged."""
     chi = validate_chi(chi)
     blocks = canonical_blocks(blocks)
     covered = sorted(e for b in blocks for e in b)
     if covered != list(range(1, len(chi) + 1)):
         raise ValueError("blocks must partition {1..k}")
     inv = _inverse_perm(sigma_chi(chi))
-    relabeled = canonical_blocks(tuple(inv[e - 1] for e in b) for b in blocks)
-    return _is_noncrossing(relabeled)
+    relabeled = [[inv[e - 1] - 1 for e in b] for b in blocks]
+    return len(_noncrossing_join(len(chi), relabeled)) == len(blocks)
 
 
 @dataclass(frozen=True)
@@ -135,57 +121,65 @@ def one_partition(chi: Sequence[str]) -> BNCPartition:
     return BNCPartition(chi, (tuple(range(1, len(chi) + 1)),))
 
 
-def _noncrossing_rgs(k: int):
-    """Restricted-growth strings of non-crossing partitions of {0..k-1}, lex order."""
-    assignment = [0] * k
-    blocks: list[list[int]] = []
-
-    def admissible(i: int, b: int) -> bool:
-        top = blocks[b][-1]
-        for j in range(top + 1, i):
-            if blocks[assignment[j]][0] < top:
-                return False
-        return True
+def _nc_partitions(k: int):
+    """Non-crossing partitions of {0..k-1} as tuples of ascending blocks,
+    ordered by first element, in the lex order of their restricted-growth
+    strings.  The blocks that can take the next element without crossing
+    form a stack of open blocks; giving the element to one of them closes
+    every block above it."""
+    blocks: list[tuple[int, ...]] = []
+    stack: list[int] = []  # indices of the open blocks, oldest first
 
     def rec(i: int):
-        if i == k:
-            yield tuple(assignment)
+        if i == k - 1:  # the last element: yield each choice directly
+            for b in stack:
+                block = blocks[b]
+                blocks[b] = block + (i,)
+                yield tuple(blocks)
+                blocks[b] = block
+            yield (*blocks, (i,))
             return
-        for b in range(len(blocks) + 1):
-            if b < len(blocks) and not admissible(i, b):
-                continue
-            assignment[i] = b
-            if b == len(blocks):
-                blocks.append([i])
-                yield from rec(i + 1)
-                blocks.pop()
-            else:
-                blocks[b].append(i)
-                yield from rec(i + 1)
-                blocks[b].pop()
+        for depth, b in enumerate(stack):
+            above = stack[depth + 1:]
+            del stack[depth + 1:]
+            block = blocks[b]
+            blocks[b] = block + (i,)
+            yield from rec(i + 1)
+            blocks[b] = block
+            stack.extend(above)
+        stack.append(len(blocks))
+        blocks.append((i,))
+        yield from rec(i + 1)
+        blocks.pop()
+        stack.pop()
 
-    yield from rec(0)
+    if k:
+        yield from rec(0)
+    else:
+        yield ()
 
 
 def _unchecked(chi: ChiSeq, blocks: Blocks) -> BNCPartition:
     # construction bypass for partitions that are bi-non-crossing by build
     part = object.__new__(BNCPartition)
-    object.__setattr__(part, "chi", chi)
-    object.__setattr__(part, "blocks", blocks)
+    part.__dict__.update(chi=chi, blocks=blocks)
     return part
 
 
 @lru_cache(maxsize=None)
 def _enumerate_bnc_cached(chi: ChiSeq) -> tuple[BNCPartition, ...]:
-    k = len(chi)
     perm = sigma_chi(chi)
+    original: dict[tuple[int, ...], tuple[int, ...]] = {}  # relabelled block -> positions
     out = []
-    for rgs in _noncrossing_rgs(k):
-        nblocks = max(rgs) + 1
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for pos, b in enumerate(rgs):
-            blocks[b].append(perm[pos])
-        out.append(_unchecked(chi, canonical_blocks(blocks)))
+    for blocks in _nc_partitions(len(chi)):
+        mapped = []
+        for block in blocks:
+            positions = original.get(block)
+            if positions is None:
+                positions = original[block] = tuple(sorted(perm[v] for v in block))
+            mapped.append(positions)
+        mapped.sort()  # disjoint blocks, so this orders them by first element
+        out.append(_unchecked(chi, tuple(mapped)))
     return tuple(out)
 
 
@@ -205,8 +199,13 @@ def catalan(k: int) -> int:
 # -- join ------------------------------------------------------------------
 
 
-def _set_join(a: Blocks, b: Blocks, k: int) -> list[set[int]]:
-    parent = list(range(k + 1))
+def _noncrossing_join(k: int, sets: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Blocks of the finest non-crossing partition of {0..k-1} that keeps
+    each of ``sets`` inside one block, ascending and ordered by first element.
+    After a union-find pass, one left-to-right pass keeps the open blocks
+    (seen, with elements still to come) on a stack: an element of an open
+    block crosses every block above it, so those merge into it."""
+    parent = list(range(k))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -214,76 +213,62 @@ def _set_join(a: Blocks, b: Blocks, k: int) -> list[set[int]]:
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for blocks in (a, b):
-        for block in blocks:
-            for e in block[1:]:
-                union(block[0], e)
-    groups: dict[int, set[int]] = {}
-    for e in range(1, k + 1):
-        groups.setdefault(find(e), set()).add(e)
-    return list(groups.values())
-
-
-def _nc_closure(blocks: list[set[int]]) -> list[set[int]]:
-    # Smallest non-crossing coarsening: merge crossing pairs until stable.
-    merged = True
-    while merged:
-        merged = False
-        n = len(blocks)
-        for i in range(n):
-            for j in range(i + 1, n):
-                pair = canonical_blocks([blocks[i], blocks[j]])
-                if not _is_noncrossing(pair):
-                    blocks[i] |= blocks[j]
-                    del blocks[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    return blocks
+    for members in sets:
+        root = find(members[0])
+        for e in members[1:]:
+            parent[find(e)] = root
+    last = [0] * k
+    for i in range(k):
+        last[find(i)] = i
+    opened = [False] * k
+    stack: list[int] = []
+    for i in range(k):
+        r = find(i)
+        if opened[r]:
+            while stack[-1] != r:
+                c = stack.pop()
+                parent[c] = r
+                last[r] = max(last[r], last[c])
+        else:
+            opened[r] = True
+            stack.append(r)
+        if last[r] == i:
+            stack.pop()
+    blocks: dict[int, list[int]] = {}
+    for i in range(k):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
 
 
 def join(sigma: BNCPartition, pi: BNCPartition) -> BNCPartition:
-    """Least upper bound inside the bi-non-crossing lattice."""
+    """Least upper bound inside the bi-non-crossing lattice: the finest
+    non-crossing partition, in relabelled positions, above both."""
     _check_same_chi(sigma, pi)
-    chi = sigma.chi
-    k = len(chi)
-    inv = _inverse_perm(sigma_chi(chi))
-    perm = sigma_chi(chi)
-
-    def relabel(blocks: Blocks, table: tuple[int, ...]) -> Blocks:
-        return canonical_blocks(tuple(table[e - 1] for e in b) for b in blocks)
-
-    a = relabel(sigma.blocks, inv)
-    b = relabel(pi.blocks, inv)
-    joined = _set_join(a, b, k)
-    joined = _nc_closure(joined)
-    return BNCPartition(chi, relabel(canonical_blocks(joined), perm))
+    perm = sigma_chi(sigma.chi)
+    inv = _inverse_perm(perm)
+    relabeled = [[inv[e - 1] - 1 for e in b] for b in sigma.blocks + pi.blocks]
+    joined = _noncrossing_join(len(perm), relabeled)
+    return _unchecked(sigma.chi, tuple(sorted(tuple(sorted(perm[v] for v in b)) for b in joined)))
 
 
 # -- Mobius function and interval sums ---------------------------------------
 
 
 def _kreweras_mobius(blocks: Iterable[Iterable[int]], n: int) -> int:
-    """mu(sigma, 1_n) in NC(n), sigma given by its blocks over 1..n: the
+    """mu(sigma, 1_n) in NC(n), sigma given by its blocks over 0..n-1: the
     product of (-1)^(s-1) Cat(s-1) over the block sizes s of the Kreweras
     complement sigma^-1 gamma_n (Nica-Speicher, Lectures 9-10)."""
-    pred = list(range(n + 1))  # sigma^-1, each block a cycle in increasing order
+    pred = list(range(n))  # sigma^-1, each block a cycle in increasing order
     for block in blocks:
         b = sorted(block)
         for x, y in zip(b, b[1:] + b[:1]):
             pred[y] = x
-    seen, value = set(), 1
-    for start in range(1, n + 1):
+    seen, value = [False] * n, 1
+    for start in range(n):
         s, i = 0, start
-        while i not in seen:
-            seen.add(i)
-            s, i = s + 1, pred[i % n + 1]
+        while not seen[i]:
+            seen[i] = True
+            s, i = s + 1, pred[(i + 1) % n]
         if s:
             value *= (-1) ** (s - 1) * catalan(s - 1)
     return value
@@ -299,7 +284,7 @@ def mobius(sigma: BNCPartition, pi: BNCPartition) -> int:
     inv = _inverse_perm(sigma_chi(sigma.chi))
     value = 1
     for block in pi.blocks:
-        rank = {e: r for r, e in enumerate(sorted(block, key=lambda e: inv[e - 1]), 1)}
+        rank = {e: r for r, e in enumerate(sorted(block, key=lambda e: inv[e - 1]))}
         inner = [[rank[e] for e in b] for b in sigma.blocks if b[0] in rank]
         value *= _kreweras_mobius(inner, len(block))
     return value

@@ -5,7 +5,10 @@ bound.  It can be backed by an explicit word table or by a cumulant
 specification (a map from letter patterns to rationals), in which case
 moments sum block-factored cumulants by a recursion over intervals of the
 bi-non-crossing lattice.  The inverse transform recovers cumulants from
-moments by Mobius inversion over the enumerated lattice.
+moments by Mobius inversion, summed over NC(k) in the relabelled order with
+the Kreweras product for mu(pi, 1) and one moment per distinct block.  The
+product-in-the-last-entry expansion searches only the interval below the
+embedded partition.
 """
 
 from __future__ import annotations
@@ -16,13 +19,15 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .bnclattice import (
+    ENUMERATION_CAP,
     BNCPartition,
+    CapExceededError,
     ChiSeq,
     _inverse_perm,
     _kreweras_mobius,
     _nc_block_sum,
-    enumerate_bnc,
-    hat_chi,
+    _nc_partitions,
+    _unchecked,
     hat_embed,
     hat_zero,
     join,
@@ -225,17 +230,35 @@ def moment_pi(phi: MomentFunctional, pi: BNCPartition, args: Sequence[Word]) -> 
 
 
 def cumulant_chi(phi: MomentFunctional, chi: Sequence[str], args: Sequence[Word]) -> Fraction:
-    """Mobius-inversion cumulant of the arguments against the functional,
-    with mu(pi, 1) the Kreweras product of pi relabelled through ``sigma_chi``."""
+    """Mobius-inversion cumulant of the arguments against the functional: the
+    sum over NC(k), in the relabelled order of ``sigma_chi``, of partitioned
+    moments times mu(pi, 1), the Kreweras product.  phi is asked once per
+    distinct block, and a term stops at its first zero factor."""
     chi = validate_chi(chi)
     if len(args) != len(chi):
         raise ValueError("argument count must match |chi|")
-    inv = _inverse_perm(sigma_chi(chi))
-    total = Fraction(0)
-    for pi in enumerate_bnc(chi):
-        mu = _kreweras_mobius(([inv[e - 1] for e in b] for b in pi.blocks), len(chi))
-        total += moment_pi(phi, pi, args) * mu
-    return total
+    k = len(chi)
+    if k > ENUMERATION_CAP:
+        raise CapExceededError(f"|chi| = {k} exceeds cap {ENUMERATION_CAP}")
+    phi._check_degree(sum(len(w) for w in args))
+    perm = sigma_chi(chi)
+    moments: dict[tuple[int, ...], tuple[int, int]] = {}  # relabelled block -> its moment
+    # integer numerators summed per denominator: exact, without Fraction arithmetic
+    sums: dict[int, int] = {}
+    for blocks in _nc_partitions(k):
+        num = den = 1
+        for block in blocks:
+            value = moments.get(block)
+            if value is None:
+                moment = phi.phi(_block_word(args, [perm[v] for v in block]))
+                value = moments[block] = (moment.numerator, moment.denominator)
+            if not value[0]:
+                break
+            num *= value[0]
+            den *= value[1]
+        else:
+            sums[den] = sums.get(den, 0) + num * _kreweras_mobius(blocks, k)
+    return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
 
 
 def cumulant_pi(phi: MomentFunctional, pi: BNCPartition, args: Sequence[Word]) -> Fraction:
@@ -288,12 +311,22 @@ def expand_product_last_entry(
         raise ValueError("pi must live over chi")
     pi_hat = hat_embed(pi, chi_prime)
     bottom = hat_zero(chi, chi_prime)
-    extended = hat_chi(chi, chi_prime)
-    return tuple(
-        sigma
-        for sigma in enumerate_bnc(extended)
-        if join(sigma, bottom).blocks == pi_hat.blocks
-    )
+    extended = pi_hat.chi
+    # sigma <= sigma v bottom = pi_hat, and bottom is discrete on every block
+    # of pi_hat but the one holding p..q, so sigma keeps those blocks whole
+    # and splits that one into a non-crossing partition of its relabelled order
+    p = len(chi)
+    inv = _inverse_perm(sigma_chi(extended))
+    kept = [b for b in pi_hat.blocks if p not in b]
+    (split,) = [b for b in pi_hat.blocks if p in b]
+    ordered = sorted(split, key=lambda e: inv[e - 1])
+    out = []
+    for blocks in _nc_partitions(len(ordered)):
+        parts = kept + [tuple(sorted(ordered[v] for v in b)) for b in blocks]
+        sigma = _unchecked(extended, tuple(sorted(parts)))
+        if join(sigma, bottom).blocks == pi_hat.blocks:
+            out.append(sigma)
+    return tuple(out)
 
 
 # -- mixed-cumulant vanishing -------------------------------------------------
@@ -398,8 +431,15 @@ def spec_to_json_dict(spec: CumulantSpec) -> dict:
 
 
 def spec_from_json_dict(data: Mapping) -> CumulantSpec:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"cumulant spec JSON must be an object, not {type(data).__name__}")
+    for key in ("n", "m"):
+        if key not in data:
+            raise ValueError(f"cumulant spec JSON lacks {key!r}")
     entries: dict[Pattern, Fraction] = {}
     for item in data.get("entries", []):
+        if not isinstance(item, Mapping) or "pattern" not in item or "value" not in item:
+            raise ValueError(f"cumulant spec entry needs 'pattern' and 'value': {item!r}")
         pattern = tuple((side, int(index)) for side, index in item["pattern"])
         entries[pattern] = Fraction(str(item["value"]))
     return CumulantSpec(

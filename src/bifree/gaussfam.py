@@ -92,6 +92,11 @@ class Covariance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Covariance":
+        if not isinstance(data, dict):
+            raise ValueError(f"covariance JSON must be an object, not {type(data).__name__}")
+        for key in ("n", "m", "matrix"):
+            if key not in data:
+                raise ValueError(f"covariance JSON lacks {key!r}")
         return cls(int(data["n"]), int(data["m"]), np.asarray(data["matrix"], dtype=float))
 
 

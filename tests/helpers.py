@@ -6,11 +6,25 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
+from hypothesis import strategies as st
 
-from bifree.bnclattice import enumerate_bnc, is_bnc
-from bifree.cumulant import TableMomentFunctional, pattern_of_letters
+from bifree.bnclattice import (
+    BNCPartition,
+    _inverse_perm,
+    canonical_blocks,
+    enumerate_bnc,
+    hat_chi,
+    hat_embed,
+    hat_zero,
+    is_bnc,
+    mobius,
+    one_partition,
+    sigma_chi,
+)
+from bifree.cumulant import TableMomentFunctional, moment_pi, pattern_of_letters
 from bifree.derivation import enumerate_words
 from bifree.ncalg import (
     AlgebraMode,
@@ -201,3 +215,123 @@ def integer_partitions(n: int, largest: int):
     for part in range(min(n, largest), 0, -1):
         for rest in integer_partitions(n - part, part):
             yield (part,) + rest
+
+
+def noncrossing_rgs(k: int):
+    """Restricted-growth strings of non-crossing partitions of {0..k-1} in lex
+    order, each new entry checked against every earlier position."""
+    assignment = [0] * k
+    blocks: list[list[int]] = []
+
+    def admissible(i: int, b: int) -> bool:
+        top = blocks[b][-1]
+        for j in range(top + 1, i):
+            if blocks[assignment[j]][0] < top:
+                return False
+        return True
+
+    def rec(i: int):
+        if i == k:
+            yield tuple(assignment)
+            return
+        for b in range(len(blocks) + 1):
+            if b < len(blocks) and not admissible(i, b):
+                continue
+            assignment[i] = b
+            if b == len(blocks):
+                blocks.append([i])
+                yield from rec(i + 1)
+                blocks.pop()
+            else:
+                blocks[b].append(i)
+                yield from rec(i + 1)
+                blocks[b].pop()
+
+    yield from rec(0)
+
+
+@lru_cache(maxsize=None)
+def noncrossing_rgs_table(k: int) -> tuple:
+    return tuple(noncrossing_rgs(k))
+
+
+def rgs_bnc_blocks(rgs, chi):
+    """Blocks, in original positions, of the partition of ``chi`` whose
+    relabelled restricted-growth string is ``rgs``."""
+    perm = sigma_chi(chi)
+    blocks: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
+    for pos, b in enumerate(rgs):
+        blocks[b].append(perm[pos])
+    return canonical_blocks(blocks)
+
+
+def bnc_partitions(chi):
+    """Hypothesis strategy: a bi-non-crossing partition of ``chi``."""
+    return st.sampled_from(noncrossing_rgs_table(len(chi))).map(
+        lambda rgs: BNCPartition(chi, rgs_bnc_blocks(rgs, chi))
+    )
+
+
+def is_noncrossing_by_pairs(blocks) -> bool:
+    """No two blocks cross: their merged, block-labelled element list never
+    alternates four times."""
+    blocks = [sorted(b) for b in blocks]
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            merged = sorted([(e, 0) for e in blocks[i]] + [(e, 1) for e in blocks[j]])
+            runs = 1 + sum(a != b for (_, a), (_, b) in zip(merged, merged[1:]))
+            if runs >= 4:
+                return False
+    return True
+
+
+def is_bnc_by_pairs(blocks, chi) -> bool:
+    inv = _inverse_perm(sigma_chi(chi))
+    return is_noncrossing_by_pairs([[inv[e - 1] for e in b] for b in blocks])
+
+
+def join_by_closure(sigma, pi):
+    """Blocks of the join: union the two partitions, then merge crossing pairs
+    of blocks, in relabelled positions, until none cross."""
+    perm = sigma_chi(sigma.chi)
+    inv = _inverse_perm(perm)
+    blocks = [{inv[e - 1] for e in b} for b in sigma.blocks]
+    for b in pi.blocks:
+        touched = {inv[e - 1] for e in b}
+        for other in [x for x in blocks if x & touched]:
+            blocks.remove(other)
+            touched |= other
+        blocks.append(touched)
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(blocks)):
+            for j in range(i + 1, len(blocks)):
+                if not is_noncrossing_by_pairs([blocks[i], blocks[j]]):
+                    blocks[i] |= blocks.pop(j)
+                    merged = True
+                    break
+            if merged:
+                break
+    return canonical_blocks([perm[v - 1] for v in b] for b in blocks)
+
+
+def expand_by_lattice_filter(pi, chi, chi_prime) -> set:
+    """Blocks of every partition of the extended lattice whose join with the
+    bottom-block embedding is the embedding of ``pi``."""
+    pi_hat = hat_embed(pi, chi_prime)
+    bottom = hat_zero(chi, chi_prime)
+    return {
+        sigma.blocks
+        for sigma in enumerate_bnc(hat_chi(chi, chi_prime))
+        if join_by_closure(sigma, bottom) == pi_hat.blocks
+    }
+
+
+def cumulant_by_lattice_sum(phi, chi, args) -> Fraction:
+    """Mobius inversion over the enumerated lattice."""
+    top = one_partition(chi)
+    return sum(
+        (moment_pi(phi, pi, args) * mobius(pi, top) for pi in enumerate_bnc(chi)),
+        Fraction(0),
+    )

@@ -20,13 +20,26 @@ from bifree.bnclattice import (
     sigma_chi,
     zero_partition,
 )
-from helpers import all_set_partitions, mobius_by_recursion, rand_chi
+from helpers import (
+    all_set_partitions,
+    bnc_partitions,
+    is_bnc_by_pairs,
+    join_by_closure,
+    mobius_by_recursion,
+    noncrossing_rgs,
+    rand_chi,
+    rgs_bnc_blocks,
+)
 
 LRLR = ("l", "r", "l", "r")
 
 
 def all_chis(k):
     return [tuple(c) for c in product("lr", repeat=k)]
+
+
+def chis(max_size):
+    return st.lists(st.sampled_from("lr"), min_size=1, max_size=max_size).map(tuple)
 
 
 class TestSigmaChi:
@@ -82,7 +95,18 @@ class TestEnumeration:
             enumerate_bnc(("l",) * 5, cap=4)
 
     def test_deterministic_order(self):
-        assert enumerate_bnc(LRLR) == enumerate_bnc(LRLR)
+        # relabelled restricted-growth strings in lex order
+        rng = random.Random(19)
+        for k in range(1, 10):
+            for chi in (("l",) * k, rand_chi(rng, k)):
+                expected = [rgs_bnc_blocks(rgs, chi) for rgs in noncrossing_rgs(k)]
+                assert [p.blocks for p in enumerate_bnc(chi)] == expected
+
+    @given(chis(max_size=7))
+    @settings(max_examples=30, deadline=None)
+    def test_is_bnc_matches_pairwise_crossing_check(self, chi):
+        for blocks in all_set_partitions(len(chi)):
+            assert is_bnc(blocks, chi) == is_bnc_by_pairs(blocks, chi), (chi, blocks)
 
 
 class TestJoin:
@@ -98,6 +122,14 @@ class TestJoin:
         sigma = BNCPartition(LRLR, ((1, 3), (2,), (4,)))
         pi = BNCPartition(LRLR, ((2, 4), (1,), (3,)))
         assert join(sigma, pi).blocks == ((1, 3), (2, 4))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_pairwise_closure(self, data):
+        chi = data.draw(chis(max_size=9))
+        sigma = data.draw(bnc_partitions(chi))
+        pi = data.draw(bnc_partitions(chi))
+        assert join(sigma, pi).blocks == join_by_closure(sigma, pi)
 
     def test_least_upper_bound_randomized(self):
         rng = random.Random(23)
@@ -156,7 +188,7 @@ class TestMobius:
             value = mobius(zero_partition(chi), one_partition(chi))
             assert value == (-1) ** (k - 1) * catalan(k - 1)
 
-    @given(st.lists(st.sampled_from("lr"), min_size=1, max_size=5).map(tuple))
+    @given(chis(max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_matches_defining_recursion_on_every_interval(self, chi):
         lattice = enumerate_bnc(chi)

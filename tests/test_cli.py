@@ -233,6 +233,21 @@ class TestBipartiteCli:
         assert main(args) == 2
         assert main(args + ["--force"]) == 0
 
+    @pytest.mark.parametrize("fmt, existing", [("json", "grid.json"), ("csv", "grid.csv")])
+    def test_make_refuses_existing_file(self, tmp_path, monkeypatch, capsys, fmt, existing):
+        kept = tmp_path / existing
+        kept.write_text("keep me\n")
+        # as if the file appeared after an existence check: only the open may decide
+        monkeypatch.setattr(os.path, "exists", lambda path: False)
+        args = ["bipartite", "make-semicircular", "--c", "0.1", "--n", "16",
+                "--out", str(tmp_path / "grid.json"), "--format", fmt]
+        assert main(args) == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert kept.read_text() == "keep me\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [existing]
+        assert main(args + ["--force"]) == 0
+        assert kept.read_text() != "keep me\n"
+
     def test_conjugate_output_schema(self, tmp_path, capsys):
         out = tmp_path / "field.json"
         rc = main(
@@ -290,6 +305,22 @@ class TestBipartiteCli:
         assert value == pytest.approx(
             2 / (1 - 0.09), rel=0.1
         )  # coarse grid, loose check
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["gaussian", "fisher", "--cov"], {"n": 1, "m": 1}),
+    (["gaussian", "fisher", "--cov"], [[1.0, 0.5], [0.5, 1.0]]),
+    (["moments", "--word", "X1", "--spec"], {"m": 1, "entries": []}),
+    (["moments", "--word", "X1", "--spec"], {"n": 1, "m": 1, "entries": [{"value": "1"}]}),
+    (["bipartite", "fisher", "--grid"],
+     {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "values": [[1, 1], [1, 1]]}),
+])
+def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestSelftest:

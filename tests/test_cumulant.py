@@ -1,13 +1,18 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifree.bnclattice import ENUMERATION_CAP, one_partition, zero_partition
+from bifree.bnclattice import (
+    ENUMERATION_CAP,
+    BNCPartition,
+    one_partition,
+    zero_partition,
+)
 from bifree.cumulant import (
     CumulantMomentFunctional,
     CumulantSpec,
@@ -29,12 +34,16 @@ from bifree.cumulant import (
 from bifree.derivation import enumerate_words
 from bifree.ncalg import ArityError, bipartite_mode, free_mode, lvar, rvar
 from helpers import (
+    bnc_partitions,
+    cumulant_by_lattice_sum,
+    expand_by_lattice_filter,
     integer_partitions,
     moment_by_lattice_sum,
     nc_block_type_count,
     rand_chi,
     rand_frac,
     rand_functional,
+    rgs_bnc_blocks,
 )
 
 HALF = Fraction(1, 2)
@@ -54,6 +63,22 @@ def letters_for_chi(chi, rng=None, arities=(2, 2)):
         idx = rng.randint(1, arity) if rng else 1
         out.append((lvar(idx) if label == "l" else rvar(idx),))
     return out
+
+
+@st.composite
+def table_cases(draw, max_size):
+    """A word over l1, l2, r1, r2 with a table functional that puts a random
+    rational (zero included) on each of its subsequences."""
+    letters = (lvar(1), lvar(2), rvar(1), rvar(2))
+    word = draw(st.lists(st.sampled_from(letters), min_size=1, max_size=max_size))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    table = {
+        tuple(word[i] for i in idx): draw(value)
+        for r in range(1, len(word) + 1)
+        for idx in combinations(range(len(word)), r)
+    }
+    phi = TableMomentFunctional(free_mode(2, 2), table)
+    return phi, tuple(l.side for l in word), [(l,) for l in word]
 
 
 class TestMomentPi:
@@ -112,6 +137,12 @@ class TestCumulantChi:
             left_last = cumulant_chi(phi, chi + ("l",), args + [S])
             right_last = cumulant_chi(phi, chi + ("r",), args + [S])
             assert left_last == right_last
+
+    @given(table_cases(max_size=7))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_lattice_sum(self, case):
+        phi, chi, args = case
+        assert cumulant_chi(phi, chi, args) == cumulant_by_lattice_sum(phi, chi, args)
 
     def test_bipartite_commutation_invariance(self):
         # swapping an adjacent left-right pair of entries leaves kappa unchanged
@@ -285,6 +316,51 @@ class TestProductExpansion:
             sigmas = expand_product_last_entry(one_partition(chi), chi, chi_prime)
             expanded = sum(cumulant_pi(phi, s, expanded_args) for s in sigmas)
             assert direct == expanded
+
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_whole_lattice_filter(self, data):
+        extended = tuple(data.draw(st.lists(st.sampled_from("lr"), min_size=2, max_size=8)))
+        p = data.draw(st.integers(1, len(extended) - 1))
+        chi, chi_prime = extended[:p], extended[p - 1:]
+        pi = data.draw(bnc_partitions(chi))
+        got = [s.blocks for s in expand_product_last_entry(pi, chi, chi_prime)]
+        assert len(set(got)) == len(got)
+        assert set(got) == expand_by_lattice_filter(pi, chi, chi_prime)
+
+
+def test_no_whole_lattice_enumeration(monkeypatch):
+    # cumulants and expansions work on NC(k) and on [0, pi_hat], never on
+    # the enumerated lattice
+    import bifree.bnclattice
+    import bifree.cumulant
+
+    rng = random.Random(29)
+    chi = rand_chi(rng, 7)
+    args = letters_for_chi(chi, rng)
+    word = tuple(a[0] for a in args)
+    table = {
+        tuple(word[i] for i in idx): rand_frac(rng)
+        for r in range(1, 8)
+        for idx in combinations(range(7), r)
+    }
+    phi = TableMomentFunctional(free_mode(2, 2), table)
+    expected_cumulant = cumulant_by_lattice_sum(phi, chi, args)
+    extended = rand_chi(rng, 8)
+    base, chi_prime = extended[:4], extended[3:]
+    pi = BNCPartition(base, rgs_bnc_blocks((0, 1, 1, 0), base))
+    expected_expansion = expand_by_lattice_filter(pi, base, chi_prime)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole-lattice enumeration")
+
+    monkeypatch.setattr(bifree.cumulant, "enumerate_bnc", refuse, raising=False)
+    monkeypatch.setattr(bifree.bnclattice, "enumerate_bnc", refuse)
+    monkeypatch.setattr(bifree.bnclattice, "_enumerate_bnc_cached", refuse)
+    assert cumulant_chi(phi, chi, args) == expected_cumulant
+    got = {s.blocks for s in expand_product_last_entry(pi, base, chi_prime)}
+    assert got == expected_expansion
 
 
 class TestMixedVanishing:
