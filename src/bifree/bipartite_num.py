@@ -203,14 +203,19 @@ def hilbert_pv(density: MarginalDensity, eps: float | None = None) -> np.ndarray
     return hilbert_samples(density.x, density.samples, density.weights, eps)
 
 
+#: Density below this fraction of its maximum is masked: the fields are zero there.
+MASK_THRESHOLD = 1e-10
+#: Share of the product of the marginal supports that may carry no density
+#: before ``NonProductSupportWarning`` is raised.
+PRODUCT_WARN_FRACTION = 0.05
+
+
 @dataclass(frozen=True)
 class FieldConfig:
     """Controls for the conjugate-field computation."""
 
     eps: float | None = None  # default: one grid spacing per axis
-    mask_threshold: float = 1e-10
     richardson: bool = False
-    product_warn_fraction: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -257,12 +262,12 @@ def conjugate_field(g: DensityGrid, cfg: FieldConfig | None = None) -> Conjugate
         gx, gy = 2.0 * gx2 - gx, 2.0 * gy2 - gy
 
     top = float(g.values.max())
-    mask = g.values < cfg.mask_threshold * top
+    mask = g.values < MASK_THRESHOLD * top
 
     product_proxy = fx[:, None] * fy[None, :]
-    inside_product = product_proxy > cfg.mask_threshold * float(product_proxy.max())
+    inside_product = product_proxy > MASK_THRESHOLD * float(product_proxy.max())
     gap_fraction = float(np.mean(mask & inside_product))
-    if gap_fraction > cfg.product_warn_fraction:
+    if gap_fraction > PRODUCT_WARN_FRACTION:
         warnings.warn(
             f"{100 * gap_fraction:.1f}% of the product of the marginal supports "
             "carries no density; the conjugate-variable formula assumes a "

@@ -4,9 +4,12 @@ Subcommands: ``lattice``, ``cumulants``, ``moments``, ``dq``,
 ``conjugate-check``, ``gaussian {fisher|entropy|dimension|moments}``,
 ``bipartite {fisher|conjugate|make-semicircular}``, ``selftest``.
 
-Exit codes: 0 success, 1 a failing self-test check, 2 validation error,
-3 numerical non-convergence.  Error text goes to standard error.  Rationals
-are serialized as ``"p/q"`` strings in JSON and floats with 12 significant
+Exit codes: 0 success, 1 a failing self-test check, 2 validation error
+(an unknown ``--format`` included), 3 numerical non-convergence (the entropy
+quadrature reaching its depth limit).  Error text goes to standard error.
+``--format`` is ``json`` or ``text``, except for ``make-semicircular``, which
+writes ``json`` or a JSON header plus ``csv`` values.  Rationals are
+serialized as ``"p/q"`` strings in JSON and floats with 12 significant
 digits; text output uses 11 significant digits.  Existing files are never
 overwritten without --force.
 """
@@ -80,23 +83,15 @@ def _write_output(text: str, args) -> None:
 
 
 def _emit(payload: dict, args, default_format: str, text_fn) -> None:
-    fmt = getattr(args, "format", None) or default_format
-    if fmt == "json":
+    if (args.format or default_format) == "json":
         _write_output(json.dumps(payload, indent=2), args)
-    elif fmt == "text":
-        _write_output(text_fn(payload), args)
-    elif fmt == "csv":
-        rows = payload.get("csv")
-        if rows is None:
-            raise CliError("this subcommand has no CSV form")
-        _write_output("\n".join(",".join(str(v) for v in row) for row in rows), args)
     else:
-        raise CliError(f"unknown format {fmt!r}")
+        _write_output(text_fn(payload), args)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, formats=("json", "text")) -> None:
     parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument("--format", choices=["json", "csv", "text"], default=None)
+    parser.add_argument("--format", choices=formats, default=None)
     parser.add_argument("--force", action="store_true", help="allow overwriting --out")
     parser.add_argument("--quiet", action="store_true", help="suppress warnings")
 
@@ -223,9 +218,7 @@ def _cmd_gaussian_entropy(args) -> int:
         payload = {"entropy": _jfloat(value), "method": "closed"}
     else:
         result = gf.entropy_quadrature(
-            lambda t: gf.fisher_perturbed(cov, t),
-            cov.size,
-            gf.QuadConfig(tol=args.quad_tol),
+            lambda t: gf.fisher_perturbed(cov, t), cov.size, tol=args.quad_tol
         )
         value = result.value
         payload = {
@@ -322,15 +315,12 @@ def _cmd_bipartite_make(args) -> int:
     grid = bp.semicircular_density(args.c, bp.GridSpec(args.n, args.n))
     if not args.out:
         raise CliError("make-semicircular requires --out")
-    fmt = args.format or "json"
     try:
-        if fmt == "json":
-            bp.save_density(grid, args.out, overwrite=args.force)
-        elif fmt == "csv":
+        if args.format == "csv":
             csv_path = (args.out[:-5] if args.out.endswith(".json") else args.out) + ".csv"
             bp.save_density_csv(grid, args.out, csv_path, overwrite=args.force)
         else:
-            raise CliError("make-semicircular writes json or csv")
+            bp.save_density(grid, args.out, overwrite=args.force)
     except FileExistsError as exc:
         raise CliError(f"refusing to overwrite {exc.filename} without --force") from None
     if not args.quiet:
@@ -448,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = bsub.add_parser("make-semicircular")
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--n", type=int, default=512)
-    _add_common(p)
+    _add_common(p, formats=("json", "csv"))
     p.set_defaults(handler=_cmd_bipartite_make)
 
     p = sub.add_parser("selftest", help="run the golden-example suite")

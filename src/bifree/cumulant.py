@@ -13,6 +13,7 @@ embedded partition.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -368,44 +369,21 @@ def check_mixed_vanishing(
     letters = [Letter(LEFT, i + 1, VAR) for i in range(spec.n)] + [
         Letter(RIGHT, j + 1, VAR) for j in range(spec.m)
     ]
-    groups = {pattern_of_letters([l])[0]: grouping[(l.side, l.index)] for l in letters}
-
-    def letter_group(letter: Letter) -> object:
-        return groups[(letter.side, letter.index)]
-
     by_group: dict[object, list[Letter]] = {}
     for letter in letters:
-        by_group.setdefault(letter_group(letter), []).append(letter)
+        by_group.setdefault(grouping[(letter.side, letter.index)], []).append(letter)
 
     checked = 0
     violations: list[VanishingViolation] = []
-
-    def product_words(group: object, length: int):
-        pool = by_group[group]
-        if length == 0:
-            yield ()
-            return
-        for head in pool:
-            for rest in product_words(group, length - 1):
-                yield (head,) + rest
-
-    def front_tuples(length: int):
-        if length == 0:
-            yield ()
-            return
-        for head in letters:
-            for rest in front_tuples(length - 1):
-                yield (head,) + rest
-
-    for last_group in by_group:
+    for pool in by_group.values():
         for product_len in range(1, max_product_len + 1):
-            for last_word in product_words(last_group, product_len):
+            for last_word in itertools.product(pool, repeat=product_len):
                 for front_len in range(1, max_degree - product_len + 1):
-                    for front in front_tuples(front_len):
-                        if all(letter_group(l) == last_group for l in front):
+                    for front in itertools.product(letters, repeat=front_len):
+                        if all(l in pool for l in front):
                             continue  # omega constant: nothing to check
                         chi = tuple(l.side for l in front) + ("l",)
-                        args = [(l,) for l in front] + [tuple(last_word)]
+                        args = [(l,) for l in front] + [last_word]
                         value = cumulant_chi(phi, chi, args)
                         checked += 1
                         if value:
@@ -430,6 +408,17 @@ def spec_to_json_dict(spec: CumulantSpec) -> dict:
     }
 
 
+def _spec_field(data: Mapping, key: str, convert, default=None):
+    try:
+        return convert(data.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"cumulant spec field {key!r} is malformed: {exc}") from None
+
+
+def _pattern(value) -> Pattern:
+    return tuple((side, int(index)) for side, index in value)
+
+
 def spec_from_json_dict(data: Mapping) -> CumulantSpec:
     if not isinstance(data, Mapping):
         raise ValueError(f"cumulant spec JSON must be an object, not {type(data).__name__}")
@@ -437,16 +426,16 @@ def spec_from_json_dict(data: Mapping) -> CumulantSpec:
         if key not in data:
             raise ValueError(f"cumulant spec JSON lacks {key!r}")
     entries: dict[Pattern, Fraction] = {}
-    for item in data.get("entries", []):
+    for item in _spec_field(data, "entries", list, []):
         if not isinstance(item, Mapping) or "pattern" not in item or "value" not in item:
             raise ValueError(f"cumulant spec entry needs 'pattern' and 'value': {item!r}")
-        pattern = tuple((side, int(index)) for side, index in item["pattern"])
-        entries[pattern] = Fraction(str(item["value"]))
+        pattern = _spec_field(item, "pattern", _pattern)
+        entries[pattern] = _spec_field(item, "value", lambda v: Fraction(str(v)))
     return CumulantSpec(
-        n=int(data["n"]),
-        m=int(data["m"]),
+        n=_spec_field(data, "n", int),
+        m=_spec_field(data, "m", int),
         entries=entries,
-        degree_bound=int(data.get("degree_bound", DEFAULT_DEGREE_BOUND)),
+        degree_bound=_spec_field(data, "degree_bound", int, DEFAULT_DEGREE_BOUND),
     )
 
 

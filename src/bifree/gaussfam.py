@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,6 +35,12 @@ LOG_2PIE = math.log(2 * math.pi * math.e)
 SINGULAR_TOL = 1e-12
 #: Relative singular-value threshold for the numerical rank.
 RANK_TOL = 1e-8
+#: Bound on the neglected 1/t^3 tail remainder past the quadrature cut.
+QUAD_TAIL_BOUND = 1e-9
+#: Bisection depth at which the adaptive quadrature gives up.
+QUAD_MAX_DEPTH = 48
+#: Decreasing epsilons on which the limit form of the dimension is extrapolated.
+DIMENSION_EPS = tuple(0.25 * 0.5 ** i for i in range(10))
 
 
 class SingularCovarianceError(ValueError):
@@ -94,10 +101,15 @@ class Covariance:
     def from_json_dict(cls, data: dict) -> "Covariance":
         if not isinstance(data, dict):
             raise ValueError(f"covariance JSON must be an object, not {type(data).__name__}")
-        for key in ("n", "m", "matrix"):
+        fields = []
+        for key, convert in (("n", int), ("m", int), ("matrix", partial(np.asarray, dtype=float))):
             if key not in data:
                 raise ValueError(f"covariance JSON lacks {key!r}")
-        return cls(int(data["n"]), int(data["m"]), np.asarray(data["matrix"], dtype=float))
+            try:
+                fields.append(convert(data[key]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"covariance JSON field {key!r} is malformed: {exc}") from None
+        return cls(*fields)
 
 
 def gaussian_moment(cov: Covariance, pattern: Pattern) -> float:
@@ -231,16 +243,6 @@ def entropy_closed(cov: Covariance) -> float:
 
 
 @dataclass(frozen=True)
-class QuadConfig:
-    """Controls for the substituted adaptive Simpson rule."""
-
-    tol: float = 1e-9
-    max_depth: int = 48
-    delta: float | None = None
-    tail_bound: float = 1e-9
-
-
-@dataclass(frozen=True)
 class QuadResult:
     value: float
     error_bound: float
@@ -248,7 +250,7 @@ class QuadResult:
 
 
 def _adaptive_simpson(
-    f: Callable[[float], float], a: float, b: float, tol: float, max_depth: int
+    f: Callable[[float], float], a: float, b: float, tol: float
 ) -> tuple[float, float, int]:
     evals = [0]
     length = b - a
@@ -269,9 +271,9 @@ def _adaptive_simpson(
         right = simpson(fm, frm, fb, b - m)
         err = (left + right - whole) / 15.0
         # error budget proportional to panel length keeps the total below tol
-        if abs(err) <= tol * (b - a) / length or (b - a) < 1e-14:
+        if abs(err) <= tol * (b - a) / length:
             return left + right + err, abs(err)
-        if depth >= max_depth:
+        if depth >= QUAD_MAX_DEPTH:
             raise NonConvergenceError(
                 f"adaptive quadrature stalled on [{a}, {b}] at depth {depth}"
             )
@@ -290,20 +292,21 @@ def _adaptive_simpson(
 def entropy_quadrature(
     fisher_fn: Callable[[float], float],
     n_plus_m: int,
-    cfg: QuadConfig | None = None,
+    tol: float = 1e-9,
 ) -> QuadResult:
     """Entropy from a Fisher profile t -> Phi(t) of the perturbed family:
 
         (n+m)/2 log(2 pi e) + 1/2 ∫_0^∞ ( (n+m)/(1+t) - Phi(t) ) dt.
 
     The integral is mapped by t = u/(1-u) onto [0, 1-delta] and integrated
-    adaptively; past the cut the profile is replaced by its (n+m)/t asymptote,
-    whose tail integrates in closed form.  The cut is placed so the neglected
-    remainder stays below ``cfg.tail_bound``.  Returns the estimate together
-    with an error bound.  A profile diverging like nu/t at 0 (degenerate
+    by adaptive Simpson to ``tol``; past the cut the profile is replaced by
+    its (n+m)/t asymptote, whose tail integrates in closed form.  The cut is
+    placed so the neglected remainder stays below ``QUAD_TAIL_BOUND``.
+    Returns the estimate together with an error bound.  A panel still short
+    of its share of ``tol`` after ``QUAD_MAX_DEPTH`` bisections raises
+    ``NonConvergenceError``.  A profile diverging like nu/t at 0 (degenerate
     covariance) yields minus infinity.
     """
-    cfg = cfg or QuadConfig()
     k = n_plus_m
 
     # Degenerate families: t * Phi(t) tends to the nullity, not to 0.
@@ -316,24 +319,18 @@ def entropy_quadrature(
     c2 = max(0.0, t2 * (k - t2 * fisher_fn(t2)))
     t3 = 1e5
     c3 = abs(t3 ** 3 * (fisher_fn(t3) - k / t3 + c2 / t3 ** 2))
-    if cfg.delta is not None:
-        delta = cfg.delta
-        t_cut = (1.0 - delta) / delta
-    else:
-        # Cut where the neglected 1/t^3 remainder drops below the tail bound;
-        # past ~1e7 the integrand is rounding noise, so stop there.
-        t_cut = max(1e4, math.sqrt(max(c3, 1.0) / cfg.tail_bound))
-        t_cut = min(t_cut, 1e7)
-        delta = 1.0 / (1.0 + t_cut)
+    # Cut where the neglected 1/t^3 remainder drops below the tail bound;
+    # past ~1e7 the integrand is rounding noise, so stop there.
+    t_cut = max(1e4, math.sqrt(max(c3, 1.0) / QUAD_TAIL_BOUND))
+    t_cut = min(t_cut, 1e7)
+    delta = 1.0 / (1.0 + t_cut)
 
     def integrand(u: float) -> float:
         om = 1.0 - u
         t = u / om
         return (k / (1.0 + t) - fisher_fn(t)) / (om * om)
 
-    integral, err, evals = _adaptive_simpson(
-        integrand, 0.0, 1.0 - delta, cfg.tol, cfg.max_depth
-    )
+    integral, err, evals = _adaptive_simpson(integrand, 0.0, 1.0 - delta, tol)
     tail = -k * math.log1p(1.0 / t_cut) + c2 / t_cut
     tail_residual = c3 / (t_cut * t_cut)
     value = 0.5 * k * LOG_2PIE + 0.5 * (integral + tail)
@@ -343,7 +340,7 @@ def entropy_quadrature(
 # -- entropy dimension -------------------------------------------------------------
 
 
-def entropy_dimension(cov: Covariance, rank_tol: float = RANK_TOL) -> int:
+def entropy_dimension(cov: Covariance) -> int:
     """Closed form: the numerical rank of the covariance.
 
     Singular values within a factor of 10 of the threshold are reported via
@@ -355,7 +352,7 @@ def entropy_dimension(cov: Covariance, rank_tol: float = RANK_TOL) -> int:
     top = float(svals.max(initial=0.0))
     if top == 0.0:
         return 0
-    cut = rank_tol * top
+    cut = RANK_TOL * top
     ambiguous = [s for s in svals if cut / 10.0 < s < cut * 10.0]
     if ambiguous:
         warnings.warn(
@@ -378,20 +375,8 @@ def _extrapolate_to_zero(xs: Sequence[float], ys: Sequence[float]) -> float:
     return p[0]
 
 
-def entropy_dimension_limit(
-    fisher_fn: Callable[[float], float],
-    n_plus_m: int,
-    eps_seq: Sequence[float] | None = None,
-) -> float:
+def entropy_dimension_limit(fisher_fn: Callable[[float], float], n_plus_m: int) -> float:
     """Limit form of the dimension: (n+m) - lim eps * Phi(eps) as eps -> 0+,
-    evaluated on a decreasing epsilon sequence with Richardson extrapolation."""
-    if eps_seq is None:
-        eps_seq = [0.25 * 0.5 ** i for i in range(10)]
-    eps_seq = list(eps_seq)
-    if len(eps_seq) < 2:
-        raise ValueError("need at least two epsilon values")
-    if any(b >= a for a, b in zip(eps_seq, eps_seq[1:])):
-        raise ValueError("eps_seq must be strictly decreasing")
-    values = [eps * fisher_fn(eps) for eps in eps_seq]
-    limit = _extrapolate_to_zero(eps_seq, values)
-    return n_plus_m - limit
+    evaluated on ``DIMENSION_EPS`` with Richardson extrapolation."""
+    values = [eps * fisher_fn(eps) for eps in DIMENSION_EPS]
+    return n_plus_m - _extrapolate_to_zero(DIMENSION_EPS, values)

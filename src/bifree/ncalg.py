@@ -39,10 +39,6 @@ class Letter(NamedTuple):
     index: int
     kind: str = VAR
 
-    @property
-    def is_left(self) -> bool:
-        return self.side == LEFT
-
     def sort_key(self) -> tuple[int, int, int]:
         return (0 if self.side == LEFT else 1, 0 if self.kind == VAR else 1, self.index)
 

@@ -245,22 +245,19 @@ def all_checks(fast: bool = False):
     return checks
 
 
-def run_selftest(fast: bool = False, out=None) -> int:
-    import sys
-
-    out = out or sys.stdout
+def run_selftest(fast: bool = False) -> int:
+    checks = all_checks(fast)
     failures = 0
-    for name, fn in all_checks(fast):
+    for name, fn in checks:
         try:
             fn()
         except Exception as exc:  # report and keep going
             failures += 1
-            print(f"FAIL {name}: {exc}", file=out)
+            print(f"FAIL {name}: {exc}")
         else:
-            print(f"PASS {name}", file=out)
+            print(f"PASS {name}")
     print(
         f"{'OK' if not failures else 'FAILED'}: "
-        f"{len(all_checks(fast)) - failures}/{len(all_checks(fast))} golden checks passed",
-        file=out,
+        f"{len(checks) - failures}/{len(checks)} golden checks passed"
     )
     return 0 if not failures else 1

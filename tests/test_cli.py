@@ -314,6 +314,8 @@ class TestBipartiteCli:
     (["moments", "--word", "X1", "--spec"], {"n": 1, "m": 1, "entries": [{"value": "1"}]}),
     (["bipartite", "fisher", "--grid"],
      {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "values": [[1, 1], [1, 1]]}),
+    (["moments", "--word", "X1", "--spec"], {"n": 1, "m": 1, "entries": [{"pattern": 5, "value": "1"}]}),
+    (["gaussian", "fisher", "--cov"], {"n": None, "m": 1, "matrix": [[1.0, 0.5], [0.5, 1.0]]}),
 ])
 def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
     path = tmp_path / "input.json"
@@ -321,6 +323,16 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
     assert main(argv + [str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "--chi", "lr", "--format", "csv"],
+    ["dq", "X1", "--side", "left", "--format", "csv"],
+    ["bipartite", "make-semicircular", "--c", "0.5", "--out", "grid.json", "--format", "text"],
+])
+def test_format_outside_choices_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 class TestSelftest:
