@@ -25,6 +25,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import partial
 import numpy as np
 
 
@@ -334,9 +335,16 @@ def _json_object(data, keys=()) -> dict:
 
 def density_from_json_dict(data: dict) -> DensityGrid:
     data = _json_object(data, ("xmin", "xmax", "ymin", "ymax", "nx", "ny", "values"))
-    x = np.linspace(float(data["xmin"]), float(data["xmax"]), int(data["nx"]))
-    y = np.linspace(float(data["ymin"]), float(data["ymax"]), int(data["ny"]))
-    return make_density_grid(x, y, np.asarray(data["values"], dtype=float))
+    fields = {}
+    for key, convert in (("xmin", float), ("xmax", float), ("ymin", float), ("ymax", float),
+                         ("nx", int), ("ny", int), ("values", partial(np.asarray, dtype=float))):
+        try:
+            fields[key] = convert(data[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"density JSON field {key!r} is malformed: {exc}") from None
+    x = np.linspace(fields["xmin"], fields["xmax"], fields["nx"])
+    y = np.linspace(fields["ymin"], fields["ymax"], fields["ny"])
+    return make_density_grid(x, y, fields["values"])
 
 
 def save_density(g: DensityGrid, path: str, overwrite: bool = True) -> None:

@@ -3,12 +3,15 @@
 A moment functional assigns an exact rational to every word up to a degree
 bound.  It can be backed by an explicit word table or by a cumulant
 specification (a map from letter patterns to rationals), in which case
-moments sum block-factored cumulants by a recursion over intervals of the
-bi-non-crossing lattice.  The inverse transform recovers cumulants from
-moments by Mobius inversion, summed over NC(k) in the relabelled order with
-the Kreweras product for mu(pi, 1) and one moment per distinct block.  The
-product-in-the-last-entry expansion searches only the interval below the
-embedded partition.
+moments sum block-factored cumulants by first-block recursion:
+phi(a_1...a_n) = sum over blocks V holding the first relabelled position of
+kappa_V times the moments of the gaps V leaves, each gap a subword answered
+by the functional's own memo.  ``moments_from_cumulants`` computes the same
+sum by an interval recursion of its own.  The inverse transform recovers
+cumulants from moments by Mobius inversion, summed over NC(k) in the
+relabelled order with the Kreweras product for mu(pi, 1) and one moment per
+distinct block.  The product-in-the-last-entry expansion searches only the
+interval below the embedded partition.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -185,7 +189,14 @@ class TableMomentFunctional(MomentFunctional):
 
 
 class CumulantMomentFunctional(MomentFunctional):
-    """Moments computed on demand from a cumulant specification; memoized."""
+    """Moments computed on demand from a cumulant specification; memoized.
+
+    A missing moment recurses on the first block of the relabelled order
+    (the bi-non-crossing lattice over the word's sides is NC(n) through
+    ``sigma_chi``): each block V holding the first position contributes
+    kappa_V times the moments of the gaps it leaves, and every gap moment is
+    a ``phi`` call that the memo answers once it is filled.
+    """
 
     def __init__(self, mode: AlgebraMode, spec: CumulantSpec):
         if mode.left_arity != spec.n or mode.right_arity != spec.m:
@@ -194,9 +205,15 @@ class CumulantMomentFunctional(MomentFunctional):
         self.spec = spec
         self.degree_bound = spec.degree_bound
         self._memo: dict[Word, Fraction] = {(): Fraction(1)}
+        self._sizes = {len(pattern) for pattern in spec.entries}
+        self._longest = max(self._sizes, default=0)
 
     def phi(self, word: Word) -> Fraction:
-        word = normal_form(tuple(word), self.mode)
+        word = tuple(word)
+        cached = self._memo.get(word)  # keys are checked normal forms
+        if cached is not None:
+            return cached
+        word = normal_form(word, self.mode)
         self._check_degree(len(word))
         cached = self._memo.get(word)
         if cached is not None:
@@ -205,10 +222,41 @@ class CumulantMomentFunctional(MomentFunctional):
         for letter in word:
             if letter.kind != VAR:
                 raise ValueError("cumulant-backed functionals cover variables only")
-        chi = tuple(l.side for l in word)
-        value = moments_from_cumulants(self.spec, chi, [(l,) for l in word])
-        self._memo[word] = value
+        value = self._memo[word] = self._first_block_sum(word)
         return value
+
+    def _first_block_sum(self, word: Word) -> Fraction:
+        # a gap is the letters at relabelled positions i..j-1 read back in
+        # original order; in bipartite normal form it is a contiguous, so
+        # normal-form, subword, hence a memo key once computed
+        perm = sigma_chi(tuple(l.side for l in word))
+        size = len(word)
+
+        @lru_cache(maxsize=None)
+        def gap(i: int, j: int) -> tuple[int, int]:
+            moment = self.phi(tuple(word[p - 1] for p in sorted(perm[i:j])))
+            return moment.numerator, moment.denominator
+
+        # integer numerators summed per denominator: exact, without Fraction arithmetic
+        sums: dict[int, int] = {}
+        stack = [((0,), 1, 1)]
+        while stack:
+            block, num, den = stack.pop()
+            last = block[-1]
+            if len(block) in self._sizes:
+                kappa = self.spec.kappa(
+                    pattern_of_letters([word[p - 1] for p in sorted(perm[v] for v in block)])
+                )
+                if kappa:
+                    rest_num, rest_den = gap(last + 1, size)
+                    d = den * kappa.denominator * rest_den
+                    sums[d] = sums.get(d, 0) + num * kappa.numerator * rest_num
+            if len(block) < self._longest:
+                for nxt in range(last + 1, size):
+                    gap_num, gap_den = gap(last + 1, nxt)
+                    if gap_num:
+                        stack.append((block + (nxt,), num * gap_num, den * gap_den))
+        return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
 
 
 def _block_word(args: Sequence[Word], block: Sequence[int]) -> Word:

@@ -300,8 +300,9 @@ def entropy_quadrature(
 
     The integral is mapped by t = u/(1-u) onto [0, 1-delta] and integrated
     by adaptive Simpson to ``tol``; past the cut the profile is replaced by
-    its (n+m)/t asymptote, whose tail integrates in closed form.  The cut is
-    placed so the neglected remainder stays below ``QUAD_TAIL_BOUND``.
+    its expansion (n+m)/t - c2/t^2 + c3/t^3, whose tail integrates in closed
+    form.  The cut is placed so the 1/t^3 term, kept in the error bound,
+    stays below ``QUAD_TAIL_BOUND``.
     Returns the estimate together with an error bound.  A panel still short
     of its share of ``tol`` after ``QUAD_MAX_DEPTH`` bisections raises
     ``NonConvergenceError``.  A profile diverging like nu/t at 0 (degenerate
@@ -314,14 +315,14 @@ def entropy_quadrature(
     if probe_small * fisher_fn(probe_small) > 0.5:
         return QuadResult(-math.inf, math.inf, 1)
 
-    # Tail expansion coefficients: Phi(t) = k/t - c2/t^2 + O(1/t^3).
+    # Tail expansion coefficients: Phi(t) = k/t - c2/t^2 + c3/t^3 + O(1/t^4).
     t2 = 1e8
     c2 = max(0.0, t2 * (k - t2 * fisher_fn(t2)))
     t3 = 1e5
-    c3 = abs(t3 ** 3 * (fisher_fn(t3) - k / t3 + c2 / t3 ** 2))
-    # Cut where the neglected 1/t^3 remainder drops below the tail bound;
-    # past ~1e7 the integrand is rounding noise, so stop there.
-    t_cut = max(1e4, math.sqrt(max(c3, 1.0) / QUAD_TAIL_BOUND))
+    c3 = t3 ** 3 * (fisher_fn(t3) - k / t3 + c2 / t3 ** 2)
+    # Cut where the 1/t^3 term drops below the tail bound; past ~1e7 the
+    # integrand is rounding noise, so stop there.
+    t_cut = max(1e4, math.sqrt(max(abs(c3), 1.0) / QUAD_TAIL_BOUND))
     t_cut = min(t_cut, 1e7)
     delta = 1.0 / (1.0 + t_cut)
 
@@ -331,8 +332,8 @@ def entropy_quadrature(
         return (k / (1.0 + t) - fisher_fn(t)) / (om * om)
 
     integral, err, evals = _adaptive_simpson(integrand, 0.0, 1.0 - delta, tol)
-    tail = -k * math.log1p(1.0 / t_cut) + c2 / t_cut
-    tail_residual = c3 / (t_cut * t_cut)
+    tail = -k * math.log1p(1.0 / t_cut) + c2 / t_cut - c3 / (2.0 * t_cut * t_cut)
+    tail_residual = abs(c3) / (t_cut * t_cut)
     value = 0.5 * k * LOG_2PIE + 0.5 * (integral + tail)
     return QuadResult(value, 0.5 * (err + tail_residual), evals + 1)
 

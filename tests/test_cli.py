@@ -316,8 +316,14 @@ class TestBipartiteCli:
      {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "values": [[1, 1], [1, 1]]}),
     (["moments", "--word", "X1", "--spec"], {"n": 1, "m": 1, "entries": [{"pattern": 5, "value": "1"}]}),
     (["gaussian", "fisher", "--cov"], {"n": None, "m": 1, "matrix": [[1.0, 0.5], [0.5, 1.0]]}),
+    (["bipartite", "fisher", "--grid"],
+     {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": None, "ny": 2, "values": [[1, 1], [1, 1]]}),
+    (["bipartite", "fisher", "--grid-csv", "values.csv", "--grid"],
+     {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": None, "values_csv": "values.csv"}),
 ])
-def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
+def test_malformed_input_file_exits_2(tmp_path, monkeypatch, capsys, argv, content):
+    monkeypatch.chdir(tmp_path)  # a --grid-csv argument names a well-formed values.csv here
+    (tmp_path / "values.csv").write_text("1,1\n1,1\n")
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
     assert main(argv + [str(path)]) == 2

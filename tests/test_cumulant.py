@@ -32,7 +32,7 @@ from bifree.cumulant import (
     spec_to_json_dict,
 )
 from bifree.derivation import enumerate_words
-from bifree.ncalg import ArityError, bipartite_mode, free_mode, lvar, rvar
+from bifree.ncalg import ArityError, bipartite_mode, free_mode, lvar, normal_form, rvar
 from helpers import (
     bnc_partitions,
     cumulant_by_lattice_sum,
@@ -444,6 +444,52 @@ class TestFunctionals:
         phi = CumulantMomentFunctional(free_mode(1, 1), spec)
         with pytest.raises(ArityError):
             phi.phi((lvar(5), rvar(7)))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cumulant_backed_first_block_recursion_matches_oracle(self, data):
+        # phi recurses on the first block through its memo; every answer and
+        # every memo entry must be the rational the interval recursion gives
+        n, m = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        letter = st.one_of(
+            st.integers(1, n).map(lambda i: ("l", i)),
+            st.integers(1, m).map(lambda j: ("r", j)),
+        )
+        value = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+        entries = data.draw(st.dictionaries(
+            st.lists(letter, min_size=1, max_size=4).map(tuple), value, max_size=40
+        ))
+        spec = CumulantSpec(n, m, entries)
+        mode = data.draw(st.sampled_from([free_mode, bipartite_mode]))(n, m)
+        phi = CumulantMomentFunctional(mode, spec)
+
+        def oracle(word):
+            word = normal_form(word, mode)
+            if not word:
+                return Fraction(1)
+            return moments_from_cumulants(spec, tuple(l.side for l in word), [(l,) for l in word])
+
+        words = data.draw(st.lists(st.lists(letter, max_size=9), min_size=1, max_size=6))
+        for sides in words:
+            word = tuple(lvar(i) if side == "l" else rvar(i) for side, i in sides)
+            got = phi.phi(word)
+            assert type(got) is Fraction and got == oracle(word)
+        for word, got in phi._memo.items():
+            assert normal_form(word, mode) == word
+            assert type(got) is Fraction and got == oracle(word)
+
+    def test_cumulant_backed_raw_word_lookup_keeps_checks(self):
+        spec, phi = semicircular_pair(HALF)
+        for k in range(1, 11):
+            phi.phi(S * k)
+            phi.phi(S * (k - 1) + T)
+        assert phi.phi(T + S) == phi.phi(S + T) == HALF
+        with pytest.raises(ArityError):
+            phi.phi((lvar(5), rvar(7)))
+        with pytest.raises(DegreeBoundError):
+            phi.phi(S * 11)
+        with pytest.raises(DegreeBoundError):
+            phi.phi(T + S * 10)
 
     def test_cumulant_backed_matches_direct_sum(self):
         spec, phi = semicircular_pair(HALF)

@@ -425,6 +425,16 @@ class TestEntropyQuadrature:
         assert result.value == pytest.approx(entropy_closed(cov), abs=1e-6)
         assert abs(result.value - entropy_closed(cov)) <= result.error_bound + 1e-9
 
+    @pytest.mark.parametrize("cov", [
+        cov2(0.5),
+        Covariance(2, 1, np.diag([2.0, 3.0, 5.0])),
+        Covariance(2, 1, np.array([[2.0, 0.5, 0.3], [0.5, 1.5, -0.4], [0.3, -0.4, 1.0]])),
+    ], ids=["2x2-c0.5", "diag235", "3x3-full"])
+    def test_tail_term_integrated(self, cov):
+        # the signed 1/t^3 tail term leaves no bias of order c3 / t_cut^2
+        result = entropy_quadrature(lambda t: fisher_perturbed(cov, t), cov.size)
+        assert abs(result.value - entropy_closed(cov)) <= 1e-11
+
     def test_trivial_profile(self):
         result = entropy_quadrature(lambda t: 2.0 / (1.0 + t), 2)
         assert result.value == pytest.approx(LOG_2PIE, abs=1e-8)
