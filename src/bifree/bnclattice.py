@@ -8,9 +8,10 @@ inverse of that permutation, so the lattice is isomorphic to NC(k).  This
 module enumerates the lattice (NC(k) generated with a stack of open blocks,
 then relabelled), computes the refinement order, joins (union-find and one
 stack pass that merges crossing blocks), the Mobius function (a
-Kreweras-complement product), lattice sums of block-factored weights (a
-recursion over intervals), and the bottom-block embedding used to expand
-products sitting in the last entry of a cumulant.
+Kreweras-complement product), and the bottom-block embedding used to expand
+products sitting in the last entry of a cumulant.  Sums of block-factored
+cumulants over the lattice (moments) live with the moment functionals in
+``cumulant``.
 
 Everything is pure; enumeration is memoized per side sequence, so
 concurrent readers are safe.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 ChiSeq = tuple[str, ...]
 
@@ -183,12 +184,12 @@ def _enumerate_bnc_cached(chi: ChiSeq) -> tuple[BNCPartition, ...]:
     return tuple(out)
 
 
-def enumerate_bnc(chi: Sequence[str], cap: int = ENUMERATION_CAP) -> tuple[BNCPartition, ...]:
+def enumerate_bnc(chi: Sequence[str]) -> tuple[BNCPartition, ...]:
     """All bi-non-crossing partitions for ``chi`` in a fixed deterministic order
     (non-crossing restricted-growth strings in lex order, then relabelled)."""
     chi = validate_chi(chi)
-    if len(chi) > cap:
-        raise CapExceededError(f"|chi| = {len(chi)} exceeds cap {cap}")
+    if len(chi) > ENUMERATION_CAP:
+        raise CapExceededError(f"|chi| = {len(chi)} exceeds cap {ENUMERATION_CAP}")
     return _enumerate_bnc_cached(chi)
 
 
@@ -251,7 +252,7 @@ def join(sigma: BNCPartition, pi: BNCPartition) -> BNCPartition:
     return _unchecked(sigma.chi, tuple(sorted(tuple(sorted(perm[v] for v in b)) for b in joined)))
 
 
-# -- Mobius function and interval sums ---------------------------------------
+# -- Mobius function --------------------------------------------------------
 
 
 def _kreweras_mobius(blocks: Iterable[Iterable[int]], n: int) -> int:
@@ -288,39 +289,6 @@ def mobius(sigma: BNCPartition, pi: BNCPartition) -> int:
         inner = [[rank[e] for e in b] for b in sigma.blocks if b[0] in rank]
         value *= _kreweras_mobius(inner, len(block))
     return value
-
-
-def _nc_block_sum(chi: ChiSeq, sizes: Collection[int], weight: Callable[[tuple[int, ...]], Any]):
-    """Sum over the lattice of the product of ``weight(V)`` over the blocks V
-    of partitions whose block sizes all lie in ``sizes``, by first-block
-    recursion over intervals of the relabelled order (the gaps the first
-    block leaves are intervals again), memoized for this call only.
-    ``weight`` sees V in original positions, ascending."""
-    perm = sigma_chi(chi)
-    longest = max(sizes, default=0)
-
-    @lru_cache(maxsize=None)
-    def interval(i: int, j: int):
-        # sum over non-crossing partitions of relabelled positions i..j-1
-        if i == j:
-            return 1
-        total = 0
-        stack = [((i,), 1)]
-        while stack:
-            block, gaps = stack.pop()
-            last = block[-1]
-            if len(block) in sizes:
-                w = weight(tuple(sorted(perm[v] for v in block)))
-                if w:
-                    total += w * gaps * interval(last + 1, j)
-            if len(block) < longest:
-                for nxt in range(last + 1, j):
-                    gap = interval(last + 1, nxt)
-                    if gap:
-                        stack.append((block + (nxt,), gaps * gap))
-        return total
-
-    return interval(0, len(chi))
 
 
 # -- hat embedding -----------------------------------------------------------

@@ -6,7 +6,9 @@ Subcommands: ``lattice``, ``cumulants``, ``moments``, ``dq``,
 
 Exit codes: 0 success, 1 a failing self-test check, 2 validation error
 (an unknown ``--format`` included), 3 numerical non-convergence (the entropy
-quadrature reaching its depth limit).  Error text goes to standard error.
+quadrature reaching its depth limit), 4 an internal error (a
+``numpy.linalg.LinAlgError`` or any other unexpected exception, reported
+with its traceback).  Error text goes to standard error.
 ``--format`` is ``json`` or ``text``, except for ``make-semicircular``, which
 writes ``json`` or a JSON header plus ``csv`` values.  Rationals are
 serialized as ``"p/q"`` strings in JSON and floats with 12 significant
@@ -20,7 +22,10 @@ import argparse
 import json
 import math
 import sys
+import traceback
 import warnings
+
+import numpy as np
 
 from . import bipartite_num as bp
 from . import gaussfam as gf
@@ -111,7 +116,7 @@ def _infer_mode(poly_text: str, mode_name: str, left_arity, right_arity, extra=(
 
 def _cmd_lattice(args) -> int:
     chi = validate_chi(tuple(args.chi))
-    partitions = enumerate_bnc(chi, cap=args.cap)
+    partitions = enumerate_bnc(chi)
     payload = {
         "chi": "".join(chi),
         "count": len(partitions),
@@ -345,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="enumerate a bi-non-crossing lattice")
     p.add_argument("--chi", required=True, help="side sequence, e.g. lrlr")
-    p.add_argument("--cap", type=int, default=12)
     _add_common(p)
     p.set_defaults(handler=_cmd_lattice)
 
@@ -466,9 +470,15 @@ def main(argv=None) -> int:
     except gf.NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except np.linalg.LinAlgError:  # a ValueError, but never a sign of bad input
+        traceback.print_exc()
+        return 4
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

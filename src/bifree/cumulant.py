@@ -6,12 +6,12 @@ specification (a map from letter patterns to rationals), in which case
 moments sum block-factored cumulants by first-block recursion:
 phi(a_1...a_n) = sum over blocks V holding the first relabelled position of
 kappa_V times the moments of the gaps V leaves, each gap a subword answered
-by the functional's own memo.  ``moments_from_cumulants`` computes the same
-sum by an interval recursion of its own.  The inverse transform recovers
-cumulants from moments by Mobius inversion, summed over NC(k) in the
-relabelled order with the Kreweras product for mu(pi, 1) and one moment per
-distinct block.  The product-in-the-last-entry expansion searches only the
-interval below the embedded partition.
+by the functional's own memo.  ``moments_from_cumulants`` asks a fresh
+free-mode functional for the moment of its single-letter arguments.  The
+inverse transform recovers cumulants from moments by Mobius inversion,
+summed over NC(k) in the relabelled order with the Kreweras product for
+mu(pi, 1) and one moment per distinct block.  The product-in-the-last-entry
+expansion searches only the interval below the embedded partition.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .bnclattice import (
     ChiSeq,
     _inverse_perm,
     _kreweras_mobius,
-    _nc_block_sum,
     _nc_partitions,
     _unchecked,
     hat_embed,
@@ -324,8 +323,9 @@ def cumulant_pi(phi: MomentFunctional, pi: BNCPartition, args: Sequence[Word]) -
 def moments_from_cumulants(
     spec: CumulantSpec, chi: Sequence[str], args: Sequence[Word]
 ) -> Fraction:
-    """Moment of single-letter arguments under a cumulant specification:
-    the sum over the lattice of block-factored cumulants, by interval recursion."""
+    """Moment of single-letter arguments under a cumulant specification: the
+    sum over the lattice of block-factored cumulants, answered by a fresh
+    free-mode ``CumulantMomentFunctional``."""
     chi = validate_chi(chi)
     if len(args) != len(chi):
         raise ValueError("argument count must match |chi|")
@@ -339,10 +339,7 @@ def moments_from_cumulants(
         letters.append(letter)
     if len(letters) > spec.degree_bound:
         raise DegreeBoundError("degree bound exceeded")
-    def weight(block):
-        return spec.kappa(pattern_of_letters([letters[p - 1] for p in block]))
-
-    return Fraction(_nc_block_sum(chi, {len(pattern) for pattern in spec.entries}, weight))
+    return CumulantMomentFunctional(AlgebraMode("free", spec.n, spec.m), spec).phi(tuple(letters))
 
 
 def expand_product_last_entry(

@@ -1,11 +1,12 @@
 """Central-limit (Gaussian) families from a covariance matrix.
 
 A covariance over n left and m right coordinates determines a family whose
-mixed moments are sums over bi-non-crossing pair partitions, computed by an
-interval recursion.  The same moments fall out of the full Fock space, where
-lefts act on the head of a word and rights on its tail; the field operators
-are applied without a matrix, by contracting one tensor per word length, and
-serve as an independent oracle.  Closed forms:
+mixed moments are sums over bi-non-crossing pair partitions, computed by a
+pair recursion over intervals of the relabelled order of ``sigma_chi``.  The
+same moments fall out of the full Fock space, where lefts act on the head of
+a word and rights on its tail; the field operators are applied without a
+matrix, by contracting one tensor per word length, and serve as an
+independent oracle.  Closed forms:
 polynomial conjugate variables solve A b = e_k, Fisher information is
 Tr(A^-1), entropy is (n+m)/2 log(2 pi e) + 1/2 log det A, and the entropy
 dimension is rank(A).  The entropy is also recovered numerically by
@@ -20,12 +21,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bnclattice import _nc_block_sum
+from .bnclattice import sigma_chi
 
 Pattern = Sequence[tuple[str, int]]
 
@@ -114,15 +115,30 @@ class Covariance:
 
 def gaussian_moment(cov: Covariance, pattern: Pattern) -> float:
     """Mixed moment by the combinatorial formula: sum over bi-non-crossing
-    pair partitions of products of covariance entries, run as the interval
-    recursion M(i, j) = sum_p A[i, p] M(i+1, p-1) M(p+1, j) in relabelled
-    order; zero for odd length."""
+    pair partitions of products of covariance entries.  Through ``sigma_chi``
+    these are the non-crossing pairings of the relabelled order, summed by
+    the recursion M(i, j) = sum_p A[i, p] M(i+1, p) M(p+1, j) over the
+    half-open interval [i, j), p = i+1, i+3, ...; zero for odd length."""
     pattern = [(side, index) for side, index in pattern]
     flats = [cov.flat_index(side, index) for side, index in pattern]
     if not flats:
         return 1.0
-    chi = tuple(side for side, _ in pattern)
-    return float(_nc_block_sum(chi, {2}, lambda V: cov.A[flats[V[0] - 1], flats[V[1] - 1]]))
+    if len(flats) % 2:
+        return 0.0
+    A = cov.A.tolist()
+    coords = [flats[v - 1] for v in sigma_chi([side for side, _ in pattern])]
+
+    @lru_cache(maxsize=None)
+    def interval(i: int, j: int) -> float:
+        # sum over the non-crossing pairings of relabelled positions i..j-1
+        if i == j:
+            return 1.0
+        row = A[coords[i]]
+        return sum(
+            row[coords[p]] * interval(i + 1, p) * interval(p + 1, j) for p in range(i + 1, j, 2)
+        )
+
+    return interval(0, len(coords))
 
 
 # -- Fock model --------------------------------------------------------------------

@@ -162,6 +162,39 @@ def moment_by_lattice_sum(spec, chi, word) -> Fraction:
     return total
 
 
+def moment_by_interval_recursion(spec, chi, word) -> Fraction:
+    """The same sum by first-block recursion over intervals of the relabelled
+    order (the gaps the first block leaves are intervals again), memoized for
+    this call only and sharing nothing with the library's functionals."""
+    perm = sigma_chi(chi)
+    sizes = {len(pattern) for pattern in spec.entries}
+    longest = max(sizes, default=0)
+
+    @lru_cache(maxsize=None)
+    def interval(i: int, j: int) -> Fraction:
+        # sum over non-crossing partitions of relabelled positions i..j-1
+        if i == j:
+            return Fraction(1)
+        total = Fraction(0)
+        stack = [((i,), Fraction(1))]
+        while stack:
+            block, gaps = stack.pop()
+            last = block[-1]
+            if len(block) in sizes:
+                letters = [word[p - 1] for p in sorted(perm[v] for v in block)]
+                kappa = spec.kappa(pattern_of_letters(letters))
+                if kappa:
+                    total += kappa * gaps * interval(last + 1, j)
+            if len(block) < longest:
+                for nxt in range(last + 1, j):
+                    gap = interval(last + 1, nxt)
+                    if gap:
+                        stack.append((block + (nxt,), gaps * gap))
+        return total
+
+    return interval(0, len(chi))
+
+
 def pair_partitions(k: int):
     """All perfect matchings of range(k) as tuples of index pairs."""
     if k % 2:

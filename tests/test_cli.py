@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bifree
@@ -114,6 +115,18 @@ class TestGaussianCli:
         assert rc == 3
         assert "stalled" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, TypeError])
+    def test_internal_error_maps_to_exit_4(self, cov_file, monkeypatch, capsys, error):
+        import bifree.cli as cli_mod
+
+        def broken(*args, **kwargs):
+            raise error("library bug")
+
+        monkeypatch.setattr(cli_mod.gf, "fisher", broken)
+        assert main(["gaussian", "fisher", "--cov", cov_file]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err and f"{error.__name__}: library bug" in err
+
 
 class TestLatticeCli:
     def test_count_and_mobius(self, capsys):
@@ -139,6 +152,10 @@ class TestLatticeCli:
 
     def test_cap_error(self, capsys):
         assert main(["lattice", "--chi", "l" * 13]) == 2
+
+    def test_cap_is_not_an_option(self, capsys):
+        assert main(["lattice", "--chi", "lr", "--cap", "4"]) == 2
+        assert "--cap" in capsys.readouterr().err
 
 
 class TestDqCli:

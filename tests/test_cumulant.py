@@ -32,12 +32,13 @@ from bifree.cumulant import (
     spec_to_json_dict,
 )
 from bifree.derivation import enumerate_words
-from bifree.ncalg import ArityError, bipartite_mode, free_mode, lvar, normal_form, rvar
+from bifree.ncalg import ArityError, bipartite_mode, free_mode, lsym, lvar, normal_form, rvar
 from helpers import (
     bnc_partitions,
     cumulant_by_lattice_sum,
     expand_by_lattice_filter,
     integer_partitions,
+    moment_by_interval_recursion,
     moment_by_lattice_sum,
     nc_block_type_count,
     rand_chi,
@@ -187,6 +188,13 @@ class TestMomentsFromCumulants:
         with pytest.raises(ValueError):
             moments_from_cumulants(spec, ("l",), [T])
 
+    def test_symbols_and_undeclared_letters_rejected(self):
+        spec = CumulantSpec(1, 1, {(("l", 1),): Fraction(3, 7)})
+        with pytest.raises(ValueError, match="variables only"):
+            moments_from_cumulants(spec, ("l",), [(lsym(1),)])
+        with pytest.raises(ArityError):
+            moments_from_cumulants(spec, ("l",), [(lvar(5),)])
+
     @given(st.data())
     @settings(max_examples=120, deadline=None)
     def test_matches_lattice_sum(self, data):
@@ -204,6 +212,7 @@ class TestMomentsFromCumulants:
                      for side, i in data.draw(st.lists(letter, min_size=1, max_size=7)))
         chi = tuple(l.side for l in word)
         expected = moment_by_lattice_sum(spec, chi, word)
+        assert moment_by_interval_recursion(spec, chi, word) == expected
         assert moments_from_cumulants(spec, chi, [(l,) for l in word]) == expected
 
     def test_kreweras_block_type_count_past_the_cap(self):
@@ -467,7 +476,7 @@ class TestFunctionals:
             word = normal_form(word, mode)
             if not word:
                 return Fraction(1)
-            return moments_from_cumulants(spec, tuple(l.side for l in word), [(l,) for l in word])
+            return moment_by_interval_recursion(spec, tuple(l.side for l in word), word)
 
         words = data.draw(st.lists(st.lists(letter, max_size=9), min_size=1, max_size=6))
         for sides in words:
@@ -494,6 +503,6 @@ class TestFunctionals:
     def test_cumulant_backed_matches_direct_sum(self):
         spec, phi = semicircular_pair(HALF)
         word = S + T + S + T + S + S
-        assert phi.phi(word) == moments_from_cumulants(
-            spec, tuple(l.side for l in word), [(l,) for l in word]
+        assert phi.phi(word) == moment_by_interval_recursion(
+            spec, tuple(l.side for l in word), word
         )
