@@ -9,8 +9,12 @@ and conjugate-variable checks (:mod:`bifree.derivation`).
 Numerical layer: central-limit families from a covariance matrix with
 Fisher information, entropy, and entropy dimension
 (:mod:`bifree.gaussfam`), and grid-based conjugate variables and Fisher
-information for commuting pairs (:mod:`bifree.bipartite_num`).
+information for commuting pairs (:mod:`bifree.bipartite_num`).  These names
+resolve on first use: ``import bifree`` and the exact layer load no numpy,
+and the first access to any numerical name imports both numerical modules.
 """
+
+from importlib import import_module as _import_module
 
 from .ncalg import (
     AlgebraMode,
@@ -66,31 +70,60 @@ from .derivation import (
     free_dq,
     scalar_identity_residual,
 )
-from .gaussfam import (
-    Covariance,
-    FockModel,
-    build_fock_model,
-    conjugate_coeffs,
-    entropy_closed,
-    entropy_dimension,
-    entropy_dimension_limit,
-    entropy_quadrature,
-    fisher,
-    fisher_perturbed,
-    fock_moment,
-    gaussian_moment,
-)
-from .bipartite_num import (
-    ConjugateField,
-    DensityGrid,
-    FieldConfig,
-    GridSpec,
-    MarginalDensity,
-    conjugate_field,
-    fisher_numeric,
-    hilbert_pv,
-    marginals,
-    semicircular_density,
-)
+
+#: The numerical layer, resolved on first use: public name -> defining module.
+_NUMERICAL = {
+    **dict.fromkeys(
+        (
+            "Covariance",
+            "FockModel",
+            "build_fock_model",
+            "conjugate_coeffs",
+            "entropy_closed",
+            "entropy_dimension",
+            "entropy_dimension_limit",
+            "entropy_quadrature",
+            "fisher",
+            "fisher_perturbed",
+            "fock_moment",
+            "gaussian_moment",
+        ),
+        "gaussfam",
+    ),
+    **dict.fromkeys(
+        (
+            "ConjugateField",
+            "DensityGrid",
+            "FieldConfig",
+            "GridSpec",
+            "MarginalDensity",
+            "conjugate_field",
+            "fisher_numeric",
+            "hilbert_pv",
+            "marginals",
+            "semicircular_density",
+        ),
+        "bipartite_num",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name in _NUMERICAL.values():
+        return _import_module(f"{__name__}.{name}")
+    if name not in _NUMERICAL:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Both modules load on the first numerical name, so a caller that sets up
+    # with one of them never pays the other's import at a later first use.
+    modules = {m: _import_module(f"{__name__}.{m}") for m in set(_NUMERICAL.values())}
+    namespace = globals()
+    namespace.update({n: getattr(modules[m], n) for n, m in _NUMERICAL.items()})
+    return namespace[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_NUMERICAL, *_NUMERICAL.values()})
+
 
 __version__ = "0.1.0"
+__all__ = [n for n in __dir__() if not n.startswith("_")]

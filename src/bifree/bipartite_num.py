@@ -180,8 +180,8 @@ def marginals(g: DensityGrid) -> tuple[MarginalDensity, MarginalDensity]:
 
 
 def _kernel_matrix(points: np.ndarray, eps: float) -> np.ndarray:
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     diff = points[:, None] - points[None, :]
     return diff / (diff * diff + eps * eps)
 

@@ -14,6 +14,9 @@ writes ``json`` or a JSON header plus ``csv`` values.  Rationals are
 serialized as ``"p/q"`` strings in JSON and floats with 12 significant
 digits; text output uses 11 significant digits.  Existing files are never
 overwritten without --force.
+The numerical modules, and numpy with them, are imported only by the
+``gaussian``, ``bipartite`` and ``selftest`` handlers, so the exact
+subcommands start without them.
 """
 
 from __future__ import annotations
@@ -24,11 +27,8 @@ import math
 import sys
 import traceback
 import warnings
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import bipartite_num as bp
-from . import gaussfam as gf
 from .bnclattice import (
     enumerate_bnc,
     mobius,
@@ -53,7 +53,10 @@ from .ncalg import (
     parse_poly,
     parse_word,
 )
-from .selftest import run_selftest
+
+if TYPE_CHECKING:
+    from . import bipartite_num as bp
+    from . import gaussfam as gf
 
 
 class CliError(ValueError):
@@ -204,11 +207,15 @@ def _cmd_conjugate_check(args) -> int:
 
 
 def _load_covariance(path: str) -> gf.Covariance:
+    from . import gaussfam as gf
+
     with open(path, encoding="utf-8") as handle:
         return gf.Covariance.from_json_dict(json.load(handle))
 
 
 def _cmd_gaussian_fisher(args) -> int:
+    from . import gaussfam as gf
+
     cov = _load_covariance(args.cov)
     value = gf.fisher(cov) if args.t is None else gf.fisher_perturbed(cov, args.t)
     payload = {"fisher": _jfloat(value), "t": args.t}
@@ -217,6 +224,8 @@ def _cmd_gaussian_fisher(args) -> int:
 
 
 def _cmd_gaussian_entropy(args) -> int:
+    from . import gaussfam as gf
+
     cov = _load_covariance(args.cov)
     if args.method == "closed":
         value = gf.entropy_closed(cov)
@@ -237,6 +246,8 @@ def _cmd_gaussian_entropy(args) -> int:
 
 
 def _cmd_gaussian_dimension(args) -> int:
+    from . import gaussfam as gf
+
     cov = _load_covariance(args.cov)
     if args.method == "closed":
         value: float | int = gf.entropy_dimension(cov)
@@ -262,6 +273,8 @@ def _parse_pattern(text: str):
 
 
 def _cmd_gaussian_moments(args) -> int:
+    from . import gaussfam as gf
+
     cov = _load_covariance(args.cov)
     pattern = _parse_pattern(args.pattern)
     value = gf.gaussian_moment(cov, pattern)
@@ -274,6 +287,8 @@ def _cmd_gaussian_moments(args) -> int:
 
 
 def _grid_from_args(args) -> bp.DensityGrid:
+    from . import bipartite_num as bp
+
     if args.grid:
         if args.grid_csv:
             return bp.load_density_csv(args.grid, args.grid_csv)
@@ -284,10 +299,14 @@ def _grid_from_args(args) -> bp.DensityGrid:
 
 
 def _field_config(args) -> bp.FieldConfig:
+    from . import bipartite_num as bp
+
     return bp.FieldConfig(eps=args.eps, richardson=args.richardson)
 
 
 def _cmd_bipartite_fisher(args) -> int:
+    from . import bipartite_num as bp
+
     grid = _grid_from_args(args)
     value = bp.fisher_numeric(grid, _field_config(args))
     payload = {"fisher": _jfloat(value)}
@@ -296,6 +315,8 @@ def _cmd_bipartite_fisher(args) -> int:
 
 
 def _cmd_bipartite_conjugate(args) -> int:
+    from . import bipartite_num as bp
+
     grid = _grid_from_args(args)
     fld = bp.conjugate_field(grid, _field_config(args))
     payload = {
@@ -317,6 +338,8 @@ def _cmd_bipartite_conjugate(args) -> int:
 
 
 def _cmd_bipartite_make(args) -> int:
+    from . import bipartite_num as bp
+
     grid = bp.semicircular_density(args.c, bp.GridSpec(args.n, args.n))
     if not args.out:
         raise CliError("make-semicircular requires --out")
@@ -334,6 +357,8 @@ def _cmd_bipartite_make(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     return run_selftest(fast=args.fast)
 
 
@@ -457,6 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
 VALIDATION_ERRORS = (ValueError, OSError)
 
 
+def _loaded(module: str, name: str) -> tuple[type[BaseException], ...]:
+    """``module.name`` if ``module`` is loaded, else no class at all: the
+    numerical layer loads on demand, and an exception class that was never
+    imported cannot have been raised."""
+    loaded = sys.modules.get(module)
+    return (getattr(loaded, name),) if loaded is not None else ()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -467,10 +500,11 @@ def main(argv=None) -> int:
         warnings.simplefilter("ignore")
     try:
         return args.handler(args)
-    except gf.NonConvergenceError as exc:
+    # each except clause is evaluated only once the handler has raised
+    except _loaded("bifree.gaussfam", "NonConvergenceError") as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except np.linalg.LinAlgError:  # a ValueError, but never a sign of bad input
+    except _loaded("numpy.linalg", "LinAlgError"):  # a ValueError, but never a sign of bad input
         traceback.print_exc()
         return 4
     except VALIDATION_ERRORS as exc:

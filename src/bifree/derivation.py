@@ -209,6 +209,8 @@ def conjugate_check(
     for every word Z in the declared variables up to ``max_degree``."""
     if kind.flipped:
         raise ValueError("conjugate variables pair with the non-flipped quotients")
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     mode = mode or phi.mode
     checked = 0
     failures: list[tuple[Word, Fraction, Fraction]] = []

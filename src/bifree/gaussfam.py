@@ -239,8 +239,8 @@ def fisher(cov: Covariance) -> float:
 
 def fisher_perturbed(cov: Covariance, t: float) -> float:
     """Fisher information along the perturbation A + tI."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     A = cov.A + t * np.eye(cov.size)
     if _is_singular(A):
         return math.inf
@@ -324,6 +324,8 @@ def entropy_quadrature(
     ``NonConvergenceError``.  A profile diverging like nu/t at 0 (degenerate
     covariance) yields minus infinity.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     k = n_plus_m
 
     # Degenerate families: t * Phi(t) tends to the nullity, not to 0.

@@ -183,6 +183,11 @@ class TestHilbert:
         err = math.sqrt(float(marg.weights @ ((h - marg.x / 2) ** 2 * marg.samples)))
         assert err < 5e-3
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            hilbert_pv(self.semicircle(64), eps=eps)
+
     def test_odd_kernel_even_density(self):
         marg = self.semicircle(1025)
         h = hilbert_pv(marg)

@@ -104,28 +104,56 @@ class TestGaussianCli:
         assert "error" in capsys.readouterr().err
 
     def test_nonconvergence_maps_to_exit_3(self, cov_file, monkeypatch, capsys):
-        import bifree.cli as cli_mod
         from bifree.gaussfam import NonConvergenceError
 
         def stalled(*args, **kwargs):
             raise NonConvergenceError("stalled")
 
-        monkeypatch.setattr(cli_mod.gf, "entropy_quadrature", stalled)
+        monkeypatch.setattr(bifree.gaussfam, "entropy_quadrature", stalled)
         rc = main(["gaussian", "entropy", "--cov", cov_file, "--method", "quadrature"])
         assert rc == 3
         assert "stalled" in capsys.readouterr().err
 
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, TypeError])
     def test_internal_error_maps_to_exit_4(self, cov_file, monkeypatch, capsys, error):
-        import bifree.cli as cli_mod
-
         def broken(*args, **kwargs):
             raise error("library bug")
 
-        monkeypatch.setattr(cli_mod.gf, "fisher", broken)
+        monkeypatch.setattr(bifree.gaussfam, "fisher", broken)
         assert main(["gaussian", "fisher", "--cov", cov_file]) == 4
         err = capsys.readouterr().err
         assert "Traceback" in err and f"{error.__name__}: library bug" in err
+
+    def test_linalg_error_after_lazy_import_maps_to_exit_4(self, cov_file):
+        # numpy is first loaded inside the handler, after main was entered
+        code = (
+            "import sys\n"
+            "import bifree.cli as cli\n"
+            "if 'numpy' in sys.modules:\n"
+            "    sys.exit(9)\n"
+            "loaded = cli._cmd_gaussian_fisher\n"
+            "def handler(args):\n"
+            "    loaded(args)\n"
+            "    import numpy\n"
+            "    raise numpy.linalg.LinAlgError('library bug')\n"
+            "cli._cmd_gaussian_fisher = handler\n"
+            f"sys.exit(cli.main(['gaussian', 'fisher', '--cov', {cov_file!r}]))\n"
+        )
+        proc = run_child("-c", code)
+        assert proc.returncode == 4, proc.stderr
+        assert "LinAlgError: library bug" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["gaussian", "entropy", "--method", "quadrature", "--quad-tol", "0"],
+        ["gaussian", "entropy", "--method", "quadrature", "--quad-tol", "-1"],
+        ["gaussian", "entropy", "--method", "quadrature", "--quad-tol", "nan"],
+        ["gaussian", "entropy", "--method", "quadrature", "--quad-tol", "inf"],
+        ["gaussian", "fisher", "--t", "nan"],
+        ["gaussian", "fisher", "--t", "inf"],
+    ])
+    def test_bad_numeric_option_exits_2(self, cov_file, capsys, argv):
+        assert main(argv + ["--cov", cov_file]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestLatticeCli:
@@ -220,6 +248,11 @@ class TestCumulantCli:
         assert payload["passed"] is True
         assert payload["first_failure"] is None
 
+    def test_conjugate_check_negative_degree_exits_2(self, spec_file, capsys):
+        argv = ["conjugate-check", "--spec", spec_file, "--xi", "X1", "--max-degree", "-1"]
+        assert main(argv) == 2
+        assert "max_degree" in capsys.readouterr().err
+
     def test_conjugate_check_reports_failure(self, spec_file, capsys):
         rc = main(
             ["conjugate-check", "--spec", spec_file, "--xi", "X1", "--max-degree", "3"]
@@ -277,6 +310,11 @@ class TestBipartiteCli:
 
     def test_degenerate_c_rejected(self, capsys):
         assert main(["bipartite", "fisher", "--c", "1.0", "--n", "16"]) == 2
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+    def test_bad_eps_exits_2(self, capsys, eps):
+        assert main(["bipartite", "fisher", "--c", "0.5", "--n", "16", "--eps", eps]) == 2
+        assert "eps must be finite and positive" in capsys.readouterr().err
 
     def test_eps_and_richardson_flags(self, capsys):
         rc = main(
@@ -384,3 +422,88 @@ def test_import_leaves_scipy_out():
     code = "import sys, bifree\nsys.exit(0 if 'scipy' not in sys.modules else 3)\n"
     proc = run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+#: The exact subcommands: none of them needs the numerical layer.
+EXACT_ARGV = {
+    "lattice": ["lattice", "--chi", "lrlr"],
+    "cumulants": ["cumulants", "--spec", "{spec}", "--word", "X1 Y1"],
+    "moments": ["moments", "--spec", "{spec}", "--word", "X1 Y1 X1 Y1"],
+    "dq": ["dq", "--side", "left", "X1 X1 Y1"],
+    "dq-flipped-free": ["dq", "--side", "left", "--flipped", "--mode", "free", "y1 X1 y1 x1"],
+    "conjugate-check": ["conjugate-check", "--spec", "{spec}", "--xi", "4/3*X1 - 2/3*Y1",
+                        "--max-degree", "3"],
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_ARGV))
+def test_exact_subcommand_leaves_numpy_out(spec_file, name):
+    argv = [arg.format(spec=spec_file) for arg in EXACT_ARGV[name]]
+    code = (
+        "import sys\n"
+        "from bifree.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "sys.exit(rc or (9 if 'numpy' in sys.modules else 0))\n"
+    )
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_layer_import_leaves_numpy_out_until_first_numerical_name():
+    code = (
+        "import sys, bifree\n"
+        "bifree.cumulant_chi\n"
+        "if 'numpy' in sys.modules:\n"
+        "    sys.exit(9)\n"
+        "from bifree import Covariance\n"
+        "# the two numerical modules load together\n"
+        "sys.exit(0 if 'bifree.bipartite_num' in sys.modules else 8)\n"
+    )
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_subcommand_runs_with_numpy_blocked():
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from bifree.cli import main\n"
+        "sys.exit(main(['lattice', '--chi', 'lrlr']))\n"
+    )
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == 14
+
+
+#: Every public name of the package before the numerical layer became lazy.
+PUBLIC_NAMES = (
+    "AlgebraMode BNCPartition ConjugateField ConjugateReport Covariance "
+    "CumulantMomentFunctional CumulantSpec DensityGrid FieldConfig FockModel GridSpec "
+    "Letter MarginalDensity MomentFunctional NCPolynomial QuotientKind "
+    "TableMomentFunctional TensorPoly adjoint_apply bifree_dq bipartite_mode "
+    "bipartite_num bnclattice build_fock_model check_mixed_vanishing conjugate_check "
+    "conjugate_coeffs conjugate_field cumulant cumulant_chi derivation entropy_closed "
+    "entropy_dimension entropy_dimension_limit entropy_quadrature enumerate_bnc "
+    "expand_product_last_entry fisher fisher_numeric fisher_perturbed fock_moment "
+    "format_poly format_tensor free_dq free_mode gaussfam gaussian_cumulant_spec "
+    "gaussian_moment hat_embed hat_zero hilbert_pv is_bnc join lsym lvar marginals "
+    "mobius moment_pi moments_from_cumulants mul ncalg normal_form one_partition "
+    "parse_poly parse_tensor rsym rvar scalar_identity_residual semicircular_density "
+    "sigma_chi star tensor_mul tensor_star zero_partition"
+).split()
+
+
+def test_public_api_is_complete():
+    listed = dir(bifree)
+    star: dict = {}
+    exec("from bifree import *", star)
+    for name in PUBLIC_NAMES:
+        value = getattr(bifree, name)
+        scope: dict = {}
+        exec(f"from bifree import {name}", scope)
+        assert scope[name] is value and star[name] is value
+        assert name in listed
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bifree.no_such_name
+    with pytest.raises(ImportError):
+        exec("from bifree import no_such_name", {})

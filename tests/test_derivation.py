@@ -334,6 +334,11 @@ class TestConjugateCheck:
         with pytest.raises(ValueError):
             conjugate_check(phi, KL_FLIP, semicircular_xi(HALF), 3)
 
+    def test_negative_degree_rejected(self):
+        mode, phi = semicircular_phi(HALF)
+        with pytest.raises(ValueError, match="max_degree"):
+            conjugate_check(phi, KL, semicircular_xi(HALF), -1)
+
 
 class TestAdjoint:
     def setup_method(self):

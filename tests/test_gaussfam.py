@@ -237,6 +237,11 @@ class TestFisher:
     def test_singular_is_infinite(self):
         assert fisher(Covariance(1, 1, np.ones((2, 2)))) == math.inf
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_perturbed_rejects_bad_time(self, t):
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+            fisher_perturbed(cov2(0.5), t)
+
     def test_scaling(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -443,6 +448,11 @@ class TestEntropyQuadrature:
         cov = Covariance(1, 1, np.ones((2, 2)))
         result = entropy_quadrature(lambda t: fisher_perturbed(cov, t), 2)
         assert result.value == -math.inf
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            entropy_quadrature(lambda t: 2.0 / (1.0 + t), 2, tol=tol)
 
     def test_nonconvergence_raises(self):
         rng = np.random.default_rng(47)
