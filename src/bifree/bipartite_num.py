@@ -20,13 +20,14 @@ the regularization parameter.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import warnings
 from dataclasses import dataclass
 from functools import partial
 import numpy as np
+
+from ._io import load_json, read_fields, to_json, write_files
 
 
 class ZeroMassError(ValueError):
@@ -312,84 +313,54 @@ def field_l2_error(
 # -- grid I/O --------------------------------------------------------------------
 
 
+def axes_to_json_dict(g: DensityGrid) -> dict:
+    """The grid's rectangle and sample counts, as the JSON forms carry them."""
+    return {"xmin": float(g.x[0]), "xmax": float(g.x[-1]),
+            "ymin": float(g.y[0]), "ymax": float(g.y[-1]), "nx": g.nx, "ny": g.ny}
+
+
 def density_to_json_dict(g: DensityGrid) -> dict:
-    return {
-        "xmin": float(g.x[0]),
-        "xmax": float(g.x[-1]),
-        "ymin": float(g.y[0]),
-        "ymax": float(g.y[-1]),
-        "nx": g.nx,
-        "ny": g.ny,
-        "values": g.values.tolist(),
-    }
+    return {**axes_to_json_dict(g), "values": g.values.tolist()}
 
 
-def _json_object(data, keys=()) -> dict:
-    if not isinstance(data, dict):
-        raise ValueError(f"density JSON must be an object, not {type(data).__name__}")
-    for key in keys:
-        if key not in data:
-            raise ValueError(f"density JSON lacks {key!r}")
-    return data
+_AXES = {"xmin": float, "xmax": float, "ymin": float, "ymax": float, "nx": int, "ny": int}
+
+
+def _grid_from_fields(fields: dict, values) -> DensityGrid:
+    x = np.linspace(fields["xmin"], fields["xmax"], fields["nx"])
+    y = np.linspace(fields["ymin"], fields["ymax"], fields["ny"])
+    return make_density_grid(x, y, values)
 
 
 def density_from_json_dict(data: dict) -> DensityGrid:
-    data = _json_object(data, ("xmin", "xmax", "ymin", "ymax", "nx", "ny", "values"))
-    fields = {}
-    for key, convert in (("xmin", float), ("xmax", float), ("ymin", float), ("ymax", float),
-                         ("nx", int), ("ny", int), ("values", partial(np.asarray, dtype=float))):
-        try:
-            fields[key] = convert(data[key])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"density JSON field {key!r} is malformed: {exc}") from None
-    x = np.linspace(fields["xmin"], fields["xmax"], fields["nx"])
-    y = np.linspace(fields["ymin"], fields["ymax"], fields["ny"])
-    return make_density_grid(x, y, fields["values"])
+    fields = read_fields(data, "density", {**_AXES, "values": partial(np.asarray, dtype=float)})
+    return _grid_from_fields(fields, fields["values"])
 
 
 def save_density(g: DensityGrid, path: str, overwrite: bool = True) -> None:
-    """Write the JSON form; without ``overwrite`` an existing file raises
-    ``FileExistsError`` at the open."""
-    with open(path, "w" if overwrite else "x", encoding="utf-8") as handle:
-        json.dump(density_to_json_dict(g), handle)
-        handle.write("\n")
+    """Write the JSON form; without ``overwrite`` an existing file is refused
+    at the open (``_io.write_files``)."""
+    write_files({path: to_json(density_to_json_dict(g))}, overwrite)
 
 
 def load_density(path: str) -> DensityGrid:
-    with open(path, encoding="utf-8") as handle:
-        return density_from_json_dict(json.load(handle))
+    return density_from_json_dict(load_json(path))
 
 
 def save_density_csv(
     g: DensityGrid, header_path: str, csv_path: str, overwrite: bool = True
 ) -> None:
     """Two-file form: a JSON header plus CSV values, one row per x sample.
-    Without ``overwrite`` an existing file of either name raises
-    ``FileExistsError`` at the open, and neither file is left written."""
-    header = density_to_json_dict(g)
-    del header["values"]
-    header["values_csv"] = os.path.basename(csv_path)
-    mode = "w" if overwrite else "x"
-    with open(header_path, mode, encoding="utf-8") as handle:
-        try:
-            values = open(csv_path, mode, encoding="utf-8", newline="")
-        except FileExistsError:
-            handle.close()
-            os.remove(header_path)  # the exclusive open above created it
-            raise
-        with values:
-            json.dump(header, handle)
-            handle.write("\n")
-            writer = csv.writer(values)
-            for row in g.values:
-                writer.writerow([repr(float(v)) for v in row])
+    Without ``overwrite`` an existing file of either name is refused at the
+    open, and neither file is left written (``_io.write_files``)."""
+    header = {**axes_to_json_dict(g), "values_csv": os.path.basename(csv_path)}
+    # the rows csv.writer would write: reprs need no quoting, and \r\n ends each
+    values = "".join(",".join(map(repr, row)) + "\r\n" for row in g.values.tolist())
+    write_files({header_path: to_json(header), csv_path: values}, overwrite)
 
 
 def load_density_csv(header_path: str, csv_path: str) -> DensityGrid:
-    with open(header_path, encoding="utf-8") as handle:
-        header = _json_object(json.load(handle))
-    rows = []
+    fields = read_fields(load_json(header_path), "density", _AXES)
     with open(csv_path, encoding="utf-8", newline="") as handle:
-        for row in csv.reader(handle):
-            rows.append([float(v) for v in row])
-    return density_from_json_dict({**header, "values": rows})
+        rows = [[float(v) for v in row] for row in csv.reader(handle)]
+    return _grid_from_fields(fields, rows)

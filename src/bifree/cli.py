@@ -10,10 +10,12 @@ quadrature reaching its depth limit), 4 an internal error (a
 ``numpy.linalg.LinAlgError`` or any other unexpected exception, reported
 with its traceback).  Error text goes to standard error.
 ``--format`` is ``json`` or ``text``, except for ``make-semicircular``, which
-writes ``json`` or a JSON header plus ``csv`` values.  Rationals are
-serialized as ``"p/q"`` strings in JSON and floats with 12 significant
-digits; text output uses 11 significant digits.  Existing files are never
-overwritten without --force.
+writes ``json`` or a JSON header plus ``csv`` values.  JSON output is
+compact.  Rationals are serialized as ``"p/q"`` strings in JSON and scalar
+floats with 12 significant digits; the ``bipartite conjugate`` arrays and
+density values keep full precision.  Text output uses 11 significant digits.
+Every writer (``--out`` and ``make-semicircular`` in both forms) refuses an
+existing file without --force.
 The numerical modules, and numpy with them, are imported only by the
 ``gaussian``, ``bipartite`` and ``selftest`` handlers, so the exact
 subcommands start without them.
@@ -22,13 +24,13 @@ subcommands start without them.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import traceback
 import warnings
 from typing import TYPE_CHECKING
 
+from ._io import load_json, to_json, write_files
 from .bnclattice import (
     enumerate_bnc,
     mobius,
@@ -76,23 +78,15 @@ def _jfloat(v: float):
 
 
 def _write_output(text: str, args) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        open_mode = "w" if getattr(args, "force", False) else "x"
-        try:
-            with open(out, open_mode, encoding="utf-8") as handle:
-                handle.write(text)
-                if not text.endswith("\n"):
-                    handle.write("\n")
-        except FileExistsError:
-            raise CliError(f"refusing to overwrite {out} without --force") from None
+    if args.out:
+        write_files({args.out: text}, overwrite=args.force)
     else:
         print(text)
 
 
 def _emit(payload: dict, args, default_format: str, text_fn) -> None:
     if (args.format or default_format) == "json":
-        _write_output(json.dumps(payload, indent=2), args)
+        _write_output(to_json(payload), args)
     else:
         _write_output(text_fn(payload), args)
 
@@ -209,8 +203,7 @@ def _cmd_conjugate_check(args) -> int:
 def _load_covariance(path: str) -> gf.Covariance:
     from . import gaussfam as gf
 
-    with open(path, encoding="utf-8") as handle:
-        return gf.Covariance.from_json_dict(json.load(handle))
+    return gf.Covariance.from_json_dict(load_json(path))
 
 
 def _cmd_gaussian_fisher(args) -> int:
@@ -320,12 +313,7 @@ def _cmd_bipartite_conjugate(args) -> int:
     grid = _grid_from_args(args)
     fld = bp.conjugate_field(grid, _field_config(args))
     payload = {
-        "xmin": float(grid.x[0]),
-        "xmax": float(grid.x[-1]),
-        "ymin": float(grid.y[0]),
-        "ymax": float(grid.y[-1]),
-        "nx": grid.nx,
-        "ny": grid.ny,
+        **bp.axes_to_json_dict(grid),
         "eps_x": fld.eps_x,
         "eps_y": fld.eps_y,
         "xi_left": fld.xi_left.tolist(),
@@ -338,19 +326,16 @@ def _cmd_bipartite_conjugate(args) -> int:
 
 
 def _cmd_bipartite_make(args) -> int:
+    if not args.out:
+        raise CliError("make-semicircular requires --out")
     from . import bipartite_num as bp
 
     grid = bp.semicircular_density(args.c, bp.GridSpec(args.n, args.n))
-    if not args.out:
-        raise CliError("make-semicircular requires --out")
-    try:
-        if args.format == "csv":
-            csv_path = (args.out[:-5] if args.out.endswith(".json") else args.out) + ".csv"
-            bp.save_density_csv(grid, args.out, csv_path, overwrite=args.force)
-        else:
-            bp.save_density(grid, args.out, overwrite=args.force)
-    except FileExistsError as exc:
-        raise CliError(f"refusing to overwrite {exc.filename} without --force") from None
+    if args.format == "csv":
+        csv_path = (args.out[:-5] if args.out.endswith(".json") else args.out) + ".csv"
+        bp.save_density_csv(grid, args.out, csv_path, overwrite=args.force)
+    else:
+        bp.save_density(grid, args.out, overwrite=args.force)
     if not args.quiet:
         print(f"wrote {args.out}", file=sys.stderr)
     return 0
@@ -507,6 +492,9 @@ def main(argv=None) -> int:
     except _loaded("numpy.linalg", "LinAlgError"):  # a ValueError, but never a sign of bad input
         traceback.print_exc()
         return 4
+    except FileExistsError as exc:  # only the writers' exclusive opens raise it
+        print(f"error: refusing to overwrite {exc.filename} without --force", file=sys.stderr)
+        return 2
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,12 +17,12 @@ expansion searches only the interval below the embedded partition.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from ._io import load_json, read_fields, to_json, write_files
 from .bnclattice import (
     ENUMERATION_CAP,
     BNCPartition,
@@ -453,43 +453,27 @@ def spec_to_json_dict(spec: CumulantSpec) -> dict:
     }
 
 
-def _spec_field(data: Mapping, key: str, convert, default=None):
-    try:
-        return convert(data.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"cumulant spec field {key!r} is malformed: {exc}") from None
-
-
 def _pattern(value) -> Pattern:
     return tuple((side, int(index)) for side, index in value)
 
 
+_SPEC_FIELDS = {"n": int, "m": int, "entries": list, "degree_bound": int}
+_ENTRY_FIELDS = {"pattern": _pattern, "value": lambda v: Fraction(str(v))}
+
+
 def spec_from_json_dict(data: Mapping) -> CumulantSpec:
-    if not isinstance(data, Mapping):
-        raise ValueError(f"cumulant spec JSON must be an object, not {type(data).__name__}")
-    for key in ("n", "m"):
-        if key not in data:
-            raise ValueError(f"cumulant spec JSON lacks {key!r}")
+    fields = read_fields(data, "cumulant spec", _SPEC_FIELDS,
+                         {"entries": [], "degree_bound": DEFAULT_DEGREE_BOUND})
     entries: dict[Pattern, Fraction] = {}
-    for item in _spec_field(data, "entries", list, []):
-        if not isinstance(item, Mapping) or "pattern" not in item or "value" not in item:
-            raise ValueError(f"cumulant spec entry needs 'pattern' and 'value': {item!r}")
-        pattern = _spec_field(item, "pattern", _pattern)
-        entries[pattern] = _spec_field(item, "value", lambda v: Fraction(str(v)))
-    return CumulantSpec(
-        n=_spec_field(data, "n", int),
-        m=_spec_field(data, "m", int),
-        entries=entries,
-        degree_bound=_spec_field(data, "degree_bound", int, DEFAULT_DEGREE_BOUND),
-    )
+    for item in fields["entries"]:
+        entry = read_fields(item, "cumulant spec entry", _ENTRY_FIELDS)
+        entries[entry["pattern"]] = entry["value"]
+    return CumulantSpec(fields["n"], fields["m"], entries, fields["degree_bound"])
 
 
 def save_spec(spec: CumulantSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(spec_to_json_dict(spec), handle, indent=2)
-        handle.write("\n")
+    write_files({path: to_json(spec_to_json_dict(spec))}, overwrite=True)
 
 
 def load_spec(path: str) -> CumulantSpec:
-    with open(path, encoding="utf-8") as handle:
-        return spec_from_json_dict(json.load(handle))
+    return spec_from_json_dict(load_json(path))

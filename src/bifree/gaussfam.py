@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._io import read_fields
 from .bnclattice import sigma_chi
 
 Pattern = Sequence[tuple[str, int]]
@@ -100,17 +101,9 @@ class Covariance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Covariance":
-        if not isinstance(data, dict):
-            raise ValueError(f"covariance JSON must be an object, not {type(data).__name__}")
-        fields = []
-        for key, convert in (("n", int), ("m", int), ("matrix", partial(np.asarray, dtype=float))):
-            if key not in data:
-                raise ValueError(f"covariance JSON lacks {key!r}")
-            try:
-                fields.append(convert(data[key]))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"covariance JSON field {key!r} is malformed: {exc}") from None
-        return cls(*fields)
+        fields = read_fields(data, "covariance",
+                             {"n": int, "m": int, "matrix": partial(np.asarray, dtype=float)})
+        return cls(fields["n"], fields["m"], fields["matrix"])
 
 
 def gaussian_moment(cov: Covariance, pattern: Pattern) -> float:

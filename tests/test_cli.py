@@ -308,6 +308,28 @@ class TestBipartiteCli:
         assert len(payload["xi_left"]) == 48
         assert len(payload["xi_right"][0]) == 48
 
+    def test_conjugate_out_matches_field_and_is_kept(self, tmp_path, capsys):
+        out = tmp_path / "field.json"
+        args = ["bipartite", "conjugate", "--c", "0.3", "--n", "32", "--out", str(out)]
+        assert main(args) == 0
+        written = out.read_text()
+        payload = json.loads(written)
+        field = bp.conjugate_field(bp.semicircular_density(0.3, bp.GridSpec(32, 32)))
+        assert payload["xi_left"] == field.xi_left.tolist()
+        assert payload["xi_right"] == field.xi_right.tolist()
+        assert payload["mask"] == field.mask.astype(int).tolist()
+        assert main(args) == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert out.read_text() == written
+
+    def test_make_checks_out_before_building(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("the grid was built before --out was checked")
+
+        monkeypatch.setattr(bp, "semicircular_density", fail)
+        assert main(["bipartite", "make-semicircular", "--c", "0.5", "--n", "16"]) == 2
+        assert "requires --out" in capsys.readouterr().err
+
     def test_degenerate_c_rejected(self, capsys):
         assert main(["bipartite", "fisher", "--c", "1.0", "--n", "16"]) == 2
 
@@ -362,21 +384,30 @@ class TestBipartiteCli:
         )  # coarse grid, loose check
 
 
-@pytest.mark.parametrize("argv, content", [
-    (["gaussian", "fisher", "--cov"], {"n": 1, "m": 1}),
-    (["gaussian", "fisher", "--cov"], [[1.0, 0.5], [0.5, 1.0]]),
-    (["moments", "--word", "X1", "--spec"], {"m": 1, "entries": []}),
-    (["moments", "--word", "X1", "--spec"], {"n": 1, "m": 1, "entries": [{"value": "1"}]}),
+MALFORMED_INPUTS = [
+    (["gaussian", "fisher", "--cov"], {"n": 1, "m": 1}, "field 'matrix'"),
+    (["gaussian", "fisher", "--cov"], [[1.0, 0.5], [0.5, 1.0]], "covariance JSON must be an object"),
+    (["moments", "--word", "X1", "--spec"], {"m": 1, "entries": []}, "field 'n'"),
+    (["moments", "--word", "X1", "--spec"], {"n": 1, "m": 1, "entries": [{"value": "1"}]},
+     "field 'pattern'"),
     (["bipartite", "fisher", "--grid"],
-     {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "values": [[1, 1], [1, 1]]}),
-    (["moments", "--word", "X1", "--spec"], {"n": 1, "m": 1, "entries": [{"pattern": 5, "value": "1"}]}),
-    (["gaussian", "fisher", "--cov"], {"n": None, "m": 1, "matrix": [[1.0, 0.5], [0.5, 1.0]]}),
+     {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "values": [[1, 1], [1, 1]]}, "field 'ny'"),
+    (["moments", "--word", "X1", "--spec"], {"n": 1, "m": 1, "entries": [{"pattern": 5, "value": "1"}]},
+     "field 'pattern'"),
+    (["gaussian", "fisher", "--cov"], {"n": None, "m": 1, "matrix": [[1.0, 0.5], [0.5, 1.0]]}, "field 'n'"),
     (["bipartite", "fisher", "--grid"],
-     {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": None, "ny": 2, "values": [[1, 1], [1, 1]]}),
+     {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": None, "ny": 2, "values": [[1, 1], [1, 1]]},
+     "field 'nx'"),
     (["bipartite", "fisher", "--grid-csv", "values.csv", "--grid"],
-     {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": None, "values_csv": "values.csv"}),
-])
-def test_malformed_input_file_exits_2(tmp_path, monkeypatch, capsys, argv, content):
+     {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": None, "values_csv": "values.csv"},
+     "field 'ny'"),
+]
+
+
+# the ids pytest gives argv and content alone, so each case keeps its name
+@pytest.mark.parametrize("argv, content, named", MALFORMED_INPUTS,
+                         ids=[f"argv{i}-content{i}" for i in range(len(MALFORMED_INPUTS))])
+def test_malformed_input_file_exits_2(tmp_path, monkeypatch, capsys, argv, content, named):
     monkeypatch.chdir(tmp_path)  # a --grid-csv argument names a well-formed values.csv here
     (tmp_path / "values.csv").write_text("1,1\n1,1\n")
     path = tmp_path / "input.json"
@@ -384,6 +415,7 @@ def test_malformed_input_file_exits_2(tmp_path, monkeypatch, capsys, argv, conte
     assert main(argv + [str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert named in err
 
 
 @pytest.mark.parametrize("argv", [
