@@ -326,15 +326,11 @@ def density_to_json_dict(g: DensityGrid) -> dict:
 _AXES = {"xmin": float, "xmax": float, "ymin": float, "ymax": float, "nx": int, "ny": int}
 
 
-def _grid_from_fields(fields: dict, values) -> DensityGrid:
-    x = np.linspace(fields["xmin"], fields["xmax"], fields["nx"])
-    y = np.linspace(fields["ymin"], fields["ymax"], fields["ny"])
-    return make_density_grid(x, y, values)
-
-
 def density_from_json_dict(data: dict) -> DensityGrid:
     fields = read_fields(data, "density", {**_AXES, "values": partial(np.asarray, dtype=float)})
-    return _grid_from_fields(fields, fields["values"])
+    x = np.linspace(fields["xmin"], fields["xmax"], fields["nx"])
+    y = np.linspace(fields["ymin"], fields["ymax"], fields["ny"])
+    return make_density_grid(x, y, fields["values"])
 
 
 def save_density(g: DensityGrid, path: str, overwrite: bool = True) -> None:
@@ -360,7 +356,7 @@ def save_density_csv(
 
 
 def load_density_csv(header_path: str, csv_path: str) -> DensityGrid:
-    fields = read_fields(load_json(header_path), "density", _AXES)
+    header = read_fields(load_json(header_path), "density", _AXES)
     with open(csv_path, encoding="utf-8", newline="") as handle:
         rows = [[float(v) for v in row] for row in csv.reader(handle)]
-    return _grid_from_fields(fields, rows)
+    return density_from_json_dict({**header, "values": rows})
