@@ -14,7 +14,12 @@ two-variable semicircular density with covariance c on [-2, 2]^2.
 Grids are finite and uniform (anything else raises ``ValueError``), with
 trapezoid weights; the kernel regularization defaults
 to one grid spacing, with an optional two-point Richardson extrapolation in
-the regularization parameter.
+the regularization parameter.  On a uniform axis the kernel matrix is
+Toeplitz, so every kernel integral, marginal or slice, is a linear
+convolution applied by FFT along the contiguous rows of an array, in
+O(n^2 log n) for an n x n grid; no n x n kernel is formed.  The result agrees
+with the dense kernel product to rounding (the tests hold it to 1e-12
+relative).
 """
 
 from __future__ import annotations
@@ -107,29 +112,34 @@ class DensityGrid:
         return float(gx @ self.values @ gy)
 
 
+def _check_uniform(points: np.ndarray, name: str) -> None:
+    """The trapezoid weights, the default eps and the kernel convolution all
+    assume one spacing per axis."""
+    steps = np.diff(points)
+    if steps.size and not (steps.min() > 0 and steps.max() - steps.min() <= 1e-9 * steps.max()):
+        raise ValueError(f"the {name} axis must be strictly increasing and uniformly spaced")
+
+
 def make_density_grid(x: np.ndarray, y: np.ndarray, values: np.ndarray) -> DensityGrid:
     x = np.array(x, dtype=float)
     y = np.array(y, dtype=float)
-    values = np.asarray(values, dtype=float)
+    values = np.array(values, dtype=float)  # the one copy; clipped and scaled in place
     if values.shape != (x.size, y.size):
         raise ValueError(f"values must have shape (nx, ny) = {(x.size, y.size)}")
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(values).all()):
         raise ValueError("grid axes and density values must be finite")
-    for name, axis in (("x", x), ("y", y)):
-        # the trapezoid weights and the default eps assume one spacing per axis
-        steps = np.diff(axis)
-        if steps.size and (steps.min() <= 0 or steps.max() - steps.min() > 1e-9 * steps.max()):
-            raise ValueError(f"the {name} axis must be strictly increasing and uniformly spaced")
+    _check_uniform(x, "x")
+    _check_uniform(y, "y")
     top = float(values.max(initial=0.0))
     if values.min(initial=0.0) < -1e-12 * max(top, 1.0):
         raise ValueError("density values must be nonnegative")
-    values = np.clip(values, 0.0, None)
+    np.clip(values, 0.0, None, out=values)
     wx = _trapezoid_weights(x)
     wy = _trapezoid_weights(y)
     raw_mass = float(wx @ values @ wy)
     if raw_mass <= 0.0:
         raise ZeroMassError("density has zero mass on the grid")
-    values = values / raw_mass
+    values /= raw_mass
     for arr in (x, y, values, wx, wy):
         arr.setflags(write=False)
     return DensityGrid(x, y, values, wx, wy, raw_mass)
@@ -139,7 +149,7 @@ def grid_from_spec(spec: GridSpec, fn) -> DensityGrid:
     x = np.linspace(spec.xmin, spec.xmax, spec.nx)
     y = np.linspace(spec.ymin, spec.ymax, spec.ny)
     values = fn(x[:, None], y[None, :])
-    return make_density_grid(x, y, np.broadcast_to(values, (spec.nx, spec.ny)).copy())
+    return make_density_grid(x, y, np.broadcast_to(values, (spec.nx, spec.ny)))
 
 
 def semicircular_density(c: float, spec: GridSpec) -> DensityGrid:
@@ -180,11 +190,46 @@ def marginals(g: DensityGrid) -> tuple[MarginalDensity, MarginalDensity]:
     )
 
 
-def _kernel_matrix(points: np.ndarray, eps: float) -> np.ndarray:
+#: Rows transformed per FFT block, so the padded spectra of a block stay small.
+_FFT_ROWS = 32
+
+
+def _hilbert_rows(
+    values: np.ndarray,
+    points: np.ndarray,
+    weights: np.ndarray,
+    eps: float,
+    richardson: bool = False,
+    out: np.ndarray | None = None,
+    name: str = "x",
+) -> np.ndarray:
+    """``out[..., i] = sum_j k(points[i] - points[j]) weights[j] values[..., j]``
+    for a 1-D ``values`` or each row of a 2-D one (a view of any strides), with
+    k(d) = d/(d^2 + eps^2), or 2 k at eps/2 minus k at eps under ``richardson``.
+    The kernel's first column k(points - points[0]), odd in the offset, fills a
+    circulant of length 2n, which ``rfft`` applies to blocks of rows.
+    """
+    _check_uniform(points, name)
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    diff = points[:, None] - points[None, :]
-    return diff / (diff * diff + eps * eps)
+    n = points.size
+    d = points - points[0]
+    profile = d / (d * d + eps * eps)
+    if richardson:
+        profile = 2.0 * d / (d * d + 0.25 * eps * eps) - profile
+    size = 2 * n
+    circulant = np.zeros(size)
+    circulant[:n] = profile
+    circulant[size - n + 1:] = -profile[:0:-1]
+    spectrum = np.fft.rfft(circulant)
+    if out is None:
+        out = np.empty(values.shape)
+    rows, dest = np.atleast_2d(values), np.atleast_2d(out)
+    for start in range(0, rows.shape[0], _FFT_ROWS):
+        block = np.fft.rfft(np.multiply(rows[start:start + _FFT_ROWS], weights, order="C"), size)
+        block *= spectrum
+        dest[start:start + _FFT_ROWS] = np.fft.irfft(block, size)[:, :n]
+    return out
 
 
 def hilbert_samples(
@@ -195,9 +240,10 @@ def hilbert_samples(
 
     Converges to pi times the Hilbert transform as eps and the grid spacing
     go to zero together; eps of about one grid spacing balances the kernel
-    bias against discretization oscillation.
+    bias against discretization oscillation.  The points must be uniformly
+    spaced (``ValueError`` otherwise).
     """
-    return _kernel_matrix(points, eps) @ (samples * weights)
+    return _hilbert_rows(samples, points, weights, eps)
 
 
 def hilbert_pv(density: MarginalDensity, eps: float | None = None) -> np.ndarray:
@@ -229,18 +275,6 @@ class ConjugateField:
     eps_y: float
 
 
-def _field_components(
-    g: DensityGrid, fx: np.ndarray, fy: np.ndarray, eps_x: float, eps_y: float
-):
-    kx = _kernel_matrix(g.x, eps_x)
-    ky = _kernel_matrix(g.y, eps_y)
-    hx = kx @ (fx * g.wx)
-    hy = ky @ (fy * g.wy)
-    gx = kx @ (g.values * g.wx[:, None])          # slice transform in x, per y
-    gy = (g.values * g.wy[None, :]) @ ky.T        # slice transform in y, per x
-    return hx, hy, gx, gy
-
-
 def conjugate_field(g: DensityGrid, cfg: FieldConfig | None = None) -> ConjugateField:
     """Both conjugate fields on the grid (zero on the masked low-density set).
 
@@ -249,25 +283,21 @@ def conjugate_field(g: DensityGrid, cfg: FieldConfig | None = None) -> Conjugate
     outside its hypotheses.
     """
     cfg = cfg or FieldConfig()
-    hx_spacing = float(g.x[1] - g.x[0])
-    hy_spacing = float(g.y[1] - g.y[0])
-    eps_x = cfg.eps if cfg.eps is not None else hx_spacing
-    eps_y = cfg.eps if cfg.eps is not None else hy_spacing
-
+    eps_x = cfg.eps if cfg.eps is not None else float(g.x[1] - g.x[0])
+    eps_y = cfg.eps if cfg.eps is not None else float(g.y[1] - g.y[0])
     marg_x, marg_y = marginals(g)
     fx, fy = marg_x.samples, marg_y.samples
 
-    hx, hy, gx, gy = _field_components(g, fx, fy, eps_x, eps_y)
-    if cfg.richardson:
-        hx2, hy2, gx2, gy2 = _field_components(g, fx, fy, 0.5 * eps_x, 0.5 * eps_y)
-        hx, hy = 2.0 * hx2 - hx, 2.0 * hy2 - hy
-        gx, gy = 2.0 * gx2 - gx, 2.0 * gy2 - gy
+    hx = _hilbert_rows(fx, g.x, g.wx, eps_x, cfg.richardson, name="x")
+    hy = _hilbert_rows(fy, g.y, g.wy, eps_y, cfg.richardson, name="y")
+    # slice transforms: in x per y (rows of values.T, written through gx.T), in y per x
+    gx = np.empty((g.nx, g.ny))
+    _hilbert_rows(g.values.T, g.x, g.wx, eps_x, cfg.richardson, out=gx.T, name="x")
+    gy = _hilbert_rows(g.values, g.y, g.wy, eps_y, cfg.richardson, name="y")
 
-    top = float(g.values.max())
-    mask = g.values < MASK_THRESHOLD * top
-
-    product_proxy = fx[:, None] * fy[None, :]
-    inside_product = product_proxy > MASK_THRESHOLD * float(product_proxy.max())
+    mask = g.values < MASK_THRESHOLD * float(g.values.max())
+    # fx.max() * fy.max() is the largest entry of the outer product, bit for bit
+    inside_product = np.multiply.outer(fx, fy) > MASK_THRESHOLD * float(fx.max() * fy.max())
     gap_fraction = float(np.mean(mask & inside_product))
     if gap_fraction > PRODUCT_WARN_FRACTION:
         warnings.warn(
@@ -278,18 +308,22 @@ def conjugate_field(g: DensityGrid, cfg: FieldConfig | None = None) -> Conjugate
             stacklevel=2,
         )
 
-    safe = np.where(mask, 1.0, g.values)
-    xi_left = hx[:, None] + fx[:, None] * gx / safe
-    xi_right = hy[None, :] + fy[None, :] * gy / safe
-    xi_left = np.where(mask, 0.0, xi_left)
-    xi_right = np.where(mask, 0.0, xi_right)
-    return ConjugateField(xi_left, xi_right, mask, eps_x, eps_y)
+    # xi = h + f * g / values, assembled in the g buffers, then zero on the mask
+    kept = ~mask
+    for field, f, h in ((gx, fx[:, None], hx[:, None]), (gy, fy[None, :], hy[None, :])):
+        field *= f
+        np.divide(field, g.values, out=field, where=kept)
+        field += h
+        field[mask] = 0.0
+    return ConjugateField(gx, gy, mask, eps_x, eps_y)
 
 
 def fisher_numeric(g: DensityGrid, cfg: FieldConfig | None = None) -> float:
     """Grid quadrature of (xi_l^2 + xi_r^2) f: the Fisher information of the pair."""
     fld = conjugate_field(g, cfg)
-    integrand = (fld.xi_left ** 2 + fld.xi_right ** 2) * g.values
+    integrand = np.square(fld.xi_left, out=fld.xi_left)  # the fields are ours to overwrite
+    integrand += np.square(fld.xi_right, out=fld.xi_right)
+    integrand *= g.values
     return float(g.wx @ integrand @ g.wy)
 
 
@@ -336,7 +370,11 @@ def density_from_json_dict(data: dict) -> DensityGrid:
 def save_density(g: DensityGrid, path: str, overwrite: bool = True) -> None:
     """Write the JSON form; without ``overwrite`` an existing file is refused
     at the open (``_io.write_files``)."""
-    write_files({path: to_json(density_to_json_dict(g))}, overwrite)
+    # the text to_json makes of density_to_json_dict(g), built a row at a time
+    # rather than from one full values.tolist() copy
+    rows = ", ".join("[" + ", ".join(map(repr, row.tolist())) + "]" for row in g.values)
+    header = to_json(axes_to_json_dict(g))
+    write_files({path: f'{header[:-1]}, "values": [{rows}]}}'}, overwrite)
 
 
 def load_density(path: str) -> DensityGrid:

@@ -11,6 +11,7 @@ from functools import lru_cache
 import numpy as np
 from hypothesis import strategies as st
 
+from bifree.bipartite_num import MASK_THRESHOLD, DensityGrid
 from bifree.bnclattice import (
     BNCPartition,
     _inverse_perm,
@@ -368,3 +369,35 @@ def cumulant_by_lattice_sum(phi, chi, args) -> Fraction:
         (moment_pi(phi, pi, args) * mobius(pi, top) for pi in enumerate_bnc(chi)),
         Fraction(0),
     )
+
+
+def hilbert_kernel_matrix(points: np.ndarray, eps: float) -> np.ndarray:
+    """The n x n regularized Hilbert kernel (x_i - x_j)/((x_i - x_j)^2 + eps^2)."""
+    diff = points[:, None] - points[None, :]
+    return diff / (diff * diff + eps * eps)
+
+
+def hilbert_rows_by_matrix(values, points, weights, eps: float, richardson: bool = False):
+    """The kernel applied to a 1-D array or each row of a 2-D one as a dense
+    product; under ``richardson``, twice the kernel at eps/2 minus the one at eps."""
+    kernel = hilbert_kernel_matrix(points, eps)
+    if richardson:
+        kernel = 2.0 * hilbert_kernel_matrix(points, 0.5 * eps) - kernel
+    return (values * weights) @ kernel.T
+
+
+def conjugate_field_by_matrix(g: DensityGrid, eps_x: float, eps_y: float, richardson: bool = False):
+    """(xi_left, xi_right, mask) from dense kernel products, by the formula of
+    the ``bipartite_num`` module docstring."""
+    fx = g.values @ g.wy
+    fy = g.values.T @ g.wx
+    fx, fy = fx / float(g.wx @ fx), fy / float(g.wy @ fy)
+    hx = hilbert_rows_by_matrix(fx, g.x, g.wx, eps_x, richardson)
+    hy = hilbert_rows_by_matrix(fy, g.y, g.wy, eps_y, richardson)
+    gx = hilbert_rows_by_matrix(g.values.T, g.x, g.wx, eps_x, richardson).T
+    gy = hilbert_rows_by_matrix(g.values, g.y, g.wy, eps_y, richardson)
+    mask = g.values < MASK_THRESHOLD * float(g.values.max())
+    safe = np.where(mask, 1.0, g.values)
+    xi_left = np.where(mask, 0.0, hx[:, None] + fx[:, None] * gx / safe)
+    xi_right = np.where(mask, 0.0, hy[None, :] + fy[None, :] * gy / safe)
+    return xi_left, xi_right, mask

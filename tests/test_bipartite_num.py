@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from bifree.bipartite_num import (
     FieldConfig,
+    _hilbert_rows,
     GridSpec,
     MarginalDensity,
     NonProductSupportWarning,
@@ -28,6 +30,13 @@ from bifree.bipartite_num import (
     semicircle_marginal,
     semicircular_density,
 )
+from helpers import conjugate_field_by_matrix, hilbert_rows_by_matrix
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    """Max-norm agreement relative to the largest entry of ``want``."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 def uniform_grid(n=64):
@@ -115,6 +124,27 @@ class TestDensityGrid:
         again = density_from_json_dict(density_to_json_dict(g))
         assert np.allclose(again.values, g.values, rtol=1e-14, atol=0)
 
+    def test_values_are_the_formula_clipped_and_scaled(self):
+        spec = GridSpec(40, 33, -2.5, 2.0, -1.0, 3.0)
+        # positive in two quadrants, rounding-size negatives elsewhere
+        fn = lambda x, y: np.where(x * y > 0, x * y, -1e-14 * (1.0 + x * x))  # noqa: E731
+        g = grid_from_spec(spec, fn)
+        given = fn(g.x[:, None], g.y[None, :])
+        assert given.min() < 0
+        raw = np.clip(given, 0.0, None)
+        assert g.raw_mass == float(g.wx @ raw @ g.wy)
+        assert np.array_equal(g.values, raw / g.raw_mass)
+        kept = given.copy()
+        again = make_density_grid(g.x, g.y, given)
+        assert np.array_equal(given, kept)  # the caller's array is not written
+        assert np.array_equal(again.values, g.values)
+
+    def test_json_text_built_by_rows(self, tmp_path):
+        g = semicircular_density(0.3, GridSpec(33, 20))
+        path = tmp_path / "grid.json"
+        save_density(g, str(path))
+        assert path.read_text() == json.dumps(density_to_json_dict(g)) + "\n"
+
 
 class TestSemicircularDensity:
     def test_origin_value(self):
@@ -187,6 +217,20 @@ class TestHilbert:
     def test_rejects_bad_eps(self, eps):
         with pytest.raises(ValueError, match="eps must be finite and positive"):
             hilbert_pv(self.semicircle(64), eps=eps)
+
+    @pytest.mark.parametrize("spacing", ["bent", "decreasing"])
+    def test_rejects_non_uniform_marginal(self, spacing):
+        marg = self.semicircle(64)
+        x = marg.x.copy()
+        if spacing == "bent":
+            x[20] += 0.3 * marg.spacing
+        else:
+            x = x[::-1].copy()
+        bad = MarginalDensity(x, marg.samples, marg.weights)
+        with pytest.raises(ValueError, match="the x axis must be strictly increasing and uniformly spaced"):
+            hilbert_pv(bad, eps=marg.spacing)
+        with pytest.raises(ValueError, match="the x axis must be strictly increasing and uniformly spaced"):
+            free_fisher_marginal(bad)
 
     def test_odd_kernel_even_density(self):
         marg = self.semicircle(1025)
@@ -283,3 +327,66 @@ class TestFisherNumeric:
         plain = abs(fisher_numeric(g) - target)
         improved = abs(fisher_numeric(g, FieldConfig(richardson=True)) - target)
         assert improved < plain
+
+
+def tailed_gaussian_product(n=257):
+    spec = GridSpec(n, n, -6.0, 6.0, -6.0, 6.0)
+    return grid_from_spec(spec, lambda x, y: np.exp(-0.5 * (x * x + y * y)))
+
+
+class TestKernelConvolution:
+    """The FFT convolution against the dense kernel product."""
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 255, 1025])
+    @pytest.mark.parametrize("eps_per_h", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("shape", ["1-D", "2-D"])
+    def test_matches_dense_product(self, n, eps_per_h, shape):
+        rng = np.random.default_rng(n)
+        x = np.linspace(-1.5, 2.5, n)
+        h = x[1] - x[0]
+        w = np.full(n, h)
+        w[0] = w[-1] = 0.5 * h
+        values = rng.random(n if shape == "1-D" else (7, n))
+        eps = eps_per_h * h
+        for richardson in (False, True):
+            want = hilbert_rows_by_matrix(values, x, w, eps, richardson)
+            assert_rel_close(_hilbert_rows(values, x, w, eps, richardson), want)
+
+    def test_writes_through_strided_view(self):
+        rng = np.random.default_rng(0)
+        x = np.linspace(0.0, 1.0, 70)
+        values = rng.random((70, 130))
+        out = np.empty((70, 130))
+        _hilbert_rows(values.T, x, np.ones(70), 0.02, out=out.T)
+        assert_rel_close(out.T, hilbert_rows_by_matrix(values.T, x, np.ones(70), 0.02))
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 255, 1025])
+    @pytest.mark.parametrize("eps_per_h", [0.5, 1.0, 3.0])
+    def test_conjugate_field_matches_dense(self, n, eps_per_h):
+        spec = GridSpec(n, n, -1.0, 1.0, -1.0, 1.0)
+        g = grid_from_spec(spec, lambda x, y: np.exp(-(x * x + y * y - x * y)))
+        eps = eps_per_h * (g.x[1] - g.x[0])
+        fld = conjugate_field(g, FieldConfig(eps=eps))
+        xi_left, xi_right, mask = conjugate_field_by_matrix(g, eps, eps)
+        assert np.array_equal(fld.mask, mask)
+        assert_rel_close(fld.xi_left, xi_left)
+        assert_rel_close(fld.xi_right, xi_right)
+
+    @pytest.mark.parametrize("richardson", [False, True])
+    @pytest.mark.parametrize("case", ["non-square", "tailed-gaussian", "semicircular"])
+    def test_conjugate_field_matches_dense_on_grids(self, case, richardson):
+        if case == "non-square":
+            spec = GridSpec(150, 97, -3.0, 1.0, -0.5, 4.5)
+            g = grid_from_spec(spec, lambda x, y: np.exp(-((x + 1) ** 2) - (y - 2) ** 2 + 0.4 * (x + 1) * (y - 2)))
+        elif case == "tailed-gaussian":
+            g = tailed_gaussian_product()
+        else:
+            g = semicircular_density(0.5, GridSpec(200, 200))
+        fld = conjugate_field(g, FieldConfig(richardson=richardson))
+        xi_left, xi_right, mask = conjugate_field_by_matrix(
+            g, g.x[1] - g.x[0], g.y[1] - g.y[0], richardson)
+        assert np.array_equal(fld.mask, mask)
+        assert_rel_close(fld.xi_left, xi_left)
+        assert_rel_close(fld.xi_right, xi_right)
+        want = float(g.wx @ ((xi_left ** 2 + xi_right ** 2) * g.values) @ g.wy)
+        assert fisher_numeric(g, FieldConfig(richardson=richardson)) == pytest.approx(want, rel=1e-12, abs=0)
