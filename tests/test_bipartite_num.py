@@ -329,11 +329,6 @@ class TestFisherNumeric:
         assert improved < plain
 
 
-def tailed_gaussian_product(n=257):
-    spec = GridSpec(n, n, -6.0, 6.0, -6.0, 6.0)
-    return grid_from_spec(spec, lambda x, y: np.exp(-0.5 * (x * x + y * y)))
-
-
 class TestKernelConvolution:
     """The FFT convolution against the dense kernel product."""
 
@@ -351,14 +346,6 @@ class TestKernelConvolution:
         for richardson in (False, True):
             want = hilbert_rows_by_matrix(values, x, w, eps, richardson)
             assert_rel_close(_hilbert_rows(values, x, w, eps, richardson), want)
-
-    def test_writes_through_strided_view(self):
-        rng = np.random.default_rng(0)
-        x = np.linspace(0.0, 1.0, 70)
-        values = rng.random((70, 130))
-        out = np.empty((70, 130))
-        _hilbert_rows(values.T, x, np.ones(70), 0.02, out=out.T)
-        assert_rel_close(out.T, hilbert_rows_by_matrix(values.T, x, np.ones(70), 0.02))
 
     @pytest.mark.parametrize("n", [2, 3, 64, 255, 1025])
     @pytest.mark.parametrize("eps_per_h", [0.5, 1.0, 3.0])
@@ -379,7 +366,8 @@ class TestKernelConvolution:
             spec = GridSpec(150, 97, -3.0, 1.0, -0.5, 4.5)
             g = grid_from_spec(spec, lambda x, y: np.exp(-((x + 1) ** 2) - (y - 2) ** 2 + 0.4 * (x + 1) * (y - 2)))
         elif case == "tailed-gaussian":
-            g = tailed_gaussian_product()
+            g = grid_from_spec(GridSpec(257, 257, -6.0, 6.0, -6.0, 6.0),
+                               lambda x, y: np.exp(-0.5 * (x * x + y * y)))
         else:
             g = semicircular_density(0.5, GridSpec(200, 200))
         fld = conjugate_field(g, FieldConfig(richardson=richardson))
