@@ -194,6 +194,22 @@ def marginals(g: DensityGrid) -> tuple[MarginalDensity, MarginalDensity]:
 _FFT_ROWS = 32
 
 
+def _smooth_length(n: int) -> int:
+    """The smallest integer >= n with no prime factor above 5, a fast FFT length."""
+    best = 1 << max(n - 1, 0).bit_length()
+    power5 = 1
+    while power5 < best:
+        odd = power5  # 3^b 5^a
+        while odd < best:
+            length = odd
+            while length < n:
+                length *= 2
+            best = min(best, length)
+            odd *= 3
+        power5 *= 5
+    return best
+
+
 def _hilbert_rows(
     values: np.ndarray,
     points: np.ndarray,
@@ -207,7 +223,8 @@ def _hilbert_rows(
     for a 1-D ``values`` or each row of a 2-D one (a view of any strides), with
     k(d) = d/(d^2 + eps^2), or 2 k at eps/2 minus k at eps under ``richardson``.
     The kernel's first column k(points - points[0]), odd in the offset, fills a
-    circulant of length 2n, which ``rfft`` applies to blocks of rows.
+    circulant of the smallest 5-smooth length >= 2n - 1, which ``rfft``
+    applies to blocks of rows.
     """
     _check_uniform(points, name)
     if not (math.isfinite(eps) and eps > 0):
@@ -217,7 +234,7 @@ def _hilbert_rows(
     profile = d / (d * d + eps * eps)
     if richardson:
         profile = 2.0 * d / (d * d + 0.25 * eps * eps) - profile
-    size = 2 * n
+    size = _smooth_length(2 * n - 1)
     circulant = np.zeros(size)
     circulant[:n] = profile
     circulant[size - n + 1:] = -profile[:0:-1]

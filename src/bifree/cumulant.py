@@ -12,15 +12,19 @@ inverse transform recovers cumulants from moments by Mobius inversion,
 summed over NC(k) in the relabelled order with the Kreweras product for
 mu(pi, 1) and one moment per distinct block.  The product-in-the-last-entry
 expansion searches only the interval below the embedded partition.
+
+Inside these sums an exact value is a reduced (numerator, denominator) pair
+of ints with a positive denominator: terms are summed per denominator as
+ints and folded once (``_fold``).  The public functions return ``Fraction``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._io import load_json, read_fields, to_json, write_files
 from .bnclattice import (
@@ -123,6 +127,19 @@ def gaussian_cumulant_spec(
     return CumulantSpec(n, m, entries, degree_bound)
 
 
+#: A reduced exact value: (numerator, denominator), the denominator positive.
+Pair = tuple[int, int]
+
+
+def _fold(sums: Mapping[int, int]) -> Pair:
+    """The reduced sum of ``numerator / denominator`` over ``sums``, a map
+    from each positive denominator to its summed numerators."""
+    den = math.lcm(*sums) if sums else 1
+    num = sum(n * (den // d) for d, n in sums.items())
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 class MomentFunctional:
     """Base class: a unital linear functional on words, exact and memoizable."""
 
@@ -132,6 +149,11 @@ class MomentFunctional:
     def phi(self, word: Word) -> Fraction:
         raise NotImplementedError
 
+    def _phi_pair(self, word: Word) -> Pair:
+        """``phi(word)`` as a reduced pair; a memoizing subclass overrides it."""
+        value = self.phi(word)
+        return value.numerator, value.denominator
+
     def _check_degree(self, degree: int) -> None:
         if degree > self.degree_bound:
             raise DegreeBoundError(
@@ -139,13 +161,31 @@ class MomentFunctional:
             )
 
     def phi_poly(self, p: NCPolynomial) -> Fraction:
-        return sum((c * self.phi(w) for w, c in p.items()), Fraction(0))
+        return Fraction(*self._poly_pair(p.items()))
 
     def phi_tensor(self, t: TensorPoly) -> Fraction:
-        return sum(
-            (c * self.phi(w1) * self.phi(w2) for (w1, w2), c in t.items()),
-            Fraction(0),
-        )
+        return Fraction(*self._tensor_pair(t))
+
+    def _poly_pair(self, terms: Iterable[tuple[Word, Fraction]]) -> Pair:
+        """The sum of c phi(w) over (w, c) terms, as a reduced pair."""
+        sums: dict[int, int] = {}
+        for w, c in terms:
+            num, den = self._phi_pair(w)
+            if num:
+                den *= c.denominator
+                sums[den] = sums.get(den, 0) + c.numerator * num
+        return _fold(sums)
+
+    def _tensor_pair(self, t: TensorPoly) -> Pair:
+        """(phi ⊗ phi)(t) as a reduced pair."""
+        sums: dict[int, int] = {}
+        for (w1, w2), c in t.items():
+            num1, den1 = self._phi_pair(w1)
+            num2, den2 = self._phi_pair(w2)
+            if num1 and num2:
+                den = c.denominator * den1 * den2
+                sums[den] = sums.get(den, 0) + c.numerator * num1 * num2
+        return _fold(sums)
 
     def inner(self, a: NCPolynomial, b: NCPolynomial) -> Fraction:
         """Sesquilinear pairing <a, b> = phi(b* a) (rational coefficients)."""
@@ -194,7 +234,9 @@ class CumulantMomentFunctional(MomentFunctional):
     (the bi-non-crossing lattice over the word's sides is NC(n) through
     ``sigma_chi``): each block V holding the first position contributes
     kappa_V times the moments of the gaps it leaves, and every gap moment is
-    a ``phi`` call that the memo answers once it is filled.
+    read through the memo, which it fills on a miss.  The memo maps checked
+    normal forms to reduced (numerator, denominator) pairs; ``phi`` turns
+    one into a ``Fraction``.
     """
 
     def __init__(self, mode: AlgebraMode, spec: CumulantSpec):
@@ -203,11 +245,18 @@ class CumulantMomentFunctional(MomentFunctional):
         self.mode = mode
         self.spec = spec
         self.degree_bound = spec.degree_bound
-        self._memo: dict[Word, Fraction] = {(): Fraction(1)}
+        self._memo: dict[Word, Pair] = {(): (1, 1)}
+        self._kappas = {
+            pattern: (value.numerator, value.denominator)
+            for pattern, value in spec.entries.items()
+        }
         self._sizes = {len(pattern) for pattern in spec.entries}
         self._longest = max(self._sizes, default=0)
 
     def phi(self, word: Word) -> Fraction:
+        return Fraction(*self._phi_pair(word))
+
+    def _phi_pair(self, word: Word) -> Pair:
         word = tuple(word)
         cached = self._memo.get(word)  # keys are checked normal forms
         if cached is not None:
@@ -224,38 +273,32 @@ class CumulantMomentFunctional(MomentFunctional):
         value = self._memo[word] = self._first_block_sum(word)
         return value
 
-    def _first_block_sum(self, word: Word) -> Fraction:
+    def _first_block_sum(self, word: Word) -> Pair:
         # a gap is the letters at relabelled positions i..j-1 read back in
-        # original order; in bipartite normal form it is a contiguous, so
-        # normal-form, subword, hence a memo key once computed
+        # original order; in bipartite normal form it is a normal form again
+        # (lefts before rights), hence a memo key once computed
         perm = sigma_chi(tuple(l.side for l in word))
         size = len(word)
-
-        @lru_cache(maxsize=None)
-        def gap(i: int, j: int) -> tuple[int, int]:
-            moment = self.phi(tuple(word[p - 1] for p in sorted(perm[i:j])))
-            return moment.numerator, moment.denominator
-
-        # integer numerators summed per denominator: exact, without Fraction arithmetic
+        moment = self._phi_pair
         sums: dict[int, int] = {}
         stack = [((0,), 1, 1)]
         while stack:
             block, num, den = stack.pop()
             last = block[-1]
             if len(block) in self._sizes:
-                kappa = self.spec.kappa(
+                kappa = self._kappas.get(
                     pattern_of_letters([word[p - 1] for p in sorted(perm[v] for v in block)])
                 )
                 if kappa:
-                    rest_num, rest_den = gap(last + 1, size)
-                    d = den * kappa.denominator * rest_den
-                    sums[d] = sums.get(d, 0) + num * kappa.numerator * rest_num
+                    rest_num, rest_den = moment(tuple(word[p - 1] for p in sorted(perm[last + 1:])))
+                    d = den * kappa[1] * rest_den
+                    sums[d] = sums.get(d, 0) + num * kappa[0] * rest_num
             if len(block) < self._longest:
                 for nxt in range(last + 1, size):
-                    gap_num, gap_den = gap(last + 1, nxt)
+                    gap_num, gap_den = moment(tuple(word[p - 1] for p in sorted(perm[last + 1:nxt])))
                     if gap_num:
                         stack.append((block + (nxt,), num * gap_num, den * gap_den))
-        return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
+        return _fold(sums)
 
 
 def _block_word(args: Sequence[Word], block: Sequence[int]) -> Word:
@@ -271,10 +314,12 @@ def moment_pi(phi: MomentFunctional, pi: BNCPartition, args: Sequence[Word]) -> 
     if len(args) != len(pi.chi):
         raise ValueError("argument count must match |chi|")
     phi._check_degree(sum(len(w) for w in args))
-    value = Fraction(1)
+    num = den = 1
     for block in pi.blocks:
-        value *= phi.phi(_block_word(args, block))
-    return value
+        block_num, block_den = phi._phi_pair(_block_word(args, block))
+        num *= block_num
+        den *= block_den
+    return Fraction(num, den)
 
 
 def cumulant_chi(phi: MomentFunctional, chi: Sequence[str], args: Sequence[Word]) -> Fraction:
@@ -290,23 +335,21 @@ def cumulant_chi(phi: MomentFunctional, chi: Sequence[str], args: Sequence[Word]
         raise CapExceededError(f"|chi| = {k} exceeds cap {ENUMERATION_CAP}")
     phi._check_degree(sum(len(w) for w in args))
     perm = sigma_chi(chi)
-    moments: dict[tuple[int, ...], tuple[int, int]] = {}  # relabelled block -> its moment
-    # integer numerators summed per denominator: exact, without Fraction arithmetic
+    moments: dict[tuple[int, ...], Pair] = {}  # relabelled block -> its moment
     sums: dict[int, int] = {}
     for blocks in _nc_partitions(k):
         num = den = 1
         for block in blocks:
             value = moments.get(block)
             if value is None:
-                moment = phi.phi(_block_word(args, [perm[v] for v in block]))
-                value = moments[block] = (moment.numerator, moment.denominator)
+                value = moments[block] = phi._phi_pair(_block_word(args, [perm[v] for v in block]))
             if not value[0]:
                 break
             num *= value[0]
             den *= value[1]
         else:
             sums[den] = sums.get(den, 0) + num * _kreweras_mobius(blocks, k)
-    return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
+    return Fraction(*_fold(sums))
 
 
 def cumulant_pi(phi: MomentFunctional, pi: BNCPartition, args: Sequence[Word]) -> Fraction:

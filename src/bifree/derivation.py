@@ -206,21 +206,30 @@ def conjugate_check(
     mode: AlgebraMode | None = None,
 ) -> ConjugateReport:
     """Compare phi(Z xi) with (phi ⊗ phi) of the quotient of Z, exactly,
-    for every word Z in the declared variables up to ``max_degree``."""
+    for every word Z in the declared variables up to ``max_degree``.
+
+    xi is checked and brought to normal form once.  By linearity the left
+    side is the sum of c phi(Z w) over xi's terms c w, so no product
+    polynomial is built; the right side reads the terms of ``bifree_dq(Z)``.
+    Both sides are summed per denominator as ints and compared by
+    cross-multiplication; only a failure is turned into ``Fraction``s.
+    """
     if kind.flipped:
         raise ValueError("conjugate variables pair with the non-flipped quotients")
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     mode = mode or phi.mode
+    for word, _ in xi.items():
+        mode.check_word(word)
+    xi_terms = list(normalize_poly(xi, mode).items())
     checked = 0
     failures: list[tuple[Word, Fraction, Fraction]] = []
     for word in enumerate_words(mode, max_degree):
-        z = NCPolynomial.from_word(word)
-        lhs = phi.phi_poly(mul(z, xi, mode))
-        rhs = phi.phi_tensor(bifree_dq(z, kind, mode))
+        lhs_num, lhs_den = phi._poly_pair((normal_form(word + w, mode), c) for w, c in xi_terms)
+        rhs_num, rhs_den = phi._tensor_pair(bifree_dq(NCPolynomial.from_word(word), kind, mode))
         checked += 1
-        if lhs != rhs:
-            failures.append((word, lhs, rhs))
+        if lhs_num * rhs_den != rhs_num * lhs_den:
+            failures.append((word, Fraction(lhs_num, lhs_den), Fraction(rhs_num, rhs_den)))
     return ConjugateReport(kind, max_degree, checked, tuple(failures))
 
 

@@ -26,7 +26,7 @@ from bifree.bnclattice import (
     sigma_chi,
 )
 from bifree.cumulant import TableMomentFunctional, moment_pi, pattern_of_letters
-from bifree.derivation import enumerate_words
+from bifree.derivation import ConjugateReport, bifree_dq, enumerate_words
 from bifree.ncalg import (
     AlgebraMode,
     Letter,
@@ -34,6 +34,7 @@ from bifree.ncalg import (
     Word,
     lsym,
     lvar,
+    mul,
     normal_form,
     rsym,
     rvar,
@@ -86,6 +87,22 @@ def rand_functional(
     for word in enumerate_words(mode, degree_bound):
         table[word] = rand_frac(rng) if word else Fraction(1)
     return TableMomentFunctional(mode, table, degree_bound)
+
+
+def fraction_inverse(a):
+    """Exact inverse of a square table of rationals by Gauss-Jordan elimination."""
+    k = len(a)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+            for i, row in enumerate(a)]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(k):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [row[k:] for row in rows]
 
 
 def rand_chi(rng: random.Random, k: int) -> tuple[str, ...]:
@@ -360,6 +377,25 @@ def expand_by_lattice_filter(pi, chi, chi_prime) -> set:
         for sigma in enumerate_bnc(hat_chi(chi, chi_prime))
         if join_by_closure(sigma, bottom) == pi_hat.blocks
     }
+
+
+def conjugate_check_by_fractions(phi, kind, xi, max_degree, mode=None) -> ConjugateReport:
+    """The defining identity word by word in ``Fraction`` arithmetic: phi of
+    the product polynomial Z xi against (phi ⊗ phi) of the quotient of Z."""
+    mode = mode or phi.mode
+    checked = 0
+    failures = []
+    for word in enumerate_words(mode, max_degree):
+        z = NCPolynomial.from_word(word)
+        lhs = sum((c * phi.phi(w) for w, c in mul(z, xi, mode).items()), Fraction(0))
+        rhs = sum(
+            (c * phi.phi(w1) * phi.phi(w2) for (w1, w2), c in bifree_dq(z, kind, mode).items()),
+            Fraction(0),
+        )
+        checked += 1
+        if lhs != rhs:
+            failures.append((word, lhs, rhs))
+    return ConjugateReport(kind, max_degree, checked, tuple(failures))
 
 
 def cumulant_by_lattice_sum(phi, chi, args) -> Fraction:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bifree.bipartite_num import (
     FieldConfig,
     _hilbert_rows,
+    _smooth_length,
     GridSpec,
     MarginalDensity,
     NonProductSupportWarning,
@@ -332,7 +333,20 @@ class TestFisherNumeric:
 class TestKernelConvolution:
     """The FFT convolution against the dense kernel product."""
 
-    @pytest.mark.parametrize("n", [2, 3, 64, 255, 1025])
+    def test_smooth_length_is_smallest_5_smooth(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        want = 1
+        for n in range(1, 3001):
+            while not smooth(want) or want < n:
+                want += 1
+            assert _smooth_length(n) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 255, 257, 1025, 1531])
     @pytest.mark.parametrize("eps_per_h", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("shape", ["1-D", "2-D"])
     def test_matches_dense_product(self, n, eps_per_h, shape):
@@ -347,7 +361,7 @@ class TestKernelConvolution:
             want = hilbert_rows_by_matrix(values, x, w, eps, richardson)
             assert_rel_close(_hilbert_rows(values, x, w, eps, richardson), want)
 
-    @pytest.mark.parametrize("n", [2, 3, 64, 255, 1025])
+    @pytest.mark.parametrize("n", [2, 3, 64, 255, 257, 1025, 1531])
     @pytest.mark.parametrize("eps_per_h", [0.5, 1.0, 3.0])
     def test_conjugate_field_matches_dense(self, n, eps_per_h):
         spec = GridSpec(n, n, -1.0, 1.0, -1.0, 1.0)

@@ -483,9 +483,14 @@ class TestFunctionals:
             word = tuple(lvar(i) if side == "l" else rvar(i) for side, i in sides)
             got = phi.phi(word)
             assert type(got) is Fraction and got == oracle(word)
-        for word, got in phi._memo.items():
+        # the memo holds reduced int pairs with a positive denominator
+        for word, pair in phi._memo.items():
             assert normal_form(word, mode) == word
-            assert type(got) is Fraction and got == oracle(word)
+            num, den = pair
+            assert type(pair) is tuple and len(pair) == 2
+            assert type(num) is int and type(den) is int
+            assert den > 0 and math.gcd(num, den) == 1
+            assert Fraction(*pair) == oracle(word)
 
     def test_cumulant_backed_raw_word_lookup_keeps_checks(self):
         spec, phi = semicircular_pair(HALF)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifree.cumulant import CumulantMomentFunctional, gaussian_cumulant_spec
 from bifree.derivation import (
@@ -34,7 +36,15 @@ from bifree.ncalg import (
     tensor_of,
     tensor_star,
 )
-from helpers import mixed_letters, rand_poly
+from helpers import (
+    conjugate_check_by_fractions,
+    fraction_inverse,
+    mixed_letters,
+    rand_frac,
+    rand_functional,
+    rand_poly,
+    var_letters,
+)
 
 FREE = free_mode(2, 2)
 BIP = bipartite_mode(2, 2)
@@ -328,6 +338,51 @@ class TestConjugateCheck:
         xi = semicircular_xi(c).scale(1 / lam2)
         report = conjugate_check(phi, KL, xi, 5)
         assert report.passed, report.first_failure
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_oracle(self, data):
+        # same words checked, same failures in the same order, same Fractions
+        n, m = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        mode = data.draw(st.sampled_from([free_mode, bipartite_mode]))(n, m)
+        letters = var_letters(mode)
+        row = data.draw(st.integers(0, n + m - 1))
+        kind = QuotientKind(letters[row].side, letters[row].index)
+        max_degree = data.draw(st.integers(0, 3 if mode.bipartite else 2))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans()):
+            # a rational Gaussian family and its true conjugate variable:
+            # unit variances and covariances of at most 1/4, so invertible
+            small = [Fraction(s, d) for s in (-1, 1) for d in (4, 5, 8)] + [Fraction(0)]
+            cov = [[Fraction(1)] * (n + m) for _ in range(n + m)]
+            for i in range(n + m):
+                for j in range(i + 1, n + m):
+                    cov[i][j] = cov[j][i] = rng.choice(small)
+            spec = gaussian_cumulant_spec(n, m, cov, degree_bound=max_degree + 2)
+            phi = CumulantMomentFunctional(mode, spec)
+            inverse = fraction_inverse(cov)
+            xi = NCPolynomial({(l,): inverse[row][j] for j, l in enumerate(letters)})
+            true_xi = True
+        else:
+            phi = rand_functional(rng, mode, max_degree + 2)
+            xi = rand_poly(rng, mode, max_terms=3, max_len=2)
+            true_xi = False
+        if data.draw(st.booleans()):
+            xi = xi + NCPolynomial.from_letter(rng.choice(letters), rand_frac(rng))
+            true_xi = False
+        if data.draw(st.booleans()):
+            # two words with one normal form in bipartite mode, maybe cancelling
+            left, right = lvar(1), rvar(1)
+            coeff = rand_frac(rng)
+            other = -coeff if rng.random() < 0.5 else rand_frac(rng)
+            xi = xi + NCPolynomial({(left, right): coeff, (right, left): other})
+            true_xi = False
+        report = conjugate_check(phi, kind, xi, max_degree, mode)
+        assert report == conjugate_check_by_fractions(phi, kind, xi, max_degree, mode)
+        for _, lhs, rhs in report.failures:
+            assert type(lhs) is Fraction and type(rhs) is Fraction
+        if true_xi:
+            assert report.passed
 
     def test_flipped_kind_rejected(self):
         mode, phi = semicircular_phi(HALF)
