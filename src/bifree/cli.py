@@ -6,7 +6,7 @@ Subcommands: ``lattice``, ``cumulants``, ``moments``, ``dq``,
 
 Exit codes: 0 success, 1 a failing self-test check, 2 validation error
 (an unknown ``--format`` included), 3 numerical non-convergence (the entropy
-quadrature reaching its depth limit), 4 an internal error (a
+quadrature reaching its halving cap), 4 an internal error (a
 ``numpy.linalg.LinAlgError`` or any other unexpected exception, reported
 with its traceback).  Error text goes to standard error.
 ``--format`` is ``json`` or ``text``, except for ``make-semicircular``, which

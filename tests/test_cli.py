@@ -70,6 +70,17 @@ class TestGaussianCli:
         quad = float(capsys.readouterr().out)
         assert abs(closed - quad) < 1e-6
 
+    def test_entropy_quadrature_small_eigenvalue(self, tmp_path, capsys):
+        # eigenvalues 1.999999 and 1e-6
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps({"n": 1, "m": 1, "matrix": [[1, 0.999999], [0.999999, 1]]}))
+        args = ["gaussian", "entropy", "--cov", str(path), "--format", "json"]
+        assert main(args + ["--method", "quadrature"]) == 0
+        quad = json.loads(capsys.readouterr().out)
+        assert main(args + ["--method", "closed"]) == 0
+        closed = json.loads(capsys.readouterr().out)
+        assert abs(quad["entropy"] - closed["entropy"]) <= quad["error_bound"]
+
     def test_dimension(self, cov_file, capsys):
         assert main(["gaussian", "dimension", "--cov", cov_file]) == 0
         assert capsys.readouterr().out.strip() == "2"

@@ -436,9 +436,35 @@ class TestEntropyQuadrature:
         Covariance(2, 1, np.array([[2.0, 0.5, 0.3], [0.5, 1.5, -0.4], [0.3, -0.4, 1.0]])),
     ], ids=["2x2-c0.5", "diag235", "3x3-full"])
     def test_tail_term_integrated(self, cov):
-        # the signed 1/t^3 tail term leaves no bias of order c3 / t_cut^2
+        # the tail past the cut is integrated in closed form, so it leaves no bias
         result = entropy_quadrature(lambda t: fisher_perturbed(cov, t), cov.size)
         assert abs(result.value - entropy_closed(cov)) <= 1e-11
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-11])
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, 0.999999], [0.999999, 1.0]],
+        np.diag([1e-9, 1.0]),
+        np.diag([2e-12, 1.0]),
+        np.diag([1e-6, 1e3, 1.0, 5e-3]),
+        np.diag([1e-2, 1.0, 40.0]),
+        [[1.0, 0.5], [0.5, 1.0]],
+        np.diag([2.0, 3.0, 5.0]),
+    ], ids=["lambda1e-6", "diag1e-9", "diag2e-12", "wide4", "diag1e-2-40", "2x2-c0.5", "diag235"])
+    def test_closed_form_within_bound(self, matrix, tol):
+        # small eigenvalues put a peak of width ~lambda near t = 0
+        a = np.asarray(matrix, dtype=float)
+        cov = Covariance(len(a) // 2, len(a) - len(a) // 2, a)
+        result = entropy_quadrature(lambda t: fisher_perturbed(cov, t), cov.size, tol=tol)
+        assert abs(result.value - entropy_closed(cov)) <= result.error_bound
+
+    def test_random_covariances_within_bound(self):
+        # drawn as the benchmark's numeric workload draws its full-rank covariances
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            k = int(rng.integers(2, 7))
+            cov = Covariance(k // 2, k - k // 2, rand_psd_spectrum(rng, k, k, lo=0.5, hi=2.0))
+            result = entropy_quadrature(lambda t: fisher_perturbed(cov, t), k)
+            assert abs(result.value - entropy_closed(cov)) <= result.error_bound
 
     def test_trivial_profile(self):
         result = entropy_quadrature(lambda t: 2.0 / (1.0 + t), 2)
@@ -448,6 +474,12 @@ class TestEntropyQuadrature:
         cov = Covariance(1, 1, np.ones((2, 2)))
         result = entropy_quadrature(lambda t: fisher_perturbed(cov, t), 2)
         assert result.value == -math.inf
+
+    def test_profile_infinite_at_zero(self):
+        # singular at t = 0 by SINGULAR_TOL, yet t * Phi(t) stays below 1/2 at the probe
+        cov = Covariance(1, 1, np.diag([1.2e-12, 1.5]))
+        result = entropy_quadrature(lambda t: fisher_perturbed(cov, t), 2)
+        assert result.value == entropy_closed(cov) == -math.inf
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_tolerance(self, tol):
@@ -461,7 +493,7 @@ class TestEntropyQuadrature:
         def noisy(t):
             calls.append(t)
             if len(calls) > 1000:
-                pytest.fail("the quadrature ran past its depth limit")
+                pytest.fail("the quadrature ran past its halving cap")
             return 2.0 / (1.0 + t) + rng.normal(scale=0.5)
 
         with pytest.raises(NonConvergenceError):
