@@ -20,6 +20,13 @@ convolution applied by FFT along the contiguous rows of an array, in
 O(n^2 log n) for an n x n grid; no n x n kernel is formed.  The result agrees
 with the dense kernel product to rounding (the tests hold it to 1e-12
 relative).
+
+Each block of rows is transformed and its field assembled while it is in
+cache.  The blocks run on up to four threads, one per CPU the process may
+use; the count is read from the CPU affinity at each call, nothing sets
+it, and the results do not depend on it: the fields are the same bits and
+``fisher_numeric`` adds its per-block sums in block order.
+``fisher_numeric`` forms no n x n field.
 """
 
 from __future__ import annotations
@@ -27,12 +34,19 @@ from __future__ import annotations
 import csv
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable, Sequence, TypeVar
+
 import numpy as np
 
 from ._io import load_json, read_fields, to_json, write_files
+
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 
 class ZeroMassError(ValueError):
@@ -192,6 +206,9 @@ def marginals(g: DensityGrid) -> tuple[MarginalDensity, MarginalDensity]:
 
 #: Rows transformed per FFT block, so the padded spectra of a block stay small.
 _FFT_ROWS = 32
+#: Most threads one call spreads its row blocks over; each holds one block's
+#: spectra at a time, so this also bounds the memory in flight.
+_MAX_THREADS = 4
 
 
 def _smooth_length(n: int) -> int:
@@ -210,43 +227,116 @@ def _smooth_length(n: int) -> int:
     return best
 
 
+def _thread_count() -> int:
+    """The CPUs this process may run on, at most ``_MAX_THREADS``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_THREADS)
+
+
+def _run_blocks(work: Callable[[_T], _R], blocks: Sequence[_T]) -> list[_R]:
+    """``[work(b) for b in blocks]``, spread over up to ``_thread_count()``
+    threads, the caller's own among them.
+
+    Thread t takes blocks t, t + threads, ..., so which thread runs a block
+    never changes what the block computes.  numpy's FFT and elementwise
+    loops release the interpreter lock, so the threads run in parallel.
+    Every thread is joined before this returns; the first exception raised
+    in any of them stops the rest at their next block and is raised here.
+    """
+    threads = min(_thread_count(), len(blocks))
+    if threads <= 1:
+        return [work(b) for b in blocks]
+    results: list = [None] * len(blocks)
+    errors: list[BaseException] = []
+
+    def deal(first: int) -> None:
+        try:
+            for i in range(first, len(blocks), threads):
+                if errors:
+                    return
+                results[i] = work(blocks[i])
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    helpers: list[threading.Thread] = []
+    try:
+        for t in range(1, threads):
+            helpers.append(threading.Thread(target=deal, args=(t,)))
+            helpers[-1].start()
+        deal(0)
+    finally:
+        for helper in helpers:
+            if helper.ident is not None:  # a thread that failed to start cannot be joined
+                helper.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _row_blocks(rows: int) -> list[slice]:
+    return [slice(start, start + _FFT_ROWS) for start in range(0, rows, _FFT_ROWS)]
+
+
+@dataclass(frozen=True)
+class _AxisKernel:
+    """The kernel of one uniform axis, k(d) = d/(d^2 + eps^2), or 2 k at
+    eps/2 minus k at eps under ``richardson``.  Its first column
+    k(points - points[0]), odd in the offset, fills a circulant of the
+    smallest 5-smooth length >= 2n - 1, whose spectrum ``rows`` applies to a
+    block of rows by ``rfft``."""
+
+    weights: np.ndarray
+    size: int
+    spectrum: np.ndarray
+
+    @classmethod
+    def build(cls, points: np.ndarray, weights: np.ndarray, eps: float,
+              richardson: bool, name: str) -> "_AxisKernel":
+        _check_uniform(points, name)
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {eps}")
+        n = points.size
+        d = points - points[0]
+        profile = d / (d * d + eps * eps)
+        if richardson:
+            profile = 2.0 * d / (d * d + 0.25 * eps * eps) - profile
+        size = _smooth_length(2 * n - 1)
+        circulant = np.zeros(size)
+        circulant[:n] = profile
+        circulant[size - n + 1:] = -profile[:0:-1]
+        return cls(weights, size, np.fft.rfft(circulant))
+
+    def rows(self, values: np.ndarray) -> np.ndarray:
+        """``out[r, i] = sum_j k(points[i] - points[j]) weights[j] values[r, j]``
+        for a block of rows (a 2-D view of any strides)."""
+        block = np.fft.rfft(np.multiply(values, self.weights, order="C"), self.size)
+        block *= self.spectrum
+        return np.fft.irfft(block, self.size)[:, :self.weights.size]
+
+
 def _hilbert_rows(
     values: np.ndarray,
     points: np.ndarray,
     weights: np.ndarray,
     eps: float,
     richardson: bool = False,
-    out: np.ndarray | None = None,
     name: str = "x",
 ) -> np.ndarray:
     """``out[..., i] = sum_j k(points[i] - points[j]) weights[j] values[..., j]``
-    for a 1-D ``values`` or each row of a 2-D one (a view of any strides), with
-    k(d) = d/(d^2 + eps^2), or 2 k at eps/2 minus k at eps under ``richardson``.
-    The kernel's first column k(points - points[0]), odd in the offset, fills a
-    circulant of the smallest 5-smooth length >= 2n - 1, which ``rfft``
-    applies to blocks of rows.
-    """
-    _check_uniform(points, name)
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    n = points.size
-    d = points - points[0]
-    profile = d / (d * d + eps * eps)
-    if richardson:
-        profile = 2.0 * d / (d * d + 0.25 * eps * eps) - profile
-    size = _smooth_length(2 * n - 1)
-    circulant = np.zeros(size)
-    circulant[:n] = profile
-    circulant[size - n + 1:] = -profile[:0:-1]
-    spectrum = np.fft.rfft(circulant)
-    if out is None:
-        out = np.empty(values.shape)
-    rows, dest = np.atleast_2d(values), np.atleast_2d(out)
-    for start in range(0, rows.shape[0], _FFT_ROWS):
-        block = np.fft.rfft(np.multiply(rows[start:start + _FFT_ROWS], weights, order="C"), size)
-        block *= spectrum
-        dest[start:start + _FFT_ROWS] = np.fft.irfft(block, size)[:, :n]
-    return out
+    for a 1-D ``values`` or each row of a 2-D one, with the kernel k of
+    ``_AxisKernel``, applied by blocks of ``_FFT_ROWS`` rows."""
+    kernel = _AxisKernel.build(points, weights, eps, richardson, name)
+    rows = np.atleast_2d(values)
+    out = np.empty(rows.shape)
+
+    def block(part: slice) -> None:
+        out[part] = kernel.rows(rows[part])
+
+    _run_blocks(block, _row_blocks(rows.shape[0]))
+    return out.reshape(np.shape(values))
 
 
 def hilbert_samples(
@@ -292,6 +382,78 @@ class ConjugateField:
     eps_y: float
 
 
+@dataclass(frozen=True)
+class _FieldAxis:
+    """One axis of the field formula.  ``values`` holds the slices of f
+    along the axis as rows (f itself for y, its transpose for x); ``f`` and
+    ``h`` are the axis's marginal and the marginal's kernel transform."""
+
+    kernel: _AxisKernel
+    values: np.ndarray
+    f: np.ndarray
+    h: np.ndarray
+    threshold: float
+
+    def xi(self, part: slice) -> np.ndarray:
+        """The field on a block of rows: h + f * (kernel of the slice) / values,
+        zero where the density is below ``threshold``."""
+        values = self.values[part]
+        xi = self.kernel.rows(values)
+        xi *= self.f
+        low = values < self.threshold
+        np.divide(xi, values, out=xi, where=~low)
+        xi += self.h
+        xi[low] = 0.0
+        return xi
+
+
+def _product_gap_fraction(mask: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> float:
+    """Share of the grid that is masked but inside the product of the
+    marginal supports, counted over the masked points only."""
+    i, j = np.nonzero(mask)
+    # fx.max() * fy.max() is the largest product fx[i] * fy[j], bit for bit
+    inside = fx[i] * fy[j] > MASK_THRESHOLD * float(fx.max() * fy.max())
+    return np.count_nonzero(inside) / mask.size
+
+
+def _field_axes(
+    g: DensityGrid, cfg: FieldConfig | None
+) -> tuple[tuple[_FieldAxis, _FieldAxis], np.ndarray, float, float]:
+    """The (x, y) field axes, the mask and the kernel widths; warns when the
+    support is far from a product of the marginal supports."""
+    cfg = cfg or FieldConfig()
+    eps_x = cfg.eps if cfg.eps is not None else float(g.x[1] - g.x[0])
+    eps_y = cfg.eps if cfg.eps is not None else float(g.y[1] - g.y[0])
+    marg_x, marg_y = marginals(g)
+    fx, fy = marg_x.samples, marg_y.samples
+    threshold = MASK_THRESHOLD * float(g.values.max())
+    axes = []
+    for values, points, weights, eps, f, name in (
+        (g.values.T, g.x, g.wx, eps_x, fx, "x"),
+        (g.values, g.y, g.wy, eps_y, fy, "y"),
+    ):
+        kernel = _AxisKernel.build(points, weights, eps, cfg.richardson, name)
+        h = kernel.rows(f[None, :])[0]
+        axes.append(_FieldAxis(kernel, values, f, h, threshold))
+
+    mask = g.values < threshold
+    gap_fraction = _product_gap_fraction(mask, fx, fy)
+    if gap_fraction > PRODUCT_WARN_FRACTION:
+        warnings.warn(
+            f"{100 * gap_fraction:.1f}% of the product of the marginal supports "
+            "carries no density; the conjugate-variable formula assumes a "
+            "product support",
+            NonProductSupportWarning,
+            stacklevel=3,
+        )
+    return (axes[0], axes[1]), mask, eps_x, eps_y
+
+
+def _axis_blocks(axes: tuple[_FieldAxis, ...]) -> list[tuple[int, slice]]:
+    """Every (axis index, row block) of the fields."""
+    return [(k, part) for k, axis in enumerate(axes) for part in _row_blocks(axis.values.shape[0])]
+
+
 def conjugate_field(g: DensityGrid, cfg: FieldConfig | None = None) -> ConjugateField:
     """Both conjugate fields on the grid (zero on the masked low-density set).
 
@@ -299,49 +461,36 @@ def conjugate_field(g: DensityGrid, cfg: FieldConfig | None = None) -> Conjugate
     the formula assumes a product support, and densities violating that are
     outside its hypotheses.
     """
-    cfg = cfg or FieldConfig()
-    eps_x = cfg.eps if cfg.eps is not None else float(g.x[1] - g.x[0])
-    eps_y = cfg.eps if cfg.eps is not None else float(g.y[1] - g.y[0])
-    marg_x, marg_y = marginals(g)
-    fx, fy = marg_x.samples, marg_y.samples
+    axes, mask, eps_x, eps_y = _field_axes(g, cfg)
+    xi_left = np.empty((g.nx, g.ny))
+    xi_right = np.empty((g.nx, g.ny))
+    dest = (xi_left.T, xi_right)  # x-axis rows are columns of the left field
 
-    hx = _hilbert_rows(fx, g.x, g.wx, eps_x, cfg.richardson, name="x")
-    hy = _hilbert_rows(fy, g.y, g.wy, eps_y, cfg.richardson, name="y")
-    # slice transforms: in x per y (rows of values.T, written through gx.T), in y per x
-    gx = np.empty((g.nx, g.ny))
-    _hilbert_rows(g.values.T, g.x, g.wx, eps_x, cfg.richardson, out=gx.T, name="x")
-    gy = _hilbert_rows(g.values, g.y, g.wy, eps_y, cfg.richardson, name="y")
+    def write(block: tuple[int, slice]) -> None:
+        k, part = block
+        dest[k][part] = axes[k].xi(part)
 
-    mask = g.values < MASK_THRESHOLD * float(g.values.max())
-    # fx.max() * fy.max() is the largest entry of the outer product, bit for bit
-    inside_product = np.multiply.outer(fx, fy) > MASK_THRESHOLD * float(fx.max() * fy.max())
-    gap_fraction = float(np.mean(mask & inside_product))
-    if gap_fraction > PRODUCT_WARN_FRACTION:
-        warnings.warn(
-            f"{100 * gap_fraction:.1f}% of the product of the marginal supports "
-            "carries no density; the conjugate-variable formula assumes a "
-            "product support",
-            NonProductSupportWarning,
-            stacklevel=2,
-        )
-
-    # xi = h + f * g / values, assembled in the g buffers, then zero on the mask
-    kept = ~mask
-    for field, f, h in ((gx, fx[:, None], hx[:, None]), (gy, fy[None, :], hy[None, :])):
-        field *= f
-        np.divide(field, g.values, out=field, where=kept)
-        field += h
-        field[mask] = 0.0
-    return ConjugateField(gx, gy, mask, eps_x, eps_y)
+    _run_blocks(write, _axis_blocks(axes))
+    return ConjugateField(xi_left, xi_right, mask, eps_x, eps_y)
 
 
 def fisher_numeric(g: DensityGrid, cfg: FieldConfig | None = None) -> float:
-    """Grid quadrature of (xi_l^2 + xi_r^2) f: the Fisher information of the pair."""
-    fld = conjugate_field(g, cfg)
-    integrand = np.square(fld.xi_left, out=fld.xi_left)  # the fields are ours to overwrite
-    integrand += np.square(fld.xi_right, out=fld.xi_right)
-    integrand *= g.values
-    return float(g.wx @ integrand @ g.wy)
+    """Grid quadrature of (xi_l^2 + xi_r^2) f: the Fisher information of the pair.
+
+    Summed block by block, in block order, without forming either field.
+    """
+    axes, _, _, _ = _field_axes(g, cfg)
+    across = (g.wy, g.wx)  # weights across the rows of each axis
+
+    def quadrature(block: tuple[int, slice]) -> float:
+        k, part = block
+        axis = axes[k]
+        integrand = axis.xi(part)
+        integrand *= integrand
+        integrand *= axis.values[part]
+        return float(across[k][part] @ (integrand @ axis.kernel.weights))
+
+    return sum(_run_blocks(quadrature, _axis_blocks(axes)))
 
 
 def free_fisher_marginal(density: MarginalDensity, eps: float | None = None) -> float:

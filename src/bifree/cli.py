@@ -13,7 +13,10 @@ with its traceback).  Error text goes to standard error.
 writes ``json`` or a JSON header plus ``csv`` values.  JSON output is
 compact.  Rationals are serialized as ``"p/q"`` strings in JSON and scalar
 floats with 12 significant digits; the ``bipartite conjugate`` arrays and
-density values keep full precision.  Text output uses 11 significant digits.
+density values keep full precision.  The quadrature's ``error_bound`` adds
+the rounding step of the printed ``entropy`` and is rounded up, so it
+bounds the distance from the printed value, not only the computed one, to
+the true entropy.  Text output uses 11 significant digits.
 Every writer (``--out`` and ``make-semicircular`` in both forms) refuses an
 existing file without --force.
 The numerical modules, and numpy with them, are imported only by the
@@ -28,6 +31,7 @@ import math
 import sys
 import traceback
 import warnings
+from decimal import ROUND_CEILING, Context, Decimal
 from typing import TYPE_CHECKING
 
 from ._io import load_json, to_json, write_files
@@ -75,6 +79,16 @@ def _jfloat(v: float):
     if isinstance(v, float) and math.isinf(v):
         return "inf" if v > 0 else "-inf"
     return float(f"{v:.12g}")
+
+
+def _jbound(value: float, bound: float):
+    """``bound`` plus the rounding step from ``value`` to ``_jfloat(value)``,
+    rounded up to 12 significant digits: a bound on the distance from the
+    printed value to the true one."""
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        return _jfloat(bound)
+    step = abs(_jfloat(value) - value)  # exact: the two lie within a factor of 2
+    return float(Context(prec=12, rounding=ROUND_CEILING).add(Decimal(bound), Decimal(step)))
 
 
 def _write_output(text: str, args) -> None:
@@ -230,7 +244,7 @@ def _cmd_gaussian_entropy(args) -> int:
         value = result.value
         payload = {
             "entropy": _jfloat(result.value),
-            "error_bound": _jfloat(result.error_bound),
+            "error_bound": _jbound(result.value, result.error_bound),
             "evaluations": result.evaluations,
             "method": "quadrature",
         }

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Sequence
 
@@ -61,6 +61,8 @@ class Covariance:
     n: int
     m: int
     A: np.ndarray
+    # eigenvalues of A, ascending, from the PSD check: the closed forms read them
+    _eigs: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         k = self.n + self.m
@@ -73,10 +75,13 @@ class Covariance:
         if np.abs(A - A.T).max(initial=0.0) > 1e-10 * scale:
             raise ValueError("covariance must be symmetric")
         A = 0.5 * (A + A.T)
-        if k and np.linalg.eigvalsh(A).min() < -1e-10 * scale:
+        eigs = np.linalg.eigvalsh(A)
+        if k and eigs[0] < -1e-10 * scale:
             raise ValueError("covariance must be positive semidefinite")
         A.setflags(write=False)
+        eigs.setflags(write=False)
         object.__setattr__(self, "A", A)
+        object.__setattr__(self, "_eigs", eigs)
 
     @property
     def size(self) -> int:
@@ -204,7 +209,7 @@ def conjugate_coeffs(cov: Covariance, k: int) -> np.ndarray:
     the solution of A b = e_k, i.e. column k of the inverse covariance."""
     if not 1 <= k <= cov.size:
         raise ValueError(f"k must be in 1..{cov.size}")
-    if _is_singular(np.linalg.eigvalsh(cov.A)):
+    if _is_singular(cov._eigs):
         raise SingularCovarianceError(
             "singular covariance: no polynomial conjugate variable (Fisher information is infinite)"
         )
@@ -223,7 +228,7 @@ def fisher_perturbed(cov: Covariance, t: float) -> float:
     1/(lambda_i + t) over the eigenvalues lambda_i of A."""
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and nonnegative, got {t}")
-    eigs = np.linalg.eigvalsh(cov.A) + t
+    eigs = cov._eigs + t
     if _is_singular(eigs):
         return math.inf
     return float((1.0 / eigs).sum())
@@ -231,7 +236,7 @@ def fisher_perturbed(cov: Covariance, t: float) -> float:
 
 def entropy_closed(cov: Covariance) -> float:
     """(n+m)/2 log(2 pi e) + 1/2 log det A; minus infinity when A is singular."""
-    eigs = np.linalg.eigvalsh(cov.A)
+    eigs = cov._eigs
     if _is_singular(eigs):
         return -math.inf
     return 0.5 * cov.size * LOG_2PIE + 0.5 * float(np.log(eigs).sum())

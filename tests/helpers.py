@@ -437,3 +437,14 @@ def conjugate_field_by_matrix(g: DensityGrid, eps_x: float, eps_y: float, richar
     xi_left = np.where(mask, 0.0, hx[:, None] + fx[:, None] * gx / safe)
     xi_right = np.where(mask, 0.0, hy[None, :] + fy[None, :] * gy / safe)
     return xi_left, xi_right, mask
+
+
+def product_gap_fraction_by_outer(g: DensityGrid) -> float:
+    """Share of the grid that is masked but inside the product of the marginal
+    supports, from the full outer product of the marginals."""
+    fx = g.values @ g.wy
+    fy = g.values.T @ g.wx
+    fx, fy = fx / float(g.wx @ fx), fy / float(g.wy @ fy)
+    mask = g.values < MASK_THRESHOLD * float(g.values.max())
+    outer = np.multiply.outer(fx, fy)
+    return float(np.mean(mask & (outer > MASK_THRESHOLD * float(outer.max()))))

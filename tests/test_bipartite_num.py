@@ -1,11 +1,14 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bifree.bipartite_num as bp
 from bifree.bipartite_num import (
     FieldConfig,
     _hilbert_rows,
@@ -31,7 +34,7 @@ from bifree.bipartite_num import (
     semicircle_marginal,
     semicircular_density,
 )
-from helpers import conjugate_field_by_matrix, hilbert_rows_by_matrix
+from helpers import conjugate_field_by_matrix, hilbert_rows_by_matrix, product_gap_fraction_by_outer
 
 
 def assert_rel_close(got, want, rtol=1e-12):
@@ -287,8 +290,30 @@ class TestConjugateField:
             np.abs(x[:, None] - x[None, :]) < 0.3, 1.0, 0.0
         )  # diagonal band
         g = make_density_grid(x, x, values)
-        with pytest.warns(NonProductSupportWarning):
-            conjugate_field(g)
+        gap = product_gap_fraction_by_outer(g)
+        for fn in (conjugate_field, fisher_numeric):
+            with pytest.warns(NonProductSupportWarning, match=f"{100 * gap:.1f}% of the product"):
+                fn(g)
+
+    @pytest.mark.parametrize("case", ["band", "disc", "semicircular", "sparse", "corner"])
+    def test_gap_fraction_matches_outer_product(self, case):
+        if case == "semicircular":
+            g = semicircular_density(0.5, GridSpec(130, 77))
+        elif case == "sparse":
+            rng = np.random.default_rng(7)
+            g = make_density_grid(np.linspace(0, 1, 61), np.linspace(0, 2, 45),
+                                  rng.random((61, 45)) * (rng.random((61, 45)) < 0.3))
+        else:
+            x = np.linspace(-1, 1, 90)
+            y = np.linspace(-1, 1, 71)
+            band = np.abs(x[:, None] - y[None, :]) < 0.3
+            disc = x[:, None] ** 2 + y[None, :] ** 2 < 0.8
+            corner = (x[:, None] > 0) | (y[None, :] > 0)
+            g = make_density_grid(x, y, {"band": band, "disc": disc, "corner": corner}[case] * 1.0)
+        mx, my = marginals(g)
+        mask = g.values < bp.MASK_THRESHOLD * float(g.values.max())
+        got = bp._product_gap_fraction(mask, mx.samples, my.samples)
+        assert got == product_gap_fraction_by_outer(g)
 
 
 class TestFisherNumeric:
@@ -392,3 +417,88 @@ class TestKernelConvolution:
         assert_rel_close(fld.xi_right, xi_right)
         want = float(g.wx @ ((xi_left ** 2 + xi_right ** 2) * g.values) @ g.wy)
         assert fisher_numeric(g, FieldConfig(richardson=richardson)) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+class TestBlockThreads:
+    """Row blocks spread over threads: same results for every thread count."""
+
+    GRIDS = {
+        # row counts 150 and 97: neither a multiple of the block size
+        "non-square": lambda: grid_from_spec(
+            GridSpec(150, 97, -3.0, 1.0, -0.5, 4.5),
+            lambda x, y: np.exp(-((x + 1) ** 2) - (y - 2) ** 2 + 0.4 * (x + 1) * (y - 2))),
+        # fewer rows than one block on each axis
+        "one-block": lambda: semicircular_density(0.3, GridSpec(20, 13)),
+        "semicircular": lambda: semicircular_density(0.5, GridSpec(257, 257)),
+    }
+
+    def run(self, monkeypatch, threads, g, richardson):
+        monkeypatch.setattr(bp, "_thread_count", lambda: threads)
+        cfg = FieldConfig(richardson=richardson)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost block write would show
+        try:
+            return conjugate_field(g, cfg), fisher_numeric(g, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("richardson", [False, True])
+    @pytest.mark.parametrize("case", sorted(GRIDS))
+    def test_thread_count_does_not_change_results(self, monkeypatch, case, richardson):
+        g = self.GRIDS[case]()
+        one_field, one_fisher = self.run(monkeypatch, 1, g, richardson)
+        three_field, three_fisher = self.run(monkeypatch, 3, g, richardson)
+        for name in ("xi_left", "xi_right", "mask"):
+            assert np.array_equal(getattr(one_field, name), getattr(three_field, name))
+        assert one_fisher == three_fisher
+        # the blocks of the one field are the fields' rows: same quadrature up to rounding
+        want = float(g.wx @ ((one_field.xi_left ** 2 + one_field.xi_right ** 2) * g.values) @ g.wy)
+        assert one_fisher == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_blocks_run_on_several_threads(self, monkeypatch):
+        seen = set()
+        irfft = np.fft.irfft
+
+        def spy(*args, **kwargs):
+            seen.add(threading.get_ident())
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", spy)
+        monkeypatch.setattr(bp, "_thread_count", lambda: 3)
+        fisher_numeric(self.GRIDS["semicircular"]())
+        assert len(seen) == 3
+
+    @pytest.mark.parametrize("fn", [conjugate_field, fisher_numeric])
+    @pytest.mark.parametrize("where", ["third call", "helper thread"])
+    def test_worker_exception_reaches_caller(self, monkeypatch, fn, where):
+        class Boom(RuntimeError):
+            pass
+
+        calls = []
+        lock = threading.Lock()
+        caller = threading.get_ident()
+        irfft = np.fft.irfft
+
+        def failing(*args, **kwargs):
+            with lock:
+                calls.append(threading.get_ident())
+                fail = len(calls) == 3 if where == "third call" else calls[-1] != caller
+            if fail:
+                raise Boom("irfft failed")
+            return irfft(*args, **kwargs)
+
+        g = self.GRIDS["semicircular"]()
+        before = set(threading.enumerate())
+        monkeypatch.setattr(np.fft, "irfft", failing)
+        monkeypatch.setattr(bp, "_thread_count", lambda: 3)
+        with pytest.raises(Boom, match="irfft failed"):
+            fn(g)
+        assert set(threading.enumerate()) == before
+        # the failing thread runs none of its later blocks
+        assert len(calls) < 2 + len(bp._row_blocks(g.nx)) + len(bp._row_blocks(g.ny))
+
+    def test_thread_count_follows_affinity(self, monkeypatch):
+        monkeypatch.setattr(bp.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert bp._thread_count() == 1
+        monkeypatch.setattr(bp.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert bp._thread_count() == bp._MAX_THREADS

@@ -9,6 +9,7 @@ import pytest
 
 import bifree
 from bifree import bipartite_num as bp
+from bifree import gaussfam as gf
 from bifree.cli import main
 from bifree.cumulant import gaussian_cumulant_spec, save_spec
 from fractions import Fraction
@@ -80,6 +81,21 @@ class TestGaussianCli:
         assert main(args + ["--method", "closed"]) == 0
         closed = json.loads(capsys.readouterr().out)
         assert abs(quad["entropy"] - closed["entropy"]) <= quad["error_bound"]
+
+    @pytest.mark.parametrize("n, m, matrix", [
+        (1, 1, [[1, 0.999999], [0.999999, 1]]),
+        (1, 1, [[1, 0.5], [0.5, 1]]),
+        (2, 2, np.diag([1e-6, 1e3, 1, 5e-3]).tolist()),
+    ])
+    def test_entropy_quadrature_bound_covers_printed_value(self, tmp_path, capsys, n, m, matrix):
+        # the printed entropy is rounded to 12 digits: its bound must cover that step too
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps({"n": n, "m": m, "matrix": matrix}))
+        args = ["gaussian", "entropy", "--cov", str(path), "--format", "json", "--method", "quadrature"]
+        assert main(args) == 0
+        quad = json.loads(capsys.readouterr().out)
+        exact = gf.entropy_closed(gf.Covariance(n, m, np.array(matrix)))
+        assert abs(quad["entropy"] - exact) <= quad["error_bound"]
 
     def test_dimension(self, cov_file, capsys):
         assert main(["gaussian", "dimension", "--cov", cov_file]) == 0
