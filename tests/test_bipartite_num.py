@@ -460,7 +460,7 @@ class TestBlockThreads:
         irfft = np.fft.irfft
 
         def spy(*args, **kwargs):
-            seen.add(threading.get_ident())
+            seen.add(threading.current_thread())  # an ident can be reused once a thread ends
             return irfft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "irfft", spy)
