@@ -38,15 +38,11 @@ import threading
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ._io import load_json, read_fields, to_json, write_files
-
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 class ZeroMassError(ValueError):
@@ -236,7 +232,7 @@ def _thread_count() -> int:
     return min(cpus, _MAX_THREADS)
 
 
-def _run_blocks(work: Callable[[_T], _R], blocks: Sequence[_T]) -> list[_R]:
+def _run_blocks(work: Callable, blocks: Sequence) -> list:
     """``[work(b) for b in blocks]``, spread over up to ``_thread_count()``
     threads, the caller's own among them.
 
@@ -317,31 +313,7 @@ class _AxisKernel:
         return np.fft.irfft(block, self.size)[:, :self.weights.size]
 
 
-def _hilbert_rows(
-    values: np.ndarray,
-    points: np.ndarray,
-    weights: np.ndarray,
-    eps: float,
-    richardson: bool = False,
-    name: str = "x",
-) -> np.ndarray:
-    """``out[..., i] = sum_j k(points[i] - points[j]) weights[j] values[..., j]``
-    for a 1-D ``values`` or each row of a 2-D one, with the kernel k of
-    ``_AxisKernel``, applied by blocks of ``_FFT_ROWS`` rows."""
-    kernel = _AxisKernel.build(points, weights, eps, richardson, name)
-    rows = np.atleast_2d(values)
-    out = np.empty(rows.shape)
-
-    def block(part: slice) -> None:
-        out[part] = kernel.rows(rows[part])
-
-    _run_blocks(block, _row_blocks(rows.shape[0]))
-    return out.reshape(np.shape(values))
-
-
-def hilbert_samples(
-    points: np.ndarray, samples: np.ndarray, weights: np.ndarray, eps: float
-) -> np.ndarray:
+def hilbert_pv(density: MarginalDensity, eps: float | None = None) -> np.ndarray:
     """Regularized Hilbert kernel integral at every sample point:
     g(x) = ∫ (x-s)/((x-s)^2 + eps^2) f(s) ds.
 
@@ -350,12 +322,9 @@ def hilbert_samples(
     bias against discretization oscillation.  The points must be uniformly
     spaced (``ValueError`` otherwise).
     """
-    return _hilbert_rows(samples, points, weights, eps)
-
-
-def hilbert_pv(density: MarginalDensity, eps: float | None = None) -> np.ndarray:
     eps = density.spacing if eps is None else eps
-    return hilbert_samples(density.x, density.samples, density.weights, eps)
+    kernel = _AxisKernel.build(density.x, density.weights, eps, False, "x")
+    return kernel.rows(density.samples[None, :])[0]
 
 
 #: Density below this fraction of its maximum is masked: the fields are zero there.

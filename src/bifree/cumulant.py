@@ -164,7 +164,7 @@ class MomentFunctional:
         return Fraction(*self._poly_pair(p.items()))
 
     def phi_tensor(self, t: TensorPoly) -> Fraction:
-        return Fraction(*self._tensor_pair(t))
+        return Fraction(*self._tensor_pair(t.items()))
 
     def _poly_pair(self, terms: Iterable[tuple[Word, Fraction]]) -> Pair:
         """The sum of c phi(w) over (w, c) terms, as a reduced pair."""
@@ -176,10 +176,10 @@ class MomentFunctional:
                 sums[den] = sums.get(den, 0) + c.numerator * num
         return _fold(sums)
 
-    def _tensor_pair(self, t: TensorPoly) -> Pair:
-        """(phi ⊗ phi)(t) as a reduced pair."""
+    def _tensor_pair(self, terms: Iterable[tuple[tuple[Word, Word], Fraction]]) -> Pair:
+        """The sum of c phi(w1) phi(w2) over ((w1, w2), c) terms, as a reduced pair."""
         sums: dict[int, int] = {}
-        for (w1, w2), c in t.items():
+        for (w1, w2), c in terms:
             num1, den1 = self._phi_pair(w1)
             num2, den2 = self._phi_pair(w2)
             if num1 and num2:

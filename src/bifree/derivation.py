@@ -2,17 +2,18 @@
 
 Four quotients act on noncommutative polynomials.  On a word, each occurrence
 of the target variable splits the word into a prefix A and suffix B; writing
-``lefts``/``rights`` for the side subwords (relative order kept):
+``own`` for the side subword (relative order kept) of the target's side and
+``other`` for that of the opposite side:
 
-* left:           (A · rights(B)) ⊗ lefts(B)
-* right:          (A · lefts(B)) ⊗ rights(B)
-* flipped left:   lefts(A) ⊗ (rights(A) · B)
-* flipped right:  rights(A) ⊗ (lefts(A) · B)
+* left, right:                  (A · other(B)) ⊗ own(B)
+* flipped left, flipped right:  own(A) ⊗ (other(A) · B)
 
 These are the compositions of the side-splitting homomorphisms and the
-collapse map with the free derivation; in bipartite mode the result is
-computed on the canonical representative and re-normalized (the maps descend
-to the commutation quotient, which the test suite verifies).
+collapse map with the free derivation.  In bipartite mode the quotient acts
+on the canonical representative of each word, and the legs of a normal form
+are normal forms again: the prefix of a left target holds only lefts and the
+suffix of a right target only rights (the maps descend to the commutation
+quotient, which the test suite verifies).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .ncalg import (
     normal_form,
     normalize_poly,
     star,
-    tensor_cw_star,
     tensor_mul,
     tensor_of,
     tensor_swap,
@@ -71,6 +71,20 @@ def _rights(word: Word) -> Word:
     return tuple(l for l in word if l.side == RIGHT)
 
 
+def _legs(word: Word, kind: QuotientKind) -> Iterator[tuple[Word, Word]]:
+    """The legs of ``kind``'s quotient of one word, one pair per occurrence
+    of the target (see module docstring); normal forms for a normal form."""
+    own, other = (_lefts, _rights) if kind.side == LEFT else (_rights, _lefts)
+    target = kind.target
+    for pos, current in enumerate(word):
+        if current == target:
+            prefix, suffix = word[:pos], word[pos + 1:]
+            if kind.flipped:
+                yield own(prefix), other(prefix) + suffix
+            else:
+                yield prefix + other(suffix), own(suffix)
+
+
 def free_dq(p: NCPolynomial, letter: Letter, mode: AlgebraMode) -> TensorPoly:
     """Free difference quotient: prefix ⊗ suffix over occurrences of ``letter``.
 
@@ -92,33 +106,12 @@ def free_dq(p: NCPolynomial, letter: Letter, mode: AlgebraMode) -> TensorPoly:
 
 def bifree_dq(p: NCPolynomial, kind: QuotientKind, mode: AlgebraMode) -> TensorPoly:
     """One of the four two-faced difference quotients (see module docstring)."""
-    target = kind.target
-    mode.check_letter(target)
+    mode.check_letter(kind.target)
     pairs = []
     for word, coeff in p.items():
         mode.check_word(word)
-        word = normal_form(word, mode)
-        for pos, current in enumerate(word):
-            if current != target:
-                continue
-            prefix, suffix = word[:pos], word[pos + 1:]
-            if not kind.flipped:
-                if kind.side == LEFT:
-                    first = prefix + _rights(suffix)
-                    second = _lefts(suffix)
-                else:
-                    first = prefix + _lefts(suffix)
-                    second = _rights(suffix)
-            else:
-                if kind.side == LEFT:
-                    first = _lefts(prefix)
-                    second = _rights(prefix) + suffix
-                else:
-                    first = _rights(prefix)
-                    second = _lefts(prefix) + suffix
-            pairs.append(
-                ((normal_form(first, mode), normal_form(second, mode)), coeff)
-            )
+        for legs in _legs(normal_form(word, mode), kind):
+            pairs.append((legs, coeff))
     return TensorPoly.from_pairs(pairs)
 
 
@@ -208,9 +201,11 @@ def conjugate_check(
     """Compare phi(Z xi) with (phi ⊗ phi) of the quotient of Z, exactly,
     for every word Z in the declared variables up to ``max_degree``.
 
-    xi is checked and brought to normal form once.  By linearity the left
-    side is the sum of c phi(Z w) over xi's terms c w, so no product
-    polynomial is built; the right side reads the terms of ``bifree_dq(Z)``.
+    xi and the target are checked, and xi brought to normal form, once; a
+    nonzero xi whose degree takes Z xi past phi's degree bound raises
+    ``DegreeBoundError`` before phi is read.  By linearity the left side is
+    the sum of c phi(Z w) over xi's terms c w, so no product polynomial is
+    built; the right side reads the legs of each Z, a normal form, directly.
     Both sides are summed per denominator as ints and compared by
     cross-multiplication; only a failure is turned into ``Fraction``s.
     """
@@ -219,14 +214,18 @@ def conjugate_check(
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     mode = mode or phi.mode
+    mode.check_letter(kind.target)
     for word, _ in xi.items():
         mode.check_word(word)
-    xi_terms = list(normalize_poly(xi, mode).items())
+    xi = normalize_poly(xi, mode)
+    if not xi.is_zero:
+        phi._check_degree(max_degree + xi.degree())
+    xi_terms = list(xi.items())
     checked = 0
     failures: list[tuple[Word, Fraction, Fraction]] = []
     for word in enumerate_words(mode, max_degree):
         lhs_num, lhs_den = phi._poly_pair((normal_form(word + w, mode), c) for w, c in xi_terms)
-        rhs_num, rhs_den = phi._tensor_pair(bifree_dq(NCPolynomial.from_word(word), kind, mode))
+        rhs_num, rhs_den = phi._tensor_pair((legs, 1) for legs in _legs(word, kind))
         checked += 1
         if lhs_num * rhs_den != rhs_num * lhs_den:
             failures.append((word, Fraction(lhs_num, lhs_den), Fraction(rhs_num, rhs_den)))
@@ -268,22 +267,13 @@ def adjoint_apply(
     mode = mode or phi.mode
     own_side = kind.side
     other_side = RIGHT if own_side == LEFT else LEFT
-    out = NCPolynomial.zero()
+    terms = []
     for (u, v), coeff in eta.items():
         _validate_adjoint_leg(u, own_side, "first")
         _validate_adjoint_leg(v, other_side, "second")
-        u_poly = NCPolynomial.from_word(u)
-        v_poly = NCPolynomial.from_word(v)
-        main = mul(mul(u_poly, v_poly, mode), xi, mode)
-        d = bifree_dq(star(u_poly), kind, mode)
-        prod = tensor_mul(
-            tensor_cw_star(d),
-            tensor_of(NCPolynomial.one(), v_poly),
-            STRAIGHT,
-            mode,
-        )
-        correction = NCPolynomial.zero()
-        for (w1, w2), c in prod.items():
-            correction = correction + NCPolynomial.from_word(w2, c * phi.phi(w1))
-        out = out + (main - correction).scale(coeff)
-    return out
+        main = mul(NCPolynomial.from_word(u + v), xi, mode)
+        terms.extend((w, coeff * c) for w, c in main.items())
+        # the correction: each term c a ⊗ b of dq(u*) takes away c phi(a*) b* v
+        for (a, b), c in bifree_dq(star(NCPolynomial.from_word(u)), kind, mode).items():
+            terms.append((normal_form(b[::-1] + v, mode), -coeff * c * phi.phi(a[::-1])))
+    return NCPolynomial.from_pairs(terms)

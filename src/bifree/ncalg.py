@@ -345,13 +345,6 @@ def tensor_swap(t: TensorPoly) -> TensorPoly:
     return TensorPoly.from_pairs((((w2, w1)), c) for (w1, w2), c in t.items())
 
 
-def tensor_cw_star(t: TensorPoly) -> TensorPoly:
-    """Componentwise involution: each leg starred in place, no leg swap."""
-    return TensorPoly.from_pairs(
-        (((tuple(reversed(w1)), tuple(reversed(w2)))), c) for (w1, w2), c in t.items()
-    )
-
-
 def normalize_tensor(t: TensorPoly, mode: AlgebraMode) -> TensorPoly:
     if not mode.bipartite:
         return t

@@ -26,11 +26,15 @@ from bifree.bnclattice import (
     sigma_chi,
 )
 from bifree.cumulant import TableMomentFunctional, moment_pi, pattern_of_letters
-from bifree.derivation import ConjugateReport, bifree_dq, enumerate_words
+from bifree.derivation import ConjugateReport, enumerate_words
 from bifree.ncalg import (
+    LEFT,
+    RIGHT,
+    STRAIGHT,
     AlgebraMode,
     Letter,
     NCPolynomial,
+    TensorPoly,
     Word,
     lsym,
     lvar,
@@ -38,6 +42,9 @@ from bifree.ncalg import (
     normal_form,
     rsym,
     rvar,
+    star,
+    tensor_mul,
+    tensor_of,
 )
 
 
@@ -379,6 +386,77 @@ def expand_by_lattice_filter(pi, chi, chi_prime) -> set:
     }
 
 
+def bifree_dq_by_branches(p: NCPolynomial, kind, mode: AlgebraMode) -> TensorPoly:
+    """The four quotients as four written-out branches, both legs of every
+    term brought to normal form again."""
+    target = kind.target
+    mode.check_letter(target)
+    pairs = []
+    for word, coeff in p.items():
+        mode.check_word(word)
+        word = normal_form(word, mode)
+        for pos, current in enumerate(word):
+            if current != target:
+                continue
+            prefix, suffix = word[:pos], word[pos + 1:]
+            lefts_pre = tuple(l for l in prefix if l.side == LEFT)
+            rights_pre = tuple(l for l in prefix if l.side == RIGHT)
+            lefts_suf = tuple(l for l in suffix if l.side == LEFT)
+            rights_suf = tuple(l for l in suffix if l.side == RIGHT)
+            if not kind.flipped:
+                if kind.side == LEFT:
+                    first, second = prefix + rights_suf, lefts_suf
+                else:
+                    first, second = prefix + lefts_suf, rights_suf
+            else:
+                if kind.side == LEFT:
+                    first, second = lefts_pre, rights_pre + suffix
+                else:
+                    first, second = rights_pre, lefts_pre + suffix
+            pairs.append(((normal_form(first, mode), normal_form(second, mode)), coeff))
+    return TensorPoly.from_pairs(pairs)
+
+
+def free_dq_by_leibniz(p: NCPolynomial, letter: Letter, mode: AlgebraMode) -> TensorPoly:
+    """The free quotient of each canonical word by the Leibniz rule, peeling
+    the first letter: dq(l w) = [l is the target] 1 ⊗ w + (l ⊗ 1) dq(w)."""
+    one = NCPolynomial.one()
+
+    def dq(word: Word) -> TensorPoly:
+        if not word:
+            return TensorPoly.zero()
+        head, rest = word[0], word[1:]
+        out = tensor_mul(tensor_of(NCPolynomial.from_letter(head), one), dq(rest), STRAIGHT, mode)
+        if head == letter:
+            out = out + TensorPoly.from_words((), rest)
+        return out
+
+    total = TensorPoly.zero()
+    for word, coeff in p.items():
+        total = total + dq(normal_form(word, mode)).scale(coeff)
+    return total
+
+
+def adjoint_apply_by_tensors(phi, xi, eta, kind, mode=None) -> NCPolynomial:
+    """The adjoint of a flipped quotient term by term in tensor products:
+    u v xi - (phi ⊗ id)(dq(u*)^[*] (1 ⊗ v)) for each term u ⊗ v of ``eta``,
+    with ^[*] the involution applied to each leg in place."""
+    mode = mode or phi.mode
+    out = NCPolynomial.zero()
+    for (u, v), coeff in eta.items():
+        u_poly = NCPolynomial.from_word(u)
+        v_poly = NCPolynomial.from_word(v)
+        main = mul(mul(u_poly, v_poly, mode), xi, mode)
+        d = bifree_dq_by_branches(star(u_poly), kind, mode)
+        d_star = TensorPoly.from_pairs(((w1[::-1], w2[::-1]), c) for (w1, w2), c in d.items())
+        prod = tensor_mul(d_star, tensor_of(NCPolynomial.one(), v_poly), STRAIGHT, mode)
+        correction = NCPolynomial.zero()
+        for (w1, w2), c in prod.items():
+            correction = correction + NCPolynomial.from_word(w2, c * phi.phi(w1))
+        out = out + (main - correction).scale(coeff)
+    return out
+
+
 def conjugate_check_by_fractions(phi, kind, xi, max_degree, mode=None) -> ConjugateReport:
     """The defining identity word by word in ``Fraction`` arithmetic: phi of
     the product polynomial Z xi against (phi ⊗ phi) of the quotient of Z."""
@@ -389,7 +467,8 @@ def conjugate_check_by_fractions(phi, kind, xi, max_degree, mode=None) -> Conjug
         z = NCPolynomial.from_word(word)
         lhs = sum((c * phi.phi(w) for w, c in mul(z, xi, mode).items()), Fraction(0))
         rhs = sum(
-            (c * phi.phi(w1) * phi.phi(w2) for (w1, w2), c in bifree_dq(z, kind, mode).items()),
+            (c * phi.phi(w1) * phi.phi(w2)
+             for (w1, w2), c in bifree_dq_by_branches(z, kind, mode).items()),
             Fraction(0),
         )
         checked += 1

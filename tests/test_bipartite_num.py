@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import bifree.bipartite_num as bp
 from bifree.bipartite_num import (
     FieldConfig,
-    _hilbert_rows,
+    _AxisKernel,
     _smooth_length,
     GridSpec,
     MarginalDensity,
@@ -384,7 +384,9 @@ class TestKernelConvolution:
         eps = eps_per_h * h
         for richardson in (False, True):
             want = hilbert_rows_by_matrix(values, x, w, eps, richardson)
-            assert_rel_close(_hilbert_rows(values, x, w, eps, richardson), want)
+            kernel = _AxisKernel.build(x, w, eps, richardson, "x")
+            got = kernel.rows(np.atleast_2d(values)).reshape(values.shape)
+            assert_rel_close(got, want)
 
     @pytest.mark.parametrize("n", [2, 3, 64, 255, 257, 1025, 1531])
     @pytest.mark.parametrize("eps_per_h", [0.5, 1.0, 3.0])

@@ -280,6 +280,12 @@ class TestCumulantCli:
         assert main(argv) == 2
         assert "max_degree" in capsys.readouterr().err
 
+    def test_conjugate_check_past_degree_bound_exits_2(self, spec_file, capsys):
+        # the spec's bound is 10: phi(Z xi) would need degree 11
+        argv = ["conjugate-check", "--spec", spec_file, "--xi", "X1", "--max-degree", "10"]
+        assert main(argv) == 2
+        assert "exceeds bound 10" in capsys.readouterr().err
+
     def test_conjugate_check_reports_failure(self, spec_file, capsys):
         rc = main(
             ["conjugate-check", "--spec", spec_file, "--xi", "X1", "--max-degree", "3"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifree.cumulant import CumulantMomentFunctional, gaussian_cumulant_spec
+from bifree.cumulant import CumulantMomentFunctional, DegreeBoundError, gaussian_cumulant_spec
 from bifree.derivation import (
     QuotientKind,
     adjoint_apply,
@@ -25,6 +25,7 @@ from bifree.ncalg import (
     lsym,
     lvar,
     mul,
+    normal_form,
     normalize_tensor,
     parse_poly,
     parse_tensor,
@@ -37,12 +38,16 @@ from bifree.ncalg import (
     tensor_star,
 )
 from helpers import (
+    adjoint_apply_by_tensors,
+    bifree_dq_by_branches,
     conjugate_check_by_fractions,
     fraction_inverse,
+    free_dq_by_leibniz,
     mixed_letters,
     rand_frac,
     rand_functional,
     rand_poly,
+    rand_word,
     var_letters,
 )
 
@@ -145,6 +150,31 @@ class TestWorkedExamples:
                 assert all(l.side == "l" for l in w2)
             for (w1, w2), _ in bifree_dq(p, KL_FLIP, FREE).items():
                 assert all(l.side == "l" for l in w1)
+
+
+class TestLegOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_branch_oracle(self, data):
+        # random polynomials with symbols, both modes, all four kinds
+        mode = data.draw(st.sampled_from([FREE, BIP]))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        p = rand_poly(rng, mode, mixed_letters(mode), 4, 6)
+        side = data.draw(st.sampled_from(["l", "r"]))
+        kind = QuotientKind(side, data.draw(st.integers(1, 2)), data.draw(st.booleans()))
+        assert bifree_dq(p, kind, mode) == bifree_dq_by_branches(p, kind, mode)
+        assert free_dq(p, kind.target, mode) == free_dq_by_leibniz(p, kind.target, mode)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_legs_of_normal_forms_are_normal_forms(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        word = rand_word(rng, mixed_letters(BIP), 8, BIP)
+        side = data.draw(st.sampled_from(["l", "r"]))
+        kind = QuotientKind(side, data.draw(st.integers(1, 2)), data.draw(st.booleans()))
+        for (w1, w2), _ in bifree_dq(NCPolynomial.from_word(word), kind, BIP).items():
+            assert normal_form(w1, BIP) == w1
+            assert normal_form(w2, BIP) == w2
 
 
 class TestQuotientLaws:
@@ -384,6 +414,17 @@ class TestConjugateCheck:
         if true_xi:
             assert report.passed
 
+    def test_degree_bound_raises_before_phi_is_read(self):
+        # without the early check, the 5,461 words of degree <= 6 would be
+        # checked before phi(Z xi) reached degree 8, past the bound
+        cov = [[1, HALF, 0, 0], [HALF, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        mode = free_mode(2, 2)
+        phi = CumulantMomentFunctional(mode, gaussian_cumulant_spec(2, 2, cov, degree_bound=7))
+        xi = NCPolynomial.from_letter(lvar(1))
+        with pytest.raises(DegreeBoundError):
+            conjugate_check(phi, KL, xi, 7, mode)
+        assert phi._memo == {(): (1, 1)}
+
     def test_flipped_kind_rejected(self):
         mode, phi = semicircular_phi(HALF)
         with pytest.raises(ValueError):
@@ -486,6 +527,27 @@ class TestAdjoint:
             Fraction(2, 3)
         ) + adjoint_apply(self.phi, self.xi, b, KL_FLIP).scale(-3)
         assert adjoint_apply(self.phi, self.xi, combined, KL_FLIP) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_tensor_oracle(self, data):
+        # random xi, random pure-leg eta, both flipped kinds, both modes
+        mode = data.draw(st.sampled_from([free_mode(2, 2), bipartite_mode(2, 2)]))
+        side = data.draw(st.sampled_from(["l", "r"]))
+        kind = QuotientKind(side, data.draw(st.integers(1, 2)), flipped=True)
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        letters = mixed_letters(mode)
+        phi = rand_functional(rng, mode, 4)  # phi reads the own-side legs of u*
+        xi = rand_poly(rng, mode, letters, 3, 3)
+        own = [l for l in letters if l.side == side]
+        other = [l for l in letters if l.side != side]
+        eta = TensorPoly.from_pairs(
+            ((rand_word(rng, own, 5, mode), rand_word(rng, other, 3, mode)), rand_frac(rng))
+            for _ in range(rng.randint(1, 6))
+        )
+        assert adjoint_apply(phi, xi, eta, kind, mode) == adjoint_apply_by_tensors(
+            phi, xi, eta, kind, mode
+        )
 
     def test_rejects_mixed_leg(self):
         eta = TensorPoly.from_words((lvar(1), rvar(1)), ())
