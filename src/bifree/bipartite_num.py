@@ -131,9 +131,15 @@ def _check_uniform(points: np.ndarray, name: str) -> None:
 
 
 def make_density_grid(x: np.ndarray, y: np.ndarray, values: np.ndarray) -> DensityGrid:
-    x = np.array(x, dtype=float)
-    y = np.array(y, dtype=float)
-    values = np.array(values, dtype=float)  # the one copy; clipped and scaled in place
+    """A checked, normalized grid from copies of the arrays; the caller's
+    arrays are never written."""
+    return _own_grid(np.array(x, dtype=float), np.array(y, dtype=float),
+                     np.array(values, dtype=float))
+
+
+def _own_grid(x: np.ndarray, y: np.ndarray, values: np.ndarray) -> DensityGrid:
+    """``make_density_grid`` on float arrays the grid may keep: ``values``
+    is clipped and scaled in place, and all three are made read-only."""
     if values.shape != (x.size, y.size):
         raise ValueError(f"values must have shape (nx, ny) = {(x.size, y.size)}")
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(values).all()):
@@ -167,18 +173,33 @@ def semicircular_density(c: float, spec: GridSpec) -> DensityGrid:
 
         (1-c^2)/(4 pi^2) * sqrt(4-x^2) sqrt(4-y^2)
             / ((1-c^2)^2 - c(1+c^2) xy + c^2 (x^2+y^2)).
+
+    Filled a block of rows at a time, in the formula's own order of
+    operations: the square roots, which factor, as an outer product, then
+    the denominator and one divide, so no temporary is larger than a block.
     """
     if not -1.0 < c < 1.0:
         raise ValueError("the covariance must satisfy |c| < 1")
+    x = np.linspace(spec.xmin, spec.xmax, spec.nx)
+    y = np.linspace(spec.ymin, spec.ymax, spec.ny)
+    root_x = (1.0 - c * c) / (4.0 * math.pi ** 2) * np.sqrt(np.clip(4.0 - x * x, 0.0, None))
+    root_y = np.sqrt(np.clip(4.0 - y * y, 0.0, None))
+    y_squared = y * y
+    values = np.empty((x.size, y.size))
 
-    def fn(x, y):
-        num = (1.0 - c * c) / (4.0 * math.pi ** 2) * np.sqrt(
-            np.clip(4.0 - x * x, 0.0, None)
-        ) * np.sqrt(np.clip(4.0 - y * y, 0.0, None))
-        den = (1.0 - c * c) ** 2 - c * (1.0 + c * c) * x * y + c * c * (x * x + y * y)
-        return num / den
+    def fill(part: slice) -> None:
+        xs = x[part, None]
+        den = c * (1.0 + c * c) * xs * y
+        np.subtract((1.0 - c * c) ** 2, den, out=den)
+        squares = xs * xs + y_squared
+        squares *= c * c
+        den += squares
+        block = values[part]
+        np.multiply(root_x[part, None], root_y, out=block)
+        block /= den
 
-    return grid_from_spec(spec, fn)
+    _run_blocks(fill, _row_blocks(x.size))
+    return _own_grid(x, y, values)
 
 
 def semicircle_marginal(points: np.ndarray) -> np.ndarray:
@@ -363,33 +384,49 @@ class _FieldAxis:
     h: np.ndarray
     threshold: float
 
-    def xi(self, part: slice) -> np.ndarray:
-        """The field on a block of rows: h + f * (kernel of the slice) / values,
-        zero where the density is below ``threshold``."""
+    def xi(self, part: slice) -> tuple[np.ndarray, np.ndarray]:
+        """A block of rows of ``values`` as one contiguous copy (on the x axis,
+        a strip of columns of f transposed), and the field on it:
+        h + f * (kernel of the slice) / values, zero where the density is
+        below ``threshold``."""
         values = self.values[part]
+        if not values.flags.c_contiguous:
+            # copied in the order it is stored, then transposed while in cache
+            values = np.ascontiguousarray(values.copy(order="K"))
         xi = self.kernel.rows(values)
         xi *= self.f
         low = values < self.threshold
         np.divide(xi, values, out=xi, where=~low)
         xi += self.h
         xi[low] = 0.0
-        return xi
+        return values, xi
 
 
-def _product_gap_fraction(mask: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> float:
-    """Share of the grid that is masked but inside the product of the
-    marginal supports, counted over the masked points only."""
-    i, j = np.nonzero(mask)
+def _product_gap_fraction(
+    values: np.ndarray, threshold: float, fx: np.ndarray, fy: np.ndarray,
+    mask: np.ndarray | None = None,
+) -> float:
+    """Share of the grid that is masked (``values`` below ``threshold``) but
+    inside the product of the marginal supports, counted a block of rows at
+    a time over the masked points only.  Writes the mask into ``mask`` when
+    one is given."""
     # fx.max() * fy.max() is the largest product fx[i] * fy[j], bit for bit
-    inside = fx[i] * fy[j] > MASK_THRESHOLD * float(fx.max() * fy.max())
-    return np.count_nonzero(inside) / mask.size
+    cutoff = MASK_THRESHOLD * float(fx.max() * fy.max())
+
+    def count(part: slice) -> int:
+        low = np.less(values[part], threshold, out=None if mask is None else mask[part])
+        i, j = np.divmod(np.flatnonzero(low), low.shape[1])  # np.nonzero is slower on 2-D
+        return int(np.count_nonzero(fx[part][i] * fy[j] > cutoff))
+
+    return sum(_run_blocks(count, _row_blocks(values.shape[0]))) / values.size
 
 
 def _field_axes(
-    g: DensityGrid, cfg: FieldConfig | None
-) -> tuple[tuple[_FieldAxis, _FieldAxis], np.ndarray, float, float]:
-    """The (x, y) field axes, the mask and the kernel widths; warns when the
-    support is far from a product of the marginal supports."""
+    g: DensityGrid, cfg: FieldConfig | None, mask: np.ndarray | None = None
+) -> tuple[tuple[_FieldAxis, _FieldAxis], float, float]:
+    """The (x, y) field axes and the kernel widths; fills ``mask`` when one
+    is given, and warns when the support is far from a product of the
+    marginal supports."""
     cfg = cfg or FieldConfig()
     eps_x = cfg.eps if cfg.eps is not None else float(g.x[1] - g.x[0])
     eps_y = cfg.eps if cfg.eps is not None else float(g.y[1] - g.y[0])
@@ -405,8 +442,7 @@ def _field_axes(
         h = kernel.rows(f[None, :])[0]
         axes.append(_FieldAxis(kernel, values, f, h, threshold))
 
-    mask = g.values < threshold
-    gap_fraction = _product_gap_fraction(mask, fx, fy)
+    gap_fraction = _product_gap_fraction(g.values, threshold, fx, fy, mask)
     if gap_fraction > PRODUCT_WARN_FRACTION:
         warnings.warn(
             f"{100 * gap_fraction:.1f}% of the product of the marginal supports "
@@ -415,7 +451,7 @@ def _field_axes(
             NonProductSupportWarning,
             stacklevel=3,
         )
-    return (axes[0], axes[1]), mask, eps_x, eps_y
+    return (axes[0], axes[1]), eps_x, eps_y
 
 
 def _axis_blocks(axes: tuple[_FieldAxis, ...]) -> list[tuple[int, slice]]:
@@ -430,14 +466,15 @@ def conjugate_field(g: DensityGrid, cfg: FieldConfig | None = None) -> Conjugate
     the formula assumes a product support, and densities violating that are
     outside its hypotheses.
     """
-    axes, mask, eps_x, eps_y = _field_axes(g, cfg)
+    mask = np.empty((g.nx, g.ny), dtype=bool)
+    axes, eps_x, eps_y = _field_axes(g, cfg, mask)
     xi_left = np.empty((g.nx, g.ny))
     xi_right = np.empty((g.nx, g.ny))
     dest = (xi_left.T, xi_right)  # x-axis rows are columns of the left field
 
     def write(block: tuple[int, slice]) -> None:
         k, part = block
-        dest[k][part] = axes[k].xi(part)
+        dest[k][part] = axes[k].xi(part)[1]
 
     _run_blocks(write, _axis_blocks(axes))
     return ConjugateField(xi_left, xi_right, mask, eps_x, eps_y)
@@ -446,17 +483,18 @@ def conjugate_field(g: DensityGrid, cfg: FieldConfig | None = None) -> Conjugate
 def fisher_numeric(g: DensityGrid, cfg: FieldConfig | None = None) -> float:
     """Grid quadrature of (xi_l^2 + xi_r^2) f: the Fisher information of the pair.
 
-    Summed block by block, in block order, without forming either field.
+    Summed block by block, in block order, without forming either field or
+    the mask.
     """
-    axes, _, _, _ = _field_axes(g, cfg)
+    axes, _, _ = _field_axes(g, cfg)
     across = (g.wy, g.wx)  # weights across the rows of each axis
 
     def quadrature(block: tuple[int, slice]) -> float:
         k, part = block
         axis = axes[k]
-        integrand = axis.xi(part)
+        values, integrand = axis.xi(part)
         integrand *= integrand
-        integrand *= axis.values[part]
+        integrand *= values
         return float(across[k][part] @ (integrand @ axis.kernel.weights))
 
     return sum(_run_blocks(quadrature, _axis_blocks(axes)))

@@ -205,7 +205,9 @@ def conjugate_check(
     nonzero xi whose degree takes Z xi past phi's degree bound raises
     ``DegreeBoundError`` before phi is read.  By linearity the left side is
     the sum of c phi(Z w) over xi's terms c w, so no product polynomial is
-    built; the right side reads the legs of each Z, a normal form, directly.
+    built; in bipartite mode the normal form of Z w is spliced from the
+    sides of Z and w, split once.  The right side reads the legs of each Z,
+    a normal form, directly.
     Both sides are summed per denominator as ints and compared by
     cross-multiplication; only a failure is turned into ``Fraction``s.
     """
@@ -220,11 +222,23 @@ def conjugate_check(
     xi = normalize_poly(xi, mode)
     if not xi.is_zero:
         phi._check_degree(max_degree + xi.degree())
-    xi_terms = list(xi.items())
+    if mode.bipartite:
+        # Z = L·R and each term of xi is L'·R', so the normal form of Z w is L·L'·R·R'
+        split = [(_lefts(w), _rights(w), c) for w, c in xi.items()]
+
+        def times_xi(word: Word):
+            k = len(_lefts(word))
+            return ((word[:k] + left + word[k:] + right, c) for left, right, c in split)
+    else:
+        xi_terms = list(xi.items())
+
+        def times_xi(word: Word):
+            return ((word + w, c) for w, c in xi_terms)
+
     checked = 0
     failures: list[tuple[Word, Fraction, Fraction]] = []
     for word in enumerate_words(mode, max_degree):
-        lhs_num, lhs_den = phi._poly_pair((normal_form(word + w, mode), c) for w, c in xi_terms)
+        lhs_num, lhs_den = phi._poly_pair(times_xi(word))
         rhs_num, rhs_den = phi._tensor_pair((legs, 1) for legs in _legs(word, kind))
         checked += 1
         if lhs_num * rhs_den != rhs_num * lhs_den:

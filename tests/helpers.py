@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 from hypothesis import strategies as st
 
-from bifree.bipartite_num import MASK_THRESHOLD, DensityGrid
+from bifree.bipartite_num import MASK_THRESHOLD, DensityGrid, GridSpec, grid_from_spec
 from bifree.bnclattice import (
     BNCPartition,
     _inverse_perm,
@@ -527,3 +527,19 @@ def product_gap_fraction_by_outer(g: DensityGrid) -> float:
     mask = g.values < MASK_THRESHOLD * float(g.values.max())
     outer = np.multiply.outer(fx, fy)
     return float(np.mean(mask & (outer > MASK_THRESHOLD * float(outer.max()))))
+
+
+def semicircular_density_by_broadcast(c: float, spec: GridSpec) -> DensityGrid:
+    """The semicircular density of ``bipartite_num`` evaluated on the full
+    grid by broadcasting, then checked and normalized by ``make_density_grid``."""
+    if not -1.0 < c < 1.0:
+        raise ValueError("the covariance must satisfy |c| < 1")
+
+    def fn(x, y):
+        num = (1.0 - c * c) / (4.0 * math.pi ** 2) * np.sqrt(
+            np.clip(4.0 - x * x, 0.0, None)
+        ) * np.sqrt(np.clip(4.0 - y * y, 0.0, None))
+        den = (1.0 - c * c) ** 2 - c * (1.0 + c * c) * x * y + c * c * (x * x + y * y)
+        return num / den
+
+    return grid_from_spec(spec, fn)

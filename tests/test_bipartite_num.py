@@ -1,7 +1,10 @@
 import json
 import math
+import re
 import sys
 import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +37,12 @@ from bifree.bipartite_num import (
     semicircle_marginal,
     semicircular_density,
 )
-from helpers import conjugate_field_by_matrix, hilbert_rows_by_matrix, product_gap_fraction_by_outer
+from helpers import (
+    conjugate_field_by_matrix,
+    hilbert_rows_by_matrix,
+    product_gap_fraction_by_outer,
+    semicircular_density_by_broadcast,
+)
 
 
 def assert_rel_close(got, want, rtol=1e-12):
@@ -174,6 +182,40 @@ class TestSemicircularDensity:
         assert g.moment(1, 1) == pytest.approx(0.5, abs=2e-3)
         assert g.moment(2, 0) == pytest.approx(1.0, abs=2e-3)
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("spec", [
+        GridSpec(20, 13),  # fewer rows than one block
+        GridSpec(150, 97),
+        GridSpec(257, 257),
+        GridSpec(40, 33, -2.5, 2.0, -1.0, 3.0),  # 4 - x^2 clipped; 0/0 past the square at c = -0.5
+    ], ids=["20x13", "150x97", "257x257", "rectangle"])
+    @pytest.mark.parametrize("c", [-0.9, -0.5, 0.0, 0.3, 0.99])
+    def test_row_blocks_match_broadcast(self, monkeypatch, c, spec, threads):
+        monkeypatch.setattr(bp, "_thread_count", lambda: threads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the 0/0, on both sides
+            try:
+                want = semicircular_density_by_broadcast(c, spec)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    semicircular_density(c, spec)
+                return
+            got = semicircular_density(c, spec)
+        assert np.array_equal(got.values, want.values)
+        assert got.raw_mass == want.raw_mass
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+        assert not got.values.flags.writeable
+
+    def test_builds_no_full_grid_temporary(self, monkeypatch):
+        monkeypatch.setattr(bp, "_thread_count", lambda: 1)
+        tracemalloc.start()
+        try:
+            g = semicircular_density(0.5, GridSpec(1024, 1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * g.values.nbytes
+
 
 class TestMarginals:
     def test_product_density_recovers_factors(self):
@@ -296,7 +338,7 @@ class TestConjugateField:
                 fn(g)
 
     @pytest.mark.parametrize("case", ["band", "disc", "semicircular", "sparse", "corner"])
-    def test_gap_fraction_matches_outer_product(self, case):
+    def test_gap_fraction_matches_outer_product(self, monkeypatch, case):
         if case == "semicircular":
             g = semicircular_density(0.5, GridSpec(130, 77))
         elif case == "sparse":
@@ -311,9 +353,21 @@ class TestConjugateField:
             corner = (x[:, None] > 0) | (y[None, :] > 0)
             g = make_density_grid(x, y, {"band": band, "disc": disc, "corner": corner}[case] * 1.0)
         mx, my = marginals(g)
-        mask = g.values < bp.MASK_THRESHOLD * float(g.values.max())
-        got = bp._product_gap_fraction(mask, mx.samples, my.samples)
-        assert got == product_gap_fraction_by_outer(g)
+        threshold = bp.MASK_THRESHOLD * float(g.values.max())
+        want = product_gap_fraction_by_outer(g)
+        messages = []
+        for threads in (1, 3):
+            monkeypatch.setattr(bp, "_thread_count", lambda: threads)
+            mask = np.ones(g.values.shape, dtype=bool)
+            assert bp._product_gap_fraction(g.values, threshold, mx.samples, my.samples) == want
+            assert bp._product_gap_fraction(g.values, threshold, mx.samples, my.samples, mask) == want
+            assert np.array_equal(mask, g.values < threshold)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                conjugate_field(g)
+            messages.append([str(w.message) for w in caught])
+        assert messages[0] == messages[1]
+        assert bool(messages[0]) == (want > bp.PRODUCT_WARN_FRACTION)
 
 
 class TestFisherNumeric:

@@ -414,6 +414,32 @@ class TestConjugateCheck:
         if true_xi:
             assert report.passed
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", [KL, KR, QuotientKind("l", 2), QuotientKind("r", 2)],
+                             ids=["l1", "r1", "l2", "r2"])
+    @pytest.mark.parametrize("mode", [FREE, BIP], ids=["free", "bipartite"])
+    def test_xi_on_both_sides_matches_fraction_oracle(self, monkeypatch, mode, kind, seed):
+        # every xi word mixes the sides, so in bipartite mode Z w is spliced at
+        # Z's left count; a random phi tells every misplaced letter apart
+        rng = random.Random(seed)
+        phi = rand_functional(rng, mode, 6)
+        asked = []
+        pair = phi._phi_pair
+        monkeypatch.setattr(phi, "_phi_pair", lambda word: asked.append(word) or pair(word))
+        letters = var_letters(mode)
+        terms = {}
+        while len(terms) < 3:
+            word = (lvar(rng.randint(1, 2)), rvar(rng.randint(1, 2)))[::rng.choice((1, -1))]
+            extra = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
+            terms[extra[:1] + word + extra[1:]] = rand_frac(rng)
+        xi = NCPolynomial(terms)
+        report = conjugate_check(phi, kind, xi, 2, mode)
+        assert report == conjugate_check_by_fractions(phi, kind, xi, 2, mode)
+        assert report.failures  # a random xi fails, so the left sides' values are compared
+        # phi normalizes what it is given, so only this shows a spliced word
+        # that is not a normal form
+        assert asked and all(normal_form(w, mode) == w for w in asked)
+
     def test_degree_bound_raises_before_phi_is_read(self):
         # without the early check, the 5,461 words of degree <= 6 would be
         # checked before phi(Z xi) reached degree 8, past the bound
