@@ -22,11 +22,15 @@ with the dense kernel product to rounding (the tests hold it to 1e-12
 relative).
 
 Each block of rows is transformed and its field assembled while it is in
-cache.  The blocks run on up to four threads, one per CPU the process may
-use; the count is read from the CPU affinity at each call, nothing sets
-it, and the results do not depend on it: the fields are the same bits and
-``fisher_numeric`` adds its per-block sums in block order.
-``fisher_numeric`` forms no n x n field.
+cache; an x-axis block, a strip of columns of f, is read from one
+contiguous copy.  The blocks run on up to four threads, one per CPU the
+process may use; the count is read from the CPU affinity at each call,
+nothing sets it, and the results do not depend on it: the fields are the
+same bits and ``fisher_numeric`` adds its per-block sums in block order.
+``fisher_numeric`` forms no n x n field or mask.  The semicircular density
+is filled by row blocks on the same threads, and the share of the support
+product that carries no density is counted per row block; both are the
+same bits for any thread count.
 """
 
 from __future__ import annotations
