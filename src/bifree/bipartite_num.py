@@ -40,7 +40,7 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
@@ -107,6 +107,9 @@ class DensityGrid:
     wx: np.ndarray
     wy: np.ndarray
     raw_mass: float
+    # the largest value, kept from the checks of _own_grid, whose arrays are
+    # read-only; None on a grid built directly, whose max is read at each use
+    _peak: float | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def nx(self) -> int:
@@ -124,6 +127,9 @@ class DensityGrid:
         gx = self.wx * self.x ** px
         gy = self.wy * self.y ** py
         return float(gx @ self.values @ gy)
+
+    def _max(self) -> float:
+        return self._peak if self._peak is not None else float(self.values.max())
 
 
 def _check_uniform(points: np.ndarray, name: str) -> None:
@@ -162,7 +168,10 @@ def _own_grid(x: np.ndarray, y: np.ndarray, values: np.ndarray) -> DensityGrid:
     values /= raw_mass
     for arr in (x, y, values, wx, wy):
         arr.setflags(write=False)
-    return DensityGrid(x, y, values, wx, wy, raw_mass)
+    grid = DensityGrid(x, y, values, wx, wy, raw_mass)
+    # the largest quotient, bit for bit: dividing by a positive number is monotone
+    object.__setattr__(grid, "_peak", top / raw_mass)
+    return grid
 
 
 def grid_from_spec(spec: GridSpec, fn) -> DensityGrid:
@@ -307,7 +316,7 @@ class _AxisKernel:
     eps/2 minus k at eps under ``richardson``.  Its first column
     k(points - points[0]), odd in the offset, fills a circulant of the
     smallest 5-smooth length >= 2n - 1, whose spectrum ``rows`` applies to a
-    block of rows by ``rfft``."""
+    block of rows by ``rfft`` of a zero-tailed pad."""
 
     weights: np.ndarray
     size: int
@@ -330,12 +339,24 @@ class _AxisKernel:
         circulant[size - n + 1:] = -profile[:0:-1]
         return cls(weights, size, np.fft.rfft(circulant))
 
-    def rows(self, values: np.ndarray) -> np.ndarray:
+    def pad(self, rows: int = 1) -> np.ndarray:
+        """A zero array of ``rows`` rows of ``size`` columns, for ``rows`` to fill."""
+        return np.zeros((rows, self.size))
+
+    def rows(self, values: np.ndarray, pad: np.ndarray | None = None) -> np.ndarray:
         """``out[r, i] = sum_j k(points[i] - points[j]) weights[j] values[r, j]``
-        for a block of rows (a 2-D view of any strides)."""
-        block = np.fft.rfft(np.multiply(values, self.weights, order="C"), self.size)
+        for a block of rows (a 2-D view of any strides).
+
+        ``values * weights`` is written into the first n columns of the
+        block's rows of ``pad`` (a fresh one if none is given), whose tail
+        stays zero, so a pad can serve block after block; the result is a
+        fresh array."""
+        n = self.weights.size
+        pad = self.pad(values.shape[0]) if pad is None else pad[:values.shape[0]]
+        np.multiply(values, self.weights, out=pad[:, :n])
+        block = np.fft.rfft(pad)
         block *= self.spectrum
-        return np.fft.irfft(block, self.size)[:, :self.weights.size]
+        return np.fft.irfft(block, self.size)[:, :n]
 
 
 def hilbert_pv(density: MarginalDensity, eps: float | None = None) -> np.ndarray:
@@ -380,13 +401,17 @@ class ConjugateField:
 class _FieldAxis:
     """One axis of the field formula.  ``values`` holds the slices of f
     along the axis as rows (f itself for y, its transpose for x); ``f`` and
-    ``h`` are the axis's marginal and the marginal's kernel transform."""
+    ``h`` are the axis's marginal and the marginal's kernel transform.
+    ``pads`` gives each thread that runs blocks of this axis its own
+    kernel pad, made at its first block; the axis, and with it every pad,
+    lives for one call."""
 
     kernel: _AxisKernel
     values: np.ndarray
     f: np.ndarray
     h: np.ndarray
     threshold: float
+    pads: threading.local = field(default_factory=threading.local, compare=False, repr=False)
 
     def xi(self, part: slice) -> tuple[np.ndarray, np.ndarray]:
         """A block of rows of ``values`` as one contiguous copy (on the x axis,
@@ -397,12 +422,17 @@ class _FieldAxis:
         if not values.flags.c_contiguous:
             # copied in the order it is stored, then transposed while in cache
             values = np.ascontiguousarray(values.copy(order="K"))
-        xi = self.kernel.rows(values)
+        pad = getattr(self.pads, "pad", None)
+        if pad is None:
+            pad = self.pads.pad = self.kernel.pad(_FFT_ROWS)
+        xi = self.kernel.rows(values, pad)
         xi *= self.f
         low = values < self.threshold
-        np.divide(xi, values, out=xi, where=~low)
+        # divided everywhere, masked points included, and zeroed after
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            xi /= values
         xi += self.h
-        xi[low] = 0.0
+        np.copyto(xi, 0.0, where=low)
         return values, xi
 
 
@@ -436,7 +466,7 @@ def _field_axes(
     eps_y = cfg.eps if cfg.eps is not None else float(g.y[1] - g.y[0])
     marg_x, marg_y = marginals(g)
     fx, fy = marg_x.samples, marg_y.samples
-    threshold = MASK_THRESHOLD * float(g.values.max())
+    threshold = MASK_THRESHOLD * g._max()
     axes = []
     for values, points, weights, eps, f, name in (
         (g.values.T, g.x, g.wx, eps_x, fx, "x"),

@@ -11,7 +11,16 @@ from functools import lru_cache
 import numpy as np
 from hypothesis import strategies as st
 
-from bifree.bipartite_num import MASK_THRESHOLD, DensityGrid, GridSpec, grid_from_spec
+from bifree.bipartite_num import (
+    _FFT_ROWS,
+    MASK_THRESHOLD,
+    DensityGrid,
+    FieldConfig,
+    GridSpec,
+    _AxisKernel,
+    grid_from_spec,
+    marginals,
+)
 from bifree.bnclattice import (
     BNCPartition,
     _inverse_perm,
@@ -516,6 +525,47 @@ def conjugate_field_by_matrix(g: DensityGrid, eps_x: float, eps_y: float, richar
     xi_left = np.where(mask, 0.0, hx[:, None] + fx[:, None] * gx / safe)
     xi_right = np.where(mask, 0.0, hy[None, :] + fy[None, :] * gy / safe)
     return xi_left, xi_right, mask
+
+
+def fields_by_allocating_blocks(g: DensityGrid, cfg: FieldConfig):
+    """(xi_left, xi_right, mask, fisher) by the block path of ``bipartite_num``
+    with a fresh array at every step: ``rfft(x, n)`` pads each block itself,
+    the divide skips the masked points and a boolean index zeroes them.
+    ``fisher`` adds the per-block quadratures in block order, x axis first."""
+    eps_x = cfg.eps if cfg.eps is not None else float(g.x[1] - g.x[0])
+    eps_y = cfg.eps if cfg.eps is not None else float(g.y[1] - g.y[0])
+    marg_x, marg_y = marginals(g)
+    threshold = MASK_THRESHOLD * float(g.values.max())
+    fields, sums = [], []
+    for values_all, points, weights, eps, f, across, name in (
+        (g.values.T, g.x, g.wx, eps_x, marg_x.samples, g.wy, "x"),
+        (g.values, g.y, g.wy, eps_y, marg_y.samples, g.wx, "y"),
+    ):
+        kernel = _AxisKernel.build(points, weights, eps, cfg.richardson, name)
+
+        def rows(v):
+            block = np.fft.rfft(np.multiply(v, weights, order="C"), kernel.size)
+            block *= kernel.spectrum
+            return np.fft.irfft(block, kernel.size)[:, :points.size]
+
+        h = rows(f[None, :])[0]
+        field = np.empty(values_all.shape)
+        for start in range(0, values_all.shape[0], _FFT_ROWS):
+            part = slice(start, start + _FFT_ROWS)
+            values = np.ascontiguousarray(values_all[part])
+            xi = rows(values)
+            xi *= f
+            low = values < threshold
+            np.divide(xi, values, out=xi, where=~low)
+            xi += h
+            xi[low] = 0.0
+            field[part] = xi
+            integrand = xi * xi
+            integrand *= values
+            sums.append(float(across[part] @ (integrand @ weights)))
+        fields.append(field)
+    mask = g.values < threshold
+    return np.ascontiguousarray(fields[0].T), fields[1], mask, sum(sums)
 
 
 def product_gap_fraction_by_outer(g: DensityGrid) -> float:

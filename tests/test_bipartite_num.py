@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import bifree.bipartite_num as bp
 from bifree.bipartite_num import (
+    DensityGrid,
     FieldConfig,
     _AxisKernel,
     _smooth_length,
@@ -39,6 +40,7 @@ from bifree.bipartite_num import (
 )
 from helpers import (
     conjugate_field_by_matrix,
+    fields_by_allocating_blocks,
     hilbert_rows_by_matrix,
     product_gap_fraction_by_outer,
     semicircular_density_by_broadcast,
@@ -49,6 +51,12 @@ def assert_rel_close(got, want, rtol=1e-12):
     """Max-norm agreement relative to the largest entry of ``want``."""
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def bits(a):
+    """The array's bit patterns, so that -0.0 and 0.0 differ."""
+    a = np.ascontiguousarray(a)
+    return a.view(f"u{a.dtype.itemsize}")
 
 
 def uniform_grid(n=64):
@@ -150,6 +158,33 @@ class TestDensityGrid:
         again = make_density_grid(g.x, g.y, given)
         assert np.array_equal(given, kept)  # the caller's array is not written
         assert np.array_equal(again.values, g.values)
+
+    def test_kept_peak_is_the_max(self, tmp_path):
+        gaussian = grid_from_spec(
+            GridSpec(150, 97, -3.0, 1.0, -0.5, 4.5),
+            lambda x, y: np.exp(-((x + 1) ** 2) - (y - 2) ** 2 + 0.4 * (x + 1) * (y - 2)))
+        semi = semicircular_density(0.5, GridSpec(257, 257))
+        save_density(semi, str(tmp_path / "semi.json"))
+        save_density_csv(gaussian, str(tmp_path / "g.json"), str(tmp_path / "g.csv"))
+        # rounding-size negatives, clipped to zero
+        clipped = grid_from_spec(GridSpec(40, 33, -2.5, 2.0, -1.0, 3.0),
+                                 lambda x, y: np.where(x * y > 0, x * y, -1e-14 * (1.0 + x * x)))
+        assert clipped.values.min() == 0.0
+        for g in (semi, gaussian, clipped, load_density(str(tmp_path / "semi.json")),
+                  load_density_csv(str(tmp_path / "g.json"), str(tmp_path / "g.csv"))):
+            assert g._peak is not None
+            assert g._peak == g.values.max()
+            assert g._max() == g._peak
+
+    def test_grid_built_directly_reads_its_max(self):
+        g = semicircular_density(0.3, GridSpec(40, 33))
+        values = np.array(g.values)
+        direct = DensityGrid(g.x, g.y, values, g.wx, g.wy, g.raw_mass)
+        assert direct._peak is None
+        assert direct._max() == g._peak
+        assert np.array_equal(conjugate_field(direct).mask, conjugate_field(g).mask)
+        values[0, 0] = 2 * g._peak  # writable: the max is read again at each use
+        assert direct._max() == 2 * g._peak
 
     def test_json_text_built_by_rows(self, tmp_path):
         g = semicircular_density(0.3, GridSpec(33, 20))
@@ -505,11 +540,58 @@ class TestBlockThreads:
         one_field, one_fisher = self.run(monkeypatch, 1, g, richardson)
         three_field, three_fisher = self.run(monkeypatch, 3, g, richardson)
         for name in ("xi_left", "xi_right", "mask"):
-            assert np.array_equal(getattr(one_field, name), getattr(three_field, name))
-        assert one_fisher == three_fisher
+            assert np.array_equal(bits(getattr(one_field, name)), bits(getattr(three_field, name)))
+        assert bits(np.float64(one_fisher)) == bits(np.float64(three_fisher))
         # the blocks of the one field are the fields' rows: same quadrature up to rounding
         want = float(g.wx @ ((one_field.xi_left ** 2 + one_field.xi_right ** 2) * g.values) @ g.wy)
         assert one_fisher == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("richardson", [False, True])
+    @pytest.mark.parametrize("case", sorted(GRIDS) + ["1024x1000"])
+    def test_same_bits_as_allocating_blocks(self, monkeypatch, case, richardson):
+        if case == "1024x1000":
+            g = semicircular_density(0.5, GridSpec(1024, 1000))
+        else:
+            g = self.GRIDS[case]()
+        *want, want_fisher = fields_by_allocating_blocks(g, FieldConfig(richardson=richardson))
+        for threads in (1, 3):
+            field, fisher = self.run(monkeypatch, threads, g, richardson)
+            for got, expected in zip((field.xi_left, field.xi_right, field.mask), want):
+                assert np.array_equal(bits(got), bits(expected))
+            assert bits(np.float64(fisher)) == bits(np.float64(want_fisher))
+
+    def test_fft_inputs_are_zero_tailed_pads(self, monkeypatch):
+        """Every kernel row reaches rfft as a row of ``size`` columns, zero
+        past the axis's n, with no ``n=``; one thread runs two grids in turn,
+        and each result equals a fresh call's."""
+        grids = [self.GRIDS["non-square"](), self.GRIDS["semicircular"]()]
+        lengths = {}  # kernel size -> axis length; the sizes here differ
+        for g in grids:
+            for n in (g.nx, g.ny):
+                lengths[_smooth_length(2 * n - 1)] = n
+        calls = []
+        rfft = np.fft.rfft
+
+        def spy(a, *args, **kwargs):
+            if np.ndim(a) == 2:  # rows of a block or of a marginal; the circulant is 1-D
+                assert not args and not kwargs
+                assert a.shape[1] in lengths
+                assert not a[:, lengths[a.shape[1]]:].any()
+                calls.append(a.shape)
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(bp, "_thread_count", lambda: 1)
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        got = [(conjugate_field(g), fisher_numeric(g)) for g in grids]
+        monkeypatch.setattr(np.fft, "rfft", rfft)
+        # the marginal's row and every block, on each axis, in each of the two calls
+        assert len(calls) == sum(
+            2 * (2 + len(bp._row_blocks(g.nx)) + len(bp._row_blocks(g.ny))) for g in grids)
+        fresh = [(conjugate_field(g), fisher_numeric(g)) for g in reversed(grids)][::-1]
+        for (field, fisher), (want_field, want_fisher) in zip(got, fresh):
+            for name in ("xi_left", "xi_right", "mask"):
+                assert np.array_equal(bits(getattr(field, name)), bits(getattr(want_field, name)))
+            assert bits(np.float64(fisher)) == bits(np.float64(want_fisher))
 
     def test_blocks_run_on_several_threads(self, monkeypatch):
         seen = set()
