@@ -27,10 +27,14 @@ contiguous copy.  The blocks run on up to four threads, one per CPU the
 process may use; the count is read from the CPU affinity at each call,
 nothing sets it, and the results do not depend on it: the fields are the
 same bits and ``fisher_numeric`` adds its per-block sums in block order.
-``fisher_numeric`` forms no n x n field or mask.  The semicircular density
-is filled by row blocks on the same threads, and the share of the support
-product that carries no density is counted per row block; both are the
-same bits for any thread count.
+``fisher_numeric`` forms no n x n field or mask.  Each thread writes the
+weighted rows of its blocks into one pad per axis, made at its first block
+and dropped with the call, whose columns past n stay zero, so the FFT reads
+the circulant's length without a padded copy per block; the field quotient
+is taken at every point of a block and the masked points are zeroed after.
+The semicircular density is filled by row blocks on the same threads, and
+the share of the support product that carries no density is counted per
+row block; all of these are the same bits for any thread count.
 """
 
 from __future__ import annotations
@@ -339,10 +343,6 @@ class _AxisKernel:
         circulant[size - n + 1:] = -profile[:0:-1]
         return cls(weights, size, np.fft.rfft(circulant))
 
-    def pad(self, rows: int = 1) -> np.ndarray:
-        """A zero array of ``rows`` rows of ``size`` columns, for ``rows`` to fill."""
-        return np.zeros((rows, self.size))
-
     def rows(self, values: np.ndarray, pad: np.ndarray | None = None) -> np.ndarray:
         """``out[r, i] = sum_j k(points[i] - points[j]) weights[j] values[r, j]``
         for a block of rows (a 2-D view of any strides).
@@ -352,7 +352,8 @@ class _AxisKernel:
         stays zero, so a pad can serve block after block; the result is a
         fresh array."""
         n = self.weights.size
-        pad = self.pad(values.shape[0]) if pad is None else pad[:values.shape[0]]
+        rows = values.shape[0]
+        pad = np.zeros((rows, self.size)) if pad is None else pad[:rows]
         np.multiply(values, self.weights, out=pad[:, :n])
         block = np.fft.rfft(pad)
         block *= self.spectrum
@@ -424,7 +425,7 @@ class _FieldAxis:
             values = np.ascontiguousarray(values.copy(order="K"))
         pad = getattr(self.pads, "pad", None)
         if pad is None:
-            pad = self.pads.pad = self.kernel.pad(_FFT_ROWS)
+            pad = self.pads.pad = np.zeros((_FFT_ROWS, self.kernel.size))
         xi = self.kernel.rows(values, pad)
         xi *= self.f
         low = values < self.threshold
