@@ -111,9 +111,6 @@ class DensityGrid:
     wx: np.ndarray
     wy: np.ndarray
     raw_mass: float
-    # the largest value, kept from the checks of _own_grid, whose arrays are
-    # read-only; None on a grid built directly, whose max is read at each use
-    _peak: float | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def nx(self) -> int:
@@ -131,9 +128,6 @@ class DensityGrid:
         gx = self.wx * self.x ** px
         gy = self.wy * self.y ** py
         return float(gx @ self.values @ gy)
-
-    def _max(self) -> float:
-        return self._peak if self._peak is not None else float(self.values.max())
 
 
 def _check_uniform(points: np.ndarray, name: str) -> None:
@@ -172,10 +166,7 @@ def _own_grid(x: np.ndarray, y: np.ndarray, values: np.ndarray) -> DensityGrid:
     values /= raw_mass
     for arr in (x, y, values, wx, wy):
         arr.setflags(write=False)
-    grid = DensityGrid(x, y, values, wx, wy, raw_mass)
-    # the largest quotient, bit for bit: dividing by a positive number is monotone
-    object.__setattr__(grid, "_peak", top / raw_mass)
-    return grid
+    return DensityGrid(x, y, values, wx, wy, raw_mass)
 
 
 def grid_from_spec(spec: GridSpec, fn) -> DensityGrid:
@@ -343,17 +334,16 @@ class _AxisKernel:
         circulant[size - n + 1:] = -profile[:0:-1]
         return cls(weights, size, np.fft.rfft(circulant))
 
-    def rows(self, values: np.ndarray, pad: np.ndarray | None = None) -> np.ndarray:
+    def rows(self, values: np.ndarray, pad: np.ndarray) -> np.ndarray:
         """``out[r, i] = sum_j k(points[i] - points[j]) weights[j] values[r, j]``
         for a block of rows (a 2-D view of any strides).
 
         ``values * weights`` is written into the first n columns of the
-        block's rows of ``pad`` (a fresh one if none is given), whose tail
-        stays zero, so a pad can serve block after block; the result is a
-        fresh array."""
+        block's rows of ``pad``, at least as many rows of ``size`` columns
+        whose tail is zero and stays so; a pad can serve block after block,
+        and the result is a fresh array."""
         n = self.weights.size
-        rows = values.shape[0]
-        pad = np.zeros((rows, self.size)) if pad is None else pad[:rows]
+        pad = pad[:values.shape[0]]
         np.multiply(values, self.weights, out=pad[:, :n])
         block = np.fft.rfft(pad)
         block *= self.spectrum
@@ -371,7 +361,7 @@ def hilbert_pv(density: MarginalDensity, eps: float | None = None) -> np.ndarray
     """
     eps = density.spacing if eps is None else eps
     kernel = _AxisKernel.build(density.x, density.weights, eps, False, "x")
-    return kernel.rows(density.samples[None, :])[0]
+    return kernel.rows(density.samples[None, :], np.zeros((1, kernel.size)))[0]
 
 
 #: Density below this fraction of its maximum is masked: the fields are zero there.
@@ -467,14 +457,14 @@ def _field_axes(
     eps_y = cfg.eps if cfg.eps is not None else float(g.y[1] - g.y[0])
     marg_x, marg_y = marginals(g)
     fx, fy = marg_x.samples, marg_y.samples
-    threshold = MASK_THRESHOLD * g._max()
+    threshold = MASK_THRESHOLD * float(g.values.max())
     axes = []
     for values, points, weights, eps, f, name in (
         (g.values.T, g.x, g.wx, eps_x, fx, "x"),
         (g.values, g.y, g.wy, eps_y, fy, "y"),
     ):
         kernel = _AxisKernel.build(points, weights, eps, cfg.richardson, name)
-        h = kernel.rows(f[None, :])[0]
+        h = kernel.rows(f[None, :], np.zeros((1, kernel.size)))[0]
         axes.append(_FieldAxis(kernel, values, f, h, threshold))
 
     gap_fraction = _product_gap_fraction(g.values, threshold, fx, fy, mask)
