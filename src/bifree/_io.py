@@ -23,7 +23,7 @@ def read_fields(data, what: str, converters: Mapping[str, Callable], defaults: M
             raise ValueError(f"{what} JSON field {key!r} is missing")
         try:
             fields[key] = convert(data[key] if key in data else defaults[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{what} JSON field {key!r} is malformed: {exc}") from None
     return fields
 

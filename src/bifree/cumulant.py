@@ -1,9 +1,11 @@
 """Moment functionals, partitioned moments, and cumulants over bi-non-crossing lattices.
 
 A moment functional assigns an exact rational to every word up to a degree
-bound.  It can be backed by an explicit word table or by a cumulant
-specification (a map from letter patterns to rationals), in which case
-moments sum block-factored cumulants by first-block recursion:
+bound.  Every functional reads one memo of reduced pairs (below), keyed by
+checked normal forms, through ``MomentFunctional._phi_pair``.  An explicit
+word table fills the memo at construction and answers a miss with 0.  A
+cumulant specification (a map from letter patterns to rationals) fills it
+on demand: moments sum block-factored cumulants by first-block recursion:
 phi(a_1...a_n) = sum over blocks V holding the first relabelled position of
 kappa_V times the moments of the gaps V leaves, each gap a subword answered
 by the functional's own memo.  ``moments_from_cumulants`` asks a fresh
@@ -49,9 +51,10 @@ from .ncalg import (
     AlgebraMode,
     Letter,
     NCPolynomial,
-    TensorPoly,
     Word,
+    mul,
     normal_form,
+    star,
 )
 
 #: A cumulant pattern: the ordered (side, index) pairs of the entries.
@@ -141,18 +144,38 @@ def _fold(sums: Mapping[int, int]) -> Pair:
 
 
 class MomentFunctional:
-    """Base class: a unital linear functional on words, exact and memoizable."""
+    """Base class: a unital linear functional on words, exact and memoized.
+
+    Every read goes through ``_phi_pair``: one memo from checked normal forms
+    to reduced (numerator, denominator) pairs, which a subclass fills at
+    construction and extends through ``_miss``.  ``phi`` turns a pair into a
+    ``Fraction``.
+    """
 
     mode: AlgebraMode
     degree_bound: int
+    _memo: dict[Word, Pair]
 
-    def phi(self, word: Word) -> Fraction:
+    def _miss(self, word: Word) -> Pair:
+        """The moment of a checked normal form that the memo does not hold."""
         raise NotImplementedError
 
+    def phi(self, word: Word) -> Fraction:
+        return Fraction(*self._phi_pair(word))
+
     def _phi_pair(self, word: Word) -> Pair:
-        """``phi(word)`` as a reduced pair; a memoizing subclass overrides it."""
-        value = self.phi(word)
-        return value.numerator, value.denominator
+        word = tuple(word)
+        cached = self._memo.get(word)  # keys are checked normal forms
+        if cached is not None:
+            return cached
+        word = normal_form(word, self.mode)
+        self._check_degree(len(word))
+        cached = self._memo.get(word)
+        if cached is not None:
+            return cached
+        self.mode.check_word(word)
+        value = self._memo[word] = self._miss(word)
+        return value
 
     def _check_degree(self, degree: int) -> None:
         if degree > self.degree_bound:
@@ -162,9 +185,6 @@ class MomentFunctional:
 
     def phi_poly(self, p: NCPolynomial) -> Fraction:
         return Fraction(*self._poly_pair(p.items()))
-
-    def phi_tensor(self, t: TensorPoly) -> Fraction:
-        return Fraction(*self._tensor_pair(t.items()))
 
     def _poly_pair(self, terms: Iterable[tuple[Word, Fraction]]) -> Pair:
         """The sum of c phi(w) over (w, c) terms, as a reduced pair."""
@@ -189,8 +209,6 @@ class MomentFunctional:
 
     def inner(self, a: NCPolynomial, b: NCPolynomial) -> Fraction:
         """Sesquilinear pairing <a, b> = phi(b* a) (rational coefficients)."""
-        from .ncalg import mul, star
-
         return self.phi_poly(mul(star(b), a, self.mode))
 
 
@@ -205,26 +223,21 @@ class TableMomentFunctional(MomentFunctional):
     ):
         self.mode = mode
         self.degree_bound = degree_bound
-        data: dict[Word, Fraction] = {}
+        memo: dict[Word, Pair] = {}
         for word, value in table.items():
             word = normal_form(tuple(word), mode)
             mode.check_word(word)
             if len(word) > degree_bound:
                 raise DegreeBoundError("table word exceeds degree bound")
-            data[word] = Fraction(value)
-        if data.get((), Fraction(1)) != 1:
+            value = Fraction(value)
+            memo[word] = (value.numerator, value.denominator)
+        if memo.get((), (1, 1)) != (1, 1):
             raise ValueError("the empty word must have moment 1")
-        data[()] = Fraction(1)
-        self._table = data
+        memo[()] = (1, 1)
+        self._memo = memo
 
-    def phi(self, word: Word) -> Fraction:
-        word = normal_form(tuple(word), self.mode)
-        self._check_degree(len(word))
-        value = self._table.get(word)
-        if value is None:
-            self.mode.check_word(word)
-            return Fraction(0)
-        return value
+    def _miss(self, word: Word) -> Pair:
+        return (0, 1)
 
 
 class CumulantMomentFunctional(MomentFunctional):
@@ -234,9 +247,7 @@ class CumulantMomentFunctional(MomentFunctional):
     (the bi-non-crossing lattice over the word's sides is NC(n) through
     ``sigma_chi``): each block V holding the first position contributes
     kappa_V times the moments of the gaps it leaves, and every gap moment is
-    read through the memo, which it fills on a miss.  The memo maps checked
-    normal forms to reduced (numerator, denominator) pairs; ``phi`` turns
-    one into a ``Fraction``.
+    read through the memo, which it fills on a miss.
     """
 
     def __init__(self, mode: AlgebraMode, spec: CumulantSpec):
@@ -245,7 +256,7 @@ class CumulantMomentFunctional(MomentFunctional):
         self.mode = mode
         self.spec = spec
         self.degree_bound = spec.degree_bound
-        self._memo: dict[Word, Pair] = {(): (1, 1)}
+        self._memo = {(): (1, 1)}
         self._kappas = {
             pattern: (value.numerator, value.denominator)
             for pattern, value in spec.entries.items()
@@ -253,28 +264,11 @@ class CumulantMomentFunctional(MomentFunctional):
         self._sizes = {len(pattern) for pattern in spec.entries}
         self._longest = max(self._sizes, default=0)
 
-    def phi(self, word: Word) -> Fraction:
-        return Fraction(*self._phi_pair(word))
-
-    def _phi_pair(self, word: Word) -> Pair:
-        word = tuple(word)
-        cached = self._memo.get(word)  # keys are checked normal forms
-        if cached is not None:
-            return cached
-        word = normal_form(word, self.mode)
-        self._check_degree(len(word))
-        cached = self._memo.get(word)
-        if cached is not None:
-            return cached
-        self.mode.check_word(word)
+    def _miss(self, word: Word) -> Pair:
         for letter in word:
             if letter.kind != VAR:
                 raise ValueError("cumulant-backed functionals cover variables only")
-        value = self._memo[word] = self._first_block_sum(word)
-        return value
-
-    def _first_block_sum(self, word: Word) -> Pair:
-        # a gap is the letters at relabelled positions i..j-1 read back in
+        # the first-block sum: a gap is the letters at relabelled positions i..j-1 read back in
         # original order; in bipartite normal form it is a normal form again
         # (lefts before rights), hence a memo key once computed
         perm = sigma_chi(tuple(l.side for l in word))

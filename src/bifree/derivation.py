@@ -14,6 +14,10 @@ on the canonical representative of each word, and the legs of a normal form
 are normal forms again: the prefix of a left target holds only lefts and the
 suffix of a right target only rights (the maps descend to the commutation
 quotient, which the test suite verifies).
+
+The quotients, the scalar identity, ``conjugate_check`` and the adjoints of
+the flipped quotients all take their terms from this one leg formula,
+``_legs``, and form no tensor product.
 """
 
 from __future__ import annotations
@@ -27,20 +31,14 @@ from .cumulant import MomentFunctional
 from .ncalg import (
     LEFT,
     RIGHT,
-    STRAIGHT,
     VAR,
     AlgebraMode,
     Letter,
     NCPolynomial,
     TensorPoly,
     Word,
-    mul,
     normal_form,
     normalize_poly,
-    star,
-    tensor_mul,
-    tensor_of,
-    tensor_swap,
 )
 
 
@@ -121,7 +119,9 @@ def scalar_identity_residual(p: NCPolynomial, mode: AlgebraMode) -> TensorPoly:
     For a bipartite polynomial P in the declared variables, the sum of the
     left-quotient commutators minus the leg-swapped sum of the right-quotient
     commutators equals P ⊗ 1 - 1 ⊗ P; the returned tensor is the left side
-    minus the right side and vanishes identically.
+    minus the right side and vanishes identically.  Each leg pair a ⊗ b of
+    the quotient in t gives the commutator terms a·t ⊗ b - a ⊗ t·b, read
+    from ``_legs`` and summed once.
     """
     if not mode.bipartite:
         raise ValueError("the scalar identity lives in bipartite mode")
@@ -129,23 +129,21 @@ def scalar_identity_residual(p: NCPolynomial, mode: AlgebraMode) -> TensorPoly:
         for letter in word:
             if letter.kind != VAR:
                 raise ValueError("the scalar identity covers variables only")
-    p = normalize_poly(p, mode)
-    one = NCPolynomial.one()
-    acc = TensorPoly.zero()
-    for i in range(1, mode.left_arity + 1):
-        x = NCPolynomial.from_letter(Letter(LEFT, i, VAR))
-        d = bifree_dq(p, QuotientKind(LEFT, i), mode)
-        acc = acc + tensor_mul(d, tensor_of(x, one), STRAIGHT, mode)
-        acc = acc - tensor_mul(tensor_of(one, x), d, STRAIGHT, mode)
-    right_sum = TensorPoly.zero()
-    for j in range(1, mode.right_arity + 1):
-        y = NCPolynomial.from_letter(Letter(RIGHT, j, VAR))
-        d = bifree_dq(p, QuotientKind(RIGHT, j), mode)
-        right_sum = right_sum + tensor_mul(d, tensor_of(y, one), STRAIGHT, mode)
-        right_sum = right_sum - tensor_mul(tensor_of(one, y), d, STRAIGHT, mode)
-    acc = acc - tensor_swap(right_sum)
-    acc = acc - (tensor_of(p, one) - tensor_of(one, p))
-    return acc
+    kinds = [QuotientKind(LEFT, i) for i in range(1, mode.left_arity + 1)]
+    kinds += [QuotientKind(RIGHT, j) for j in range(1, mode.right_arity + 1)]
+    pairs = []
+    for word, c in normalize_poly(p, mode).items():
+        mode.check_word(word)
+        for kind in kinds:
+            t = (kind.target,)
+            for a, b in _legs(word, kind):
+                at, tb = normal_form(a + t, mode), normal_form(t + b, mode)
+                if kind.side == LEFT:
+                    pairs += [((at, b), c), ((a, tb), -c)]
+                else:
+                    pairs += [((b, at), -c), ((tb, a), c)]
+        pairs += [((word, ()), -c), (((), word), c)]
+    return TensorPoly.from_pairs(pairs)
 
 
 # -- conjugate variables -------------------------------------------------------
@@ -279,15 +277,19 @@ def adjoint_apply(
     if not kind.flipped:
         raise ValueError("adjoint_apply takes a flipped quotient kind")
     mode = mode or phi.mode
+    mode.check_letter(kind.target)
+    for word, _ in xi.items():
+        mode.check_word(word)
     own_side = kind.side
     other_side = RIGHT if own_side == LEFT else LEFT
     terms = []
     for (u, v), coeff in eta.items():
         _validate_adjoint_leg(u, own_side, "first")
         _validate_adjoint_leg(v, other_side, "second")
-        main = mul(NCPolynomial.from_word(u + v), xi, mode)
-        terms.extend((w, coeff * c) for w, c in main.items())
-        # the correction: each term c a ⊗ b of dq(u*) takes away c phi(a*) b* v
-        for (a, b), c in bifree_dq(star(NCPolynomial.from_word(u)), kind, mode).items():
-            terms.append((normal_form(b[::-1] + v, mode), -coeff * c * phi.phi(a[::-1])))
+        mode.check_word(u + v)
+        terms.extend((normal_form(u + v + w, mode), coeff * c) for w, c in xi.items())
+        # the correction: each leg pair a ⊗ b of dq(u*) takes away phi(a*) b* v;
+        # u is single-sided, so u* is its own normal form
+        for a, b in _legs(u[::-1], kind):
+            terms.append((normal_form(b[::-1] + v, mode), -coeff * phi.phi(a[::-1])))
     return NCPolynomial.from_pairs(terms)

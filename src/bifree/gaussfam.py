@@ -341,7 +341,7 @@ def entropy_dimension(cov: Covariance) -> int:
     """
     if cov.size == 0:
         return 0
-    svals = np.linalg.svd(cov.A, compute_uv=False)
+    svals = np.abs(cov._eigs)  # a symmetric matrix's singular values
     top = float(svals.max(initial=0.0))
     if top == 0.0:
         return 0

@@ -340,11 +340,6 @@ def tensor_star(t: TensorPoly) -> TensorPoly:
     )
 
 
-def tensor_swap(t: TensorPoly) -> TensorPoly:
-    """Swap the two tensor legs without applying the involution."""
-    return TensorPoly.from_pairs((((w2, w1)), c) for (w1, w2), c in t.items())
-
-
 def normalize_tensor(t: TensorPoly, mode: AlgebraMode) -> TensorPoly:
     if not mode.bipartite:
         return t
@@ -377,6 +372,13 @@ def letter_from_token(token: str) -> Letter:
     return Letter(side, int(match.group(2)), kind)
 
 
+def _rational(token: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
+
+
 def _literal_terms(text: str) -> list[tuple[Fraction, list[Word]]]:
     """The terms of a polynomial or tensor literal as (coefficient, legs).
 
@@ -398,9 +400,9 @@ def _literal_terms(text: str) -> list[tuple[Fraction, list[Word]]]:
             continue
         if "*" in token:
             number, _, token = token.partition("*")
-            coeff *= Fraction(number)
+            coeff *= _rational(number)
         if _NUMBER_RE.match(token):
-            coeff *= Fraction(token)
+            coeff *= _rational(token)
         elif token:
             legs[-1].append(letter_from_token(token))
     return terms

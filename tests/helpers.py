@@ -35,7 +35,8 @@ from bifree.bnclattice import (
     sigma_chi,
 )
 from bifree.cumulant import TableMomentFunctional, moment_pi, pattern_of_letters
-from bifree.derivation import ConjugateReport, enumerate_words
+from bifree import derivation
+from bifree.derivation import ConjugateReport, QuotientKind, enumerate_words
 from bifree.ncalg import (
     LEFT,
     RIGHT,
@@ -49,6 +50,7 @@ from bifree.ncalg import (
     lvar,
     mul,
     normal_form,
+    normalize_poly,
     rsym,
     rvar,
     star,
@@ -139,6 +141,14 @@ def rand_psd_spectrum(
     eigs = np.zeros(k)
     eigs[:rank] = rng.uniform(lo, hi, size=rank)
     return (q * eigs) @ q.T
+
+
+def rank_by_svd(a: np.ndarray, tol: float) -> int:
+    """Numerical rank from a singular value decomposition of its own: the
+    singular values above ``tol`` times the largest."""
+    svals = np.linalg.svd(a, compute_uv=False)
+    top = float(svals.max(initial=0.0))
+    return int((svals > tol * top).sum()) if top else 0
 
 
 def all_set_partitions(k: int):
@@ -464,6 +474,25 @@ def adjoint_apply_by_tensors(phi, xi, eta, kind, mode=None) -> NCPolynomial:
             correction = correction + NCPolynomial.from_word(w2, c * phi.phi(w1))
         out = out + (main - correction).scale(coeff)
     return out
+
+
+def scalar_identity_residual_by_tensors(p: NCPolynomial, mode: AlgebraMode) -> TensorPoly:
+    """The scalar-identity residual by tensor products of the library's
+    quotients: the sum over t of d_t·(t ⊗ 1) - (1 ⊗ t)·d_t, the right
+    sum with its legs swapped, minus (P ⊗ 1 - 1 ⊗ P)."""
+    p = normalize_poly(p, mode)
+    one = NCPolynomial.one()
+    acc = TensorPoly.zero()
+    for side, arity in ((LEFT, mode.left_arity), (RIGHT, mode.right_arity)):
+        for i in range(1, arity + 1):
+            t = NCPolynomial.from_letter(Letter(side, i))
+            d = derivation.bifree_dq(p, QuotientKind(side, i), mode)
+            term = tensor_mul(d, tensor_of(t, one), STRAIGHT, mode)
+            term = term - tensor_mul(tensor_of(one, t), d, STRAIGHT, mode)
+            if side == RIGHT:
+                term = -TensorPoly.from_pairs(((w2, w1), c) for (w1, w2), c in term.items())
+            acc = acc + term
+    return acc - tensor_of(p, one) + tensor_of(one, p)
 
 
 def conjugate_check_by_fractions(phi, kind, xi, max_degree, mode=None) -> ConjugateReport:

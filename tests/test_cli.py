@@ -241,6 +241,12 @@ class TestDqCli:
     def test_bad_polynomial(self, capsys):
         assert main(["dq", "--side", "left", "--index", "1", "Q7"]) == 2
 
+    def test_zero_denominator_exits_2(self, capsys):
+        assert main(["dq", "3/0*X1", "--side", "left"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip() == "error: zero denominator in '3/0'"
+
 
 class TestCumulantCli:
     def test_pair_cumulant(self, spec_file, capsys):
@@ -253,6 +259,15 @@ class TestCumulantCli:
         assert main(["moments", "--spec", spec_file, "--word", "X1 Y1 X1 Y1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == "5/4"
+
+    def test_zero_denominator_in_spec_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        entry = {"pattern": [["l", 1], ["l", 1]], "value": "1/0"}
+        path.write_text(json.dumps({"n": 1, "m": 1, "entries": [entry]}))
+        assert main(["moments", "--spec", str(path), "--word", "X1 X1"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1 and "field 'value'" in err
 
     def test_moment_of_undeclared_letters_rejected(self, spec_file, capsys):
         assert main(["moments", "--spec", spec_file, "--word", "X5 Y7"]) == 2

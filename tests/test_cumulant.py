@@ -443,6 +443,20 @@ class TestFunctionals:
         with pytest.raises(ArityError):
             phi.phi((lvar(5), rvar(7)))
 
+    def test_table_checks_every_miss_and_keeps_checked_normal_forms(self):
+        # a rejected word stays out of the memo, so asking again raises again;
+        # what the memo holds is a reduced pair under a checked normal form
+        mode = bipartite_mode(1, 1)
+        phi = TableMomentFunctional(mode, {T + S: Fraction(4, 6), S: 0}, degree_bound=3)
+        for _ in range(2):
+            with pytest.raises(ArityError):
+                phi.phi((rvar(7), lvar(5)))
+            with pytest.raises(DegreeBoundError):
+                phi.phi(T + S * 3)
+        assert phi.phi(T + S) == Fraction(2, 3)
+        assert phi.phi(T + S + S) == 0
+        assert phi._memo == {(): (1, 1), S + T: (2, 3), S: (0, 1), S + S + T: (0, 1)}
+
     def test_cumulant_backed_degree_bound(self):
         spec, phi = semicircular_pair(HALF)
         with pytest.raises(DegreeBoundError):

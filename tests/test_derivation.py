@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifree.cumulant import CumulantMomentFunctional, DegreeBoundError, gaussian_cumulant_spec
+from bifree import derivation
+from bifree.cumulant import (
+    CumulantMomentFunctional,
+    DegreeBoundError,
+    TableMomentFunctional,
+    gaussian_cumulant_spec,
+)
 from bifree.derivation import (
     QuotientKind,
     adjoint_apply,
@@ -17,6 +23,7 @@ from bifree.derivation import (
 )
 from bifree.ncalg import (
     STRAIGHT,
+    ArityError,
     NCPolynomial,
     TensorPoly,
     bipartite_mode,
@@ -48,6 +55,7 @@ from helpers import (
     rand_functional,
     rand_poly,
     rand_word,
+    scalar_identity_residual_by_tensors,
     var_letters,
 )
 
@@ -305,6 +313,28 @@ class TestScalarIdentity:
         for _ in range(60):
             p = rand_poly(rng, BIP, letters, 4, 5)
             assert scalar_identity_residual(p, BIP).is_zero
+
+    def test_wrong_leg_formula_shows(self, monkeypatch):
+        # the residual is assembled from the legs alone: with the free
+        # quotient's legs in place of the two-faced ones it cannot vanish, and
+        # it must still equal the tensor products of the quotients it reads
+        def free_legs(word, kind):
+            return ((word[:pos], word[pos + 1:]) for pos, l in enumerate(word) if l == kind.target)
+
+        monkeypatch.setattr(derivation, "_legs", free_legs)
+        p = parse_poly("X1 Y1 X1", BIP)
+        residual = scalar_identity_residual(p, BIP)
+        assert not residual.is_zero
+        assert residual == scalar_identity_residual_by_tensors(p, BIP)
+        rng = random.Random(59)
+        for _ in range(30):
+            p = rand_poly(rng, BIP, var_letters(BIP), 4, 5)
+            assert scalar_identity_residual(p, BIP) == scalar_identity_residual_by_tensors(p, BIP)
+
+    def test_rejects_undeclared_variables(self):
+        for letter in (lvar(3), rvar(3)):
+            with pytest.raises(ArityError):
+                scalar_identity_residual(NCPolynomial.from_word((lvar(1), letter)), BIP)
 
     def test_rejects_free_mode(self):
         with pytest.raises(ValueError):
@@ -583,3 +613,23 @@ class TestAdjoint:
     def test_rejects_non_flipped(self):
         with pytest.raises(ValueError):
             adjoint_apply(self.phi, self.xi, TensorPoly.one(), KL)
+
+    def test_checks_xi_and_target_before_eta(self):
+        # xi and the target are checked once up front, so an empty eta does
+        # not let an undeclared letter through
+        with pytest.raises(ArityError):
+            adjoint_apply(self.phi, NCPolynomial.from_letter(lvar(2)), TensorPoly.zero(), KL_FLIP)
+        with pytest.raises(ArityError):
+            adjoint_apply(self.phi, self.xi, TensorPoly.zero(), QuotientKind("r", 2, flipped=True))
+
+    def test_correction_reads_phi_on_own_side_words(self):
+        # a table phi that is nonzero only on X1 and X1 X1 X1: the correction
+        # of X1^4 ⊗ Y1 takes phi(X1^k) times X1^(3-k) Y1 for each k
+        phi = TableMomentFunctional(self.mode, {(lvar(1),): 2, (lvar(1),) * 3: Fraction(-1, 3)})
+        eta = TensorPoly.from_words((lvar(1),) * 4, (rvar(1),))
+        expected = mul(NCPolynomial.from_word((lvar(1),) * 4 + (rvar(1),)), self.xi, self.mode)
+        expected = expected - NCPolynomial({(lvar(1), lvar(1), lvar(1), rvar(1)): 1,
+                                            (lvar(1), lvar(1), rvar(1)): 2,
+                                            (rvar(1),): Fraction(-1, 3)})
+        assert adjoint_apply(phi, self.xi, eta, KL_FLIP, self.mode) == expected
+        assert expected == adjoint_apply_by_tensors(phi, self.xi, eta, KL_FLIP, self.mode)

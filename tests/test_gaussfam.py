@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from bifree.cumulant import CumulantMomentFunctional, gaussian_cumulant_spec
 from bifree.derivation import QuotientKind, conjugate_check
 from bifree.gaussfam import (
     LOG_2PIE,
+    RANK_TOL,
     Covariance,
     NonConvergenceError,
     RankAmbiguityWarning,
@@ -26,7 +28,7 @@ from bifree.gaussfam import (
     gaussian_moment,
 )
 from bifree.ncalg import NCPolynomial, bipartite_mode, lvar, rvar
-from helpers import gaussian_moment_by_pairings, rand_psd, rand_psd_spectrum
+from helpers import gaussian_moment_by_pairings, rand_psd, rand_psd_spectrum, rank_by_svd
 
 
 def cov2(c):
@@ -511,6 +513,19 @@ class TestEntropyDimension:
         a = np.diag([1.0, 3e-8])
         with pytest.warns(RankAmbiguityWarning):
             entropy_dimension(Covariance(1, 1, a))
+
+    def test_kept_spectrum_gives_the_svd_rank(self):
+        # the singular values of a symmetric matrix are its eigenvalues'
+        # magnitudes, so the spectrum the covariance keeps decides the rank
+        rng = np.random.default_rng(59)
+        for _ in range(400):
+            k = int(rng.integers(1, 7))
+            n = int(rng.integers(0, k + 1))
+            scale = 10.0 ** rng.uniform(-8, 8)
+            cov = Covariance(n, k - n, scale * rand_psd(rng, k, rank=int(rng.integers(0, k + 1))))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankAmbiguityWarning)
+                assert entropy_dimension(cov) == rank_by_svd(cov.A, RANK_TOL)
 
     def test_limit_form_matches_rank(self):
         # nonzero eigenvalues kept away from 0 so the epsilon probes sit inside
