@@ -268,8 +268,8 @@ class CumulantMomentFunctional(MomentFunctional):
         for letter in word:
             if letter.kind != VAR:
                 raise ValueError("cumulant-backed functionals cover variables only")
-        # the first-block sum: a gap is the letters at relabelled positions i..j-1 read back in
-        # original order; in bipartite normal form it is a normal form again
+        # the first-block sum; a gap (relabelled positions i..j-1 read back in
+        # original order) of a bipartite normal form is a normal form again
         # (lefts before rights), hence a memo key once computed
         perm = sigma_chi(tuple(l.side for l in word))
         size = len(word)

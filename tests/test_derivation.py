@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifree import derivation
-from bifree.cumulant import (
-    CumulantMomentFunctional,
-    DegreeBoundError,
-    TableMomentFunctional,
-    gaussian_cumulant_spec,
-)
+from bifree.cumulant import CumulantMomentFunctional, DegreeBoundError, gaussian_cumulant_spec
 from bifree.derivation import (
     QuotientKind,
     adjoint_apply,
@@ -621,15 +616,3 @@ class TestAdjoint:
             adjoint_apply(self.phi, NCPolynomial.from_letter(lvar(2)), TensorPoly.zero(), KL_FLIP)
         with pytest.raises(ArityError):
             adjoint_apply(self.phi, self.xi, TensorPoly.zero(), QuotientKind("r", 2, flipped=True))
-
-    def test_correction_reads_phi_on_own_side_words(self):
-        # a table phi that is nonzero only on X1 and X1 X1 X1: the correction
-        # of X1^4 ⊗ Y1 takes phi(X1^k) times X1^(3-k) Y1 for each k
-        phi = TableMomentFunctional(self.mode, {(lvar(1),): 2, (lvar(1),) * 3: Fraction(-1, 3)})
-        eta = TensorPoly.from_words((lvar(1),) * 4, (rvar(1),))
-        expected = mul(NCPolynomial.from_word((lvar(1),) * 4 + (rvar(1),)), self.xi, self.mode)
-        expected = expected - NCPolynomial({(lvar(1), lvar(1), lvar(1), rvar(1)): 1,
-                                            (lvar(1), lvar(1), rvar(1)): 2,
-                                            (rvar(1),): Fraction(-1, 3)})
-        assert adjoint_apply(phi, self.xi, eta, KL_FLIP, self.mode) == expected
-        assert expected == adjoint_apply_by_tensors(phi, self.xi, eta, KL_FLIP, self.mode)
