@@ -7,11 +7,13 @@ bi-non-crossing when it becomes non-crossing after relabelling through the
 inverse of that permutation, so the lattice is isomorphic to NC(k).  This
 module enumerates the lattice (NC(k) generated with a stack of open blocks,
 then relabelled), computes the refinement order, joins (union-find and one
-stack pass that merges crossing blocks), the Mobius function (a
-Kreweras-complement product), and the bottom-block embedding used to expand
-products sitting in the last entry of a cumulant.  Sums of block-factored
-cumulants over the lattice (moments) live with the moment functionals in
-``cumulant``.
+stack pass that merges crossing blocks), the Mobius function, and the
+bottom-block embedding used to expand products sitting in the last entry of
+a cumulant.  mu(pi, 1_k) is a product over the Kreweras complement of pi:
+the NC(k) generator carries it face by face for every partition it yields,
+and ``mobius`` forms it from the blocks of each interval.  Sums of
+block-factored cumulants over the lattice (moments) live with the moment
+functionals in ``cumulant``.
 
 Everything is pure; enumeration is memoized per side sequence, so
 concurrent readers are safe.
@@ -47,9 +49,13 @@ def validate_chi(chi: Sequence[str]) -> ChiSeq:
 def sigma_chi(chi: Sequence[str]) -> tuple[int, ...]:
     """Permutation sending position j to the j-th entry of
     [left positions ascending, right positions descending] (all 1-based)."""
-    chi = validate_chi(chi)
-    lefts = [i + 1 for i, label in enumerate(chi) if label == "l"]
-    rights = [i + 1 for i, label in enumerate(chi) if label == "r"]
+    return _sigma(validate_chi(chi))
+
+
+def _sigma(chi: ChiSeq) -> tuple[int, ...]:
+    # sigma_chi of an already validated chi
+    lefts = [i for i, label in enumerate(chi, 1) if label == "l"]
+    rights = [i for i, label in enumerate(chi, 1) if label == "r"]
     return tuple(lefts + rights[::-1])
 
 
@@ -67,11 +73,22 @@ def canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
     return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
+def _checked_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
+    """``canonical_blocks`` of blocks that must each be a nonempty run of ints."""
+    out = []
+    for block in blocks:
+        block = tuple(block)
+        if not block or not all(isinstance(e, int) for e in block):
+            raise ValueError(f"a block must be a nonempty collection of ints, got {block!r}")
+        out.append(block)
+    return canonical_blocks(out)
+
+
 def is_bnc(blocks: Iterable[Iterable[int]], chi: Sequence[str]) -> bool:
     """Whether the given set partition of ``{1..len(chi)}`` is bi-non-crossing:
     relabelled, it must come through the non-crossing pass unmerged."""
     chi = validate_chi(chi)
-    blocks = canonical_blocks(blocks)
+    blocks = _checked_blocks(blocks)
     covered = sorted(e for b in blocks for e in b)
     if covered != list(range(1, len(chi) + 1)):
         raise ValueError("blocks must partition {1..k}")
@@ -80,7 +97,7 @@ def is_bnc(blocks: Iterable[Iterable[int]], chi: Sequence[str]) -> bool:
     return len(_noncrossing_join(len(chi), relabeled)) == len(blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BNCPartition:
     """A bi-non-crossing partition together with its side sequence."""
 
@@ -89,7 +106,7 @@ class BNCPartition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "chi", validate_chi(self.chi))
-        object.__setattr__(self, "blocks", canonical_blocks(self.blocks))
+        object.__setattr__(self, "blocks", _checked_blocks(self.blocks))
         if not is_bnc(self.blocks, self.chi):
             raise ValueError(f"partition {self.blocks} is not bi-non-crossing for {self.chi}")
 
@@ -122,66 +139,121 @@ def one_partition(chi: Sequence[str]) -> BNCPartition:
     return BNCPartition(chi, (tuple(range(1, len(chi) + 1)),))
 
 
-def _nc_partitions(k: int):
-    """Non-crossing partitions of {0..k-1} as tuples of ascending blocks,
-    ordered by first element, in the lex order of their restricted-growth
-    strings.  The blocks that can take the next element without crossing
-    form a stack of open blocks; giving the element to one of them closes
-    every block above it."""
-    blocks: list[tuple[int, ...]] = []
-    stack: list[int] = []  # indices of the open blocks, oldest first
+def catalan(k: int) -> int:
+    return math.comb(2 * k, k) // (k + 1)
 
-    def rec(i: int):
-        if i == k - 1:  # the last element: yield each choice directly
-            for b in stack:
+
+def _mu_top(n: int) -> tuple[int, ...]:
+    """mu(0_s, 1_s) = (-1)^(s-1) Cat(s-1) for s < n (0 at s = 0)."""
+    return (0,) + tuple((-1) ** (s - 1) * catalan(s - 1) for s in range(1, n))
+
+
+#: The factor of mu(pi, 1) that one Kreweras block of size s contributes.
+_MU_TOP = _mu_top(ENUMERATION_CAP + 1)
+
+
+def _nc_partitions(k: int):
+    """Non-crossing partitions pi of {0..k-1} with mu(pi, 1_k), as pairs
+    (blocks, mu): ascending blocks ordered by first element, in the lex order
+    of their restricted-growth strings.  The blocks that can take the next
+    element without crossing form a stack of open blocks; giving the element
+    to one of them closes every block above it.
+
+    mu is the product of (-1)^(s-1) Cat(s-1) over the block sizes s of the
+    Kreweras complement (Nica-Speicher, Lectures 9-10), whose points sit one
+    after each element.  ``faces[j]`` counts the points met so far in the
+    frontier face under stack level j-1 (``faces[0]`` the outer face).  When
+    an element joins open block d, the faces above d close into one Kreweras
+    block together with the point before the element; a new block adds that
+    point to the innermost face.  At the end the faces left and the last
+    point form the outer Kreweras block.
+
+    ``blocks`` is the generator's own list, changed in place on the next
+    step: every consumer reads it before asking for the next partition and
+    keeps no reference to it.
+    """
+    if k <= 1:
+        yield ([(0,)] if k else []), 1
+        return
+    mu_top = _MU_TOP if k < len(_MU_TOP) else _mu_top(k + 1)
+    blocks: list[tuple[int, ...]] = [(0,)]
+    stack = [0]  # indices of the open blocks, oldest first
+    faces = [0, 0]  # Kreweras points per frontier face, outermost first
+
+    def rec(i: int, mu: int, total: int):  # total = sum(faces)
+        if i == k - 1:  # the last element: close every face directly
+            inner = 0  # points in faces[:depth + 1]
+            for depth, b in enumerate(stack):
+                inner += faces[depth]
                 block = blocks[b]
                 blocks[b] = block + (i,)
-                yield tuple(blocks)
+                yield blocks, mu * mu_top[total - inner + 1] * mu_top[inner + 1]
                 blocks[b] = block
-            yield (*blocks, (i,))
+            blocks.append((i,))
+            yield blocks, mu * mu_top[total + 2]
+            blocks.pop()
             return
         for depth, b in enumerate(stack):
             above = stack[depth + 1:]
             del stack[depth + 1:]
+            closed = faces[depth + 1:]
+            del faces[depth + 1:]
+            faces.append(0)
+            size = sum(closed)
             block = blocks[b]
             blocks[b] = block + (i,)
-            yield from rec(i + 1)
+            yield from rec(i + 1, mu * mu_top[size + 1], total - size)
             blocks[b] = block
+            faces.pop()
+            faces.extend(closed)
             stack.extend(above)
+        faces[-1] += 1
+        faces.append(0)
         stack.append(len(blocks))
         blocks.append((i,))
-        yield from rec(i + 1)
+        yield from rec(i + 1, mu, total + 1)
         blocks.pop()
         stack.pop()
+        faces.pop()
+        faces[-1] -= 1
 
-    if k:
-        yield from rec(0)
-    else:
-        yield ()
+    yield from rec(1, 1, 0)
+
+
+_new = object.__new__
+_set_chi = BNCPartition.chi.__set__
+_set_blocks = BNCPartition.blocks.__set__
 
 
 def _unchecked(chi: ChiSeq, blocks: Blocks) -> BNCPartition:
     # construction bypass for partitions that are bi-non-crossing by build
-    part = object.__new__(BNCPartition)
-    part.__dict__.update(chi=chi, blocks=blocks)
+    part = _new(BNCPartition)
+    _set_chi(part, chi)
+    _set_blocks(part, blocks)
     return part
+
+
+class _Positions(dict):
+    """Relabelled block -> its original positions, ascending, made on first read."""
+
+    __slots__ = ("perm",)
+
+    def __init__(self, perm: tuple[int, ...]):
+        self.perm = perm
+
+    def __missing__(self, block: tuple[int, ...]) -> tuple[int, ...]:
+        value = self[block] = tuple(sorted(map(self.perm.__getitem__, block)))
+        return value
 
 
 @lru_cache(maxsize=None)
 def _enumerate_bnc_cached(chi: ChiSeq) -> tuple[BNCPartition, ...]:
-    perm = sigma_chi(chi)
-    original: dict[tuple[int, ...], tuple[int, ...]] = {}  # relabelled block -> positions
-    out = []
-    for blocks in _nc_partitions(len(chi)):
-        mapped = []
-        for block in blocks:
-            positions = original.get(block)
-            if positions is None:
-                positions = original[block] = tuple(sorted(perm[v] for v in block))
-            mapped.append(positions)
-        mapped.sort()  # disjoint blocks, so this orders them by first element
-        out.append(_unchecked(chi, tuple(mapped)))
-    return tuple(out)
+    relabel = _Positions(_sigma(chi)).__getitem__
+    # disjoint blocks, so sorting them orders them by first element
+    return tuple(
+        _unchecked(chi, tuple(sorted(map(relabel, blocks))))
+        for blocks, _ in _nc_partitions(len(chi))
+    )
 
 
 def enumerate_bnc(chi: Sequence[str]) -> tuple[BNCPartition, ...]:
@@ -191,10 +263,6 @@ def enumerate_bnc(chi: Sequence[str]) -> tuple[BNCPartition, ...]:
     if len(chi) > ENUMERATION_CAP:
         raise CapExceededError(f"|chi| = {len(chi)} exceeds cap {ENUMERATION_CAP}")
     return _enumerate_bnc_cached(chi)
-
-
-def catalan(k: int) -> int:
-    return math.comb(2 * k, k) // (k + 1)
 
 
 # -- join ------------------------------------------------------------------
@@ -245,11 +313,15 @@ def join(sigma: BNCPartition, pi: BNCPartition) -> BNCPartition:
     """Least upper bound inside the bi-non-crossing lattice: the finest
     non-crossing partition, in relabelled positions, above both."""
     _check_same_chi(sigma, pi)
-    perm = sigma_chi(sigma.chi)
-    inv = _inverse_perm(perm)
-    relabeled = [[inv[e - 1] - 1 for e in b] for b in sigma.blocks + pi.blocks]
+    perm = _sigma(sigma.chi)
+    rank = [0] * (len(perm) + 1)  # position -> relabelled index, from 0
+    for r, e in enumerate(perm):
+        rank[e] = r
+    # a singleton merges nothing in the union-find
+    relabeled = [[rank[e] for e in b] for b in sigma.blocks + pi.blocks if len(b) > 1]
     joined = _noncrossing_join(len(perm), relabeled)
-    return _unchecked(sigma.chi, tuple(sorted(tuple(sorted(perm[v] for v in b)) for b in joined)))
+    positions = (tuple(sorted(map(perm.__getitem__, b))) for b in joined)
+    return _unchecked(sigma.chi, tuple(sorted(positions)))
 
 
 # -- Mobius function --------------------------------------------------------
@@ -258,7 +330,9 @@ def join(sigma: BNCPartition, pi: BNCPartition) -> BNCPartition:
 def _kreweras_mobius(blocks: Iterable[Iterable[int]], n: int) -> int:
     """mu(sigma, 1_n) in NC(n), sigma given by its blocks over 0..n-1: the
     product of (-1)^(s-1) Cat(s-1) over the block sizes s of the Kreweras
-    complement sigma^-1 gamma_n (Nica-Speicher, Lectures 9-10)."""
+    complement sigma^-1 gamma_n (Nica-Speicher, Lectures 9-10).  For the
+    intervals of ``mobius``; ``_nc_partitions`` yields the same value for
+    every partition of NC(n)."""
     pred = list(range(n))  # sigma^-1, each block a cycle in increasing order
     for block in blocks:
         b = sorted(block)

@@ -11,8 +11,8 @@ kappa_V times the moments of the gaps V leaves, each gap a subword answered
 by the functional's own memo.  ``moments_from_cumulants`` asks a fresh
 free-mode functional for the moment of its single-letter arguments.  The
 inverse transform recovers cumulants from moments by Mobius inversion,
-summed over NC(k) in the relabelled order with the Kreweras product for
-mu(pi, 1) and one moment per distinct block.  The product-in-the-last-entry
+summed over NC(k) in the relabelled order with mu(pi, 1) carried by the
+NC(k) generator and one moment per distinct block.  The product-in-the-last-entry
 expansion searches only the interval below the embedded partition.
 
 Inside these sums an exact value is a reduced (numerator, denominator) pair
@@ -35,7 +35,6 @@ from .bnclattice import (
     CapExceededError,
     ChiSeq,
     _inverse_perm,
-    _kreweras_mobius,
     _nc_partitions,
     _unchecked,
     hat_embed,
@@ -319,8 +318,9 @@ def moment_pi(phi: MomentFunctional, pi: BNCPartition, args: Sequence[Word]) -> 
 def cumulant_chi(phi: MomentFunctional, chi: Sequence[str], args: Sequence[Word]) -> Fraction:
     """Mobius-inversion cumulant of the arguments against the functional: the
     sum over NC(k), in the relabelled order of ``sigma_chi``, of partitioned
-    moments times mu(pi, 1), the Kreweras product.  phi is asked once per
-    distinct block, and a term stops at its first zero factor."""
+    moments times mu(pi, 1), which the NC(k) generator yields with each
+    partition.  phi is asked once per distinct block, and a term stops at its
+    first zero factor."""
     chi = validate_chi(chi)
     if len(args) != len(chi):
         raise ValueError("argument count must match |chi|")
@@ -331,7 +331,7 @@ def cumulant_chi(phi: MomentFunctional, chi: Sequence[str], args: Sequence[Word]
     perm = sigma_chi(chi)
     moments: dict[tuple[int, ...], Pair] = {}  # relabelled block -> its moment
     sums: dict[int, int] = {}
-    for blocks in _nc_partitions(k):
+    for blocks, mu in _nc_partitions(k):
         num = den = 1
         for block in blocks:
             value = moments.get(block)
@@ -342,7 +342,7 @@ def cumulant_chi(phi: MomentFunctional, chi: Sequence[str], args: Sequence[Word]
             num *= value[0]
             den *= value[1]
         else:
-            sums[den] = sums.get(den, 0) + num * _kreweras_mobius(blocks, k)
+            sums[den] = sums.get(den, 0) + num * mu
     return Fraction(*_fold(sums))
 
 
@@ -404,7 +404,7 @@ def expand_product_last_entry(
     (split,) = [b for b in pi_hat.blocks if p in b]
     ordered = sorted(split, key=lambda e: inv[e - 1])
     out = []
-    for blocks in _nc_partitions(len(ordered)):
+    for blocks, _ in _nc_partitions(len(ordered)):
         parts = kept + [tuple(sorted(ordered[v] for v in b)) for b in blocks]
         sigma = _unchecked(extended, tuple(sorted(parts)))
         if join(sigma, bottom).blocks == pi_hat.blocks:

@@ -327,6 +327,42 @@ def noncrossing_rgs(k: int):
     yield from rec(0)
 
 
+def nc_partitions_by_stack(k: int):
+    """Non-crossing partitions of {0..k-1} as tuples of ascending blocks, in
+    the lex order of their restricted-growth strings, from a stack of open
+    blocks without the Mobius value: the enumeration order to keep."""
+    blocks: list[tuple[int, ...]] = []
+    stack: list[int] = []  # indices of the open blocks, oldest first
+
+    def rec(i: int):
+        if i == k - 1:  # the last element: yield each choice directly
+            for b in stack:
+                block = blocks[b]
+                blocks[b] = block + (i,)
+                yield tuple(blocks)
+                blocks[b] = block
+            yield (*blocks, (i,))
+            return
+        for depth, b in enumerate(stack):
+            above = stack[depth + 1:]
+            del stack[depth + 1:]
+            block = blocks[b]
+            blocks[b] = block + (i,)
+            yield from rec(i + 1)
+            blocks[b] = block
+            stack.extend(above)
+        stack.append(len(blocks))
+        blocks.append((i,))
+        yield from rec(i + 1)
+        blocks.pop()
+        stack.pop()
+
+    if k:
+        yield from rec(0)
+    else:
+        yield ()
+
+
 @lru_cache(maxsize=None)
 def noncrossing_rgs_table(k: int) -> tuple:
     return tuple(noncrossing_rgs(k))

@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import re
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
@@ -8,6 +12,8 @@ from hypothesis import strategies as st
 from bifree.bnclattice import (
     BNCPartition,
     CapExceededError,
+    _kreweras_mobius,
+    _nc_partitions,
     catalan,
     enumerate_bnc,
     hat_chi,
@@ -20,12 +26,15 @@ from bifree.bnclattice import (
     sigma_chi,
     zero_partition,
 )
+from bifree.cumulant import TableMomentFunctional, cumulant_chi
+from bifree.ncalg import free_mode, lvar, rvar
 from helpers import (
     all_set_partitions,
     bnc_partitions,
     is_bnc_by_pairs,
     join_by_closure,
     mobius_by_recursion,
+    nc_partitions_by_stack,
     noncrossing_rgs,
     rand_chi,
     rgs_bnc_blocks,
@@ -105,6 +114,83 @@ class TestEnumeration:
     def test_is_bnc_matches_pairwise_crossing_check(self, chi):
         for blocks in all_set_partitions(len(chi)):
             assert is_bnc(blocks, chi) == is_bnc_by_pairs(blocks, chi), (chi, blocks)
+
+
+class TestNCGenerator:
+    @pytest.mark.parametrize("k", range(12))
+    def test_mu_is_the_kreweras_product_in_the_stack_order(self, k):
+        got = [(tuple(blocks), mu) for blocks, mu in _nc_partitions(k)]
+        assert [blocks for blocks, _ in got] == list(nc_partitions_by_stack(k))
+        for blocks, mu in got:
+            assert mu == _kreweras_mobius(blocks, k), blocks
+
+    def test_mu_past_the_cap(self):
+        # the generator's own table of top values covers a split block of
+        # expand_product_last_entry longer than the enumeration cap
+        k = 13
+        for n, (blocks, mu) in enumerate(_nc_partitions(k)):
+            if n % 997 == 0:
+                assert mu == _kreweras_mobius(blocks, k), blocks
+
+    def test_enumerated_partitions_outlive_later_lattice_work(self):
+        chi = ("l", "r", "r", "l", "r", "l")
+        lattice = enumerate_bnc(chi)
+        before = [p.blocks for p in lattice]
+        assert len(set(before)) == catalan(len(chi))
+        enumerate_bnc(("r", "l") * 4)
+        word = (lvar(1), rvar(1), rvar(2), lvar(2), rvar(1), lvar(1))
+        table = {word[:j]: j for j in range(1, len(word) + 1)}
+        phi = TableMomentFunctional(free_mode(2, 2), table)
+        cumulant_chi(phi, tuple(l.side for l in word), [(l,) for l in word])
+        assert [p.blocks for p in lattice] == before
+        assert enumerate_bnc(chi) is lattice
+
+
+class TestBlockChecks:
+    @pytest.mark.parametrize("chi, blocks, bad", [
+        (("l",), ((), (1,)), "()"),
+        (("l", "r"), ((1, 2.0),), "(1, 2.0)"),
+        (("l", "r"), ((1,), ("2",)), "('2',)"),
+    ])
+    def test_malformed_block_is_named(self, chi, blocks, bad):
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            BNCPartition(chi, blocks)
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            is_bnc(blocks, chi)
+
+    def test_empty_block_in_a_list(self):
+        with pytest.raises(ValueError, match=re.escape("()")):
+            is_bnc([[]], "l")
+
+
+class TestSlottedPartition:
+    def test_frozen(self):
+        pi = enumerate_bnc(LRLR)[3]
+        with pytest.raises(FrozenInstanceError):
+            pi.blocks = ((1, 2, 3, 4),)
+        with pytest.raises(FrozenInstanceError):
+            pi.chi = ("l",) * 4
+        assert not hasattr(pi, "__dict__")
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for pi in enumerate_bnc(("r", "l", "l", "r")):
+            for copied in (pickle.loads(pickle.dumps(pi)), copy.deepcopy(pi)):
+                assert copied == pi and hash(copied) == hash(pi)
+                assert copied.chi == pi.chi and copied.blocks == pi.blocks
+
+    def test_unchecked_equals_checked(self):
+        rng = random.Random(31)
+        for k in range(1, 8):
+            chi = rand_chi(rng, k)
+            lattice = enumerate_bnc(chi)
+            built = [join(rng.choice(lattice), rng.choice(lattice)) for _ in range(10)]
+            for pi in lattice + tuple(built):
+                checked = BNCPartition(chi, pi.blocks)
+                assert pi == checked and hash(pi) == hash(checked)
+
+    def test_repr(self):
+        assert repr(enumerate_bnc(("l", "r", "l"))[2]) == "BNCPartition(lrl: {1,2}, {3})"
+        assert repr(BNCPartition(LRLR, ((2, 4), (1,), (3,)))) == "BNCPartition(lrlr: {1}, {2,4}, {3})"
 
 
 class TestJoin:

@@ -145,6 +145,21 @@ class TestCumulantChi:
         phi, chi, args = case
         assert cumulant_chi(phi, chi, args) == cumulant_by_lattice_sum(phi, chi, args)
 
+    def test_matches_lattice_sum_with_many_zero_moments(self):
+        # about half the table is zero, so many lattice terms stop early
+        rng = random.Random(44)
+        letters = (lvar(1), lvar(2), rvar(1), rvar(2))
+        for k in (1, 2, 5, 8):
+            word = [rng.choice(letters) for _ in range(k)]
+            table = {
+                tuple(word[i] for i in idx): rand_frac(rng) if rng.random() < 0.5 else 0
+                for r in range(1, k + 1)
+                for idx in combinations(range(k), r)
+            }
+            phi = TableMomentFunctional(free_mode(2, 2), table)
+            chi, args = tuple(l.side for l in word), [(l,) for l in word]
+            assert cumulant_chi(phi, chi, args) == cumulant_by_lattice_sum(phi, chi, args)
+
     def test_bipartite_commutation_invariance(self):
         # swapping an adjacent left-right pair of entries leaves kappa unchanged
         rng = random.Random(8)
