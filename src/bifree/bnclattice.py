@@ -87,12 +87,15 @@ def _checked_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
 def is_bnc(blocks: Iterable[Iterable[int]], chi: Sequence[str]) -> bool:
     """Whether the given set partition of ``{1..len(chi)}`` is bi-non-crossing:
     relabelled, it must come through the non-crossing pass unmerged."""
-    chi = validate_chi(chi)
-    blocks = _checked_blocks(blocks)
+    return _is_bnc(_checked_blocks(blocks), validate_chi(chi))
+
+
+def _is_bnc(blocks: Blocks, chi: ChiSeq) -> bool:
+    # is_bnc of checked blocks over a validated chi
     covered = sorted(e for b in blocks for e in b)
     if covered != list(range(1, len(chi) + 1)):
         raise ValueError("blocks must partition {1..k}")
-    inv = _inverse_perm(sigma_chi(chi))
+    inv = _inverse_perm(_sigma(chi))
     relabeled = [[inv[e - 1] - 1 for e in b] for b in blocks]
     return len(_noncrossing_join(len(chi), relabeled)) == len(blocks)
 
@@ -105,10 +108,12 @@ class BNCPartition:
     blocks: Blocks
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "chi", validate_chi(self.chi))
-        object.__setattr__(self, "blocks", _checked_blocks(self.blocks))
-        if not is_bnc(self.blocks, self.chi):
-            raise ValueError(f"partition {self.blocks} is not bi-non-crossing for {self.chi}")
+        chi = validate_chi(self.chi)
+        blocks = _checked_blocks(self.blocks)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "blocks", blocks)
+        if not _is_bnc(blocks, chi):
+            raise ValueError(f"partition {blocks} is not bi-non-crossing for {chi}")
 
     def leq(self, other: "BNCPartition") -> bool:
         """Refinement order: every block of ``self`` fits inside a block of ``other``."""
@@ -356,7 +361,7 @@ def mobius(sigma: BNCPartition, pi: BNCPartition) -> int:
     _check_same_chi(sigma, pi)
     if not sigma.leq(pi):
         raise ValueError("mobius requires sigma <= pi")
-    inv = _inverse_perm(sigma_chi(sigma.chi))
+    inv = _inverse_perm(_sigma(sigma.chi))
     value = 1
     for block in pi.blocks:
         rank = {e: r for r, e in enumerate(sorted(block, key=lambda e: inv[e - 1]))}
