@@ -10,10 +10,11 @@ phi(a_1...a_n) = sum over blocks V holding the first relabelled position of
 kappa_V times the moments of the gaps V leaves, each gap a subword answered
 by the functional's own memo.  ``moments_from_cumulants`` asks a fresh
 free-mode functional for the moment of its single-letter arguments.  The
-inverse transform recovers cumulants from moments by Mobius inversion,
-summed over NC(k) in the relabelled order with mu(pi, 1) carried by the
-NC(k) generator and one moment per distinct block.  The product-in-the-last-entry
-expansion searches only the interval below the embedded partition.
+inverse transform recovers cumulants from moments by Mobius inversion: the
+lattice walk of ``bnclattice`` visits NC(k) in the relabelled order with
+mu(pi, 1) and the blocks in positions, and phi is asked once per distinct
+block.  The product-in-the-last-entry expansion walks only the interval
+below the embedded partition.
 
 Inside these sums an exact value is a reduced (numerator, denominator) pair
 of ints with a positive denominator: terms are summed per denominator as
@@ -34,8 +35,8 @@ from .bnclattice import (
     BNCPartition,
     CapExceededError,
     ChiSeq,
+    _bnc_walk,
     _inverse_perm,
-    _nc_partitions,
     _unchecked,
     hat_embed,
     hat_zero,
@@ -318,9 +319,9 @@ def moment_pi(phi: MomentFunctional, pi: BNCPartition, args: Sequence[Word]) -> 
 def cumulant_chi(phi: MomentFunctional, chi: Sequence[str], args: Sequence[Word]) -> Fraction:
     """Mobius-inversion cumulant of the arguments against the functional: the
     sum over NC(k), in the relabelled order of ``sigma_chi``, of partitioned
-    moments times mu(pi, 1), which the NC(k) generator yields with each
-    partition.  phi is asked once per distinct block, and a term stops at its
-    first zero factor."""
+    moments times mu(pi, 1), which the lattice walk visits with each
+    partition's blocks in positions.  phi is asked once per distinct block,
+    and a term stops at its first zero factor."""
     chi = validate_chi(chi)
     if len(args) != len(chi):
         raise ValueError("argument count must match |chi|")
@@ -328,21 +329,22 @@ def cumulant_chi(phi: MomentFunctional, chi: Sequence[str], args: Sequence[Word]
     if k > ENUMERATION_CAP:
         raise CapExceededError(f"|chi| = {k} exceeds cap {ENUMERATION_CAP}")
     phi._check_degree(sum(len(w) for w in args))
-    perm = sigma_chi(chi)
-    moments: dict[tuple[int, ...], Pair] = {}  # relabelled block -> its moment
+    moments: dict[tuple[int, ...], Pair] = {}  # block of positions -> its moment
     sums: dict[int, int] = {}
-    for blocks, mu in _nc_partitions(k):
+
+    def visit(starts: list, mu: int) -> None:
         num = den = 1
-        for block in blocks:
+        for block in filter(None, starts):
             value = moments.get(block)
             if value is None:
-                value = moments[block] = phi._phi_pair(_block_word(args, [perm[v] for v in block]))
+                value = moments[block] = phi._phi_pair(_block_word(args, block))
             if not value[0]:
-                break
+                return
             num *= value[0]
             den *= value[1]
-        else:
-            sums[den] = sums.get(den, 0) + num * mu
+        sums[den] = sums.get(den, 0) + num * mu
+
+    _bnc_walk(sigma_chi(chi), visit)
     return Fraction(*_fold(sums))
 
 
@@ -404,11 +406,13 @@ def expand_product_last_entry(
     (split,) = [b for b in pi_hat.blocks if p in b]
     ordered = sorted(split, key=lambda e: inv[e - 1])
     out = []
-    for blocks, _ in _nc_partitions(len(ordered)):
-        parts = kept + [tuple(sorted(ordered[v] for v in b)) for b in blocks]
-        sigma = _unchecked(extended, tuple(sorted(parts)))
+
+    def visit(starts: list, mu: int) -> None:
+        sigma = _unchecked(extended, tuple(sorted(kept + list(filter(None, starts)))))
         if join(sigma, bottom).blocks == pi_hat.blocks:
             out.append(sigma)
+
+    _bnc_walk(ordered, visit)
     return tuple(out)
 
 

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from bifree.bnclattice import (
     BNCPartition,
     CapExceededError,
+    _bnc_walk,
     _kreweras_mobius,
-    _nc_partitions,
+    canonical_blocks,
     catalan,
     enumerate_bnc,
     hat_chi,
@@ -116,21 +117,44 @@ class TestEnumeration:
             assert is_bnc(blocks, chi) == is_bnc_by_pairs(blocks, chi), (chi, blocks)
 
 
+def walk(perm):
+    """(blocks, mu) for every partition ``_bnc_walk`` visits, blocks read off ``starts``."""
+    got = []
+    _bnc_walk(perm, lambda starts, mu: got.append((tuple(filter(None, starts)), mu)))
+    return got
+
+
 class TestNCGenerator:
     @pytest.mark.parametrize("k", range(12))
-    def test_mu_is_the_kreweras_product_in_the_stack_order(self, k):
-        got = [(tuple(blocks), mu) for blocks, mu in _nc_partitions(k)]
+    def test_identity_walk_is_the_stack_order_with_the_kreweras_mu(self, k):
+        got = walk(tuple(range(k)))
         assert [blocks for blocks, _ in got] == list(nc_partitions_by_stack(k))
         for blocks, mu in got:
             assert mu == _kreweras_mobius(blocks, k), blocks
 
     def test_mu_past_the_cap(self):
-        # the generator's own table of top values covers a split block of
+        # the walk's own table of top values covers a split block of
         # expand_product_last_entry longer than the enumeration cap
         k = 13
-        for n, (blocks, mu) in enumerate(_nc_partitions(k)):
+        for n, (blocks, mu) in enumerate(walk(tuple(range(k)))):
             if n % 997 == 0:
                 assert mu == _kreweras_mobius(blocks, k), blocks
+
+    def test_positions_are_read_through_the_perm(self):
+        # position sets other than 1..k, in any relabelled order, as
+        # expand_product_last_entry passes them
+        rng = random.Random(23)
+        for k in range(1, 9):
+            for _ in range(3):
+                perm = rng.sample(range(1, 3 * k + 1), k)
+                expected = [canonical_blocks([perm[v] for v in b] for b in blocks)
+                            for blocks in nc_partitions_by_stack(k)]
+                assert [blocks for blocks, _ in walk(perm)] == expected, perm
+
+    def test_equal_blocks_are_one_object(self):
+        lattice = enumerate_bnc(("r", "l", "r", "r", "l", "l", "r", "l", "r", "r"))
+        blocks = [b for p in lattice for b in p.blocks]
+        assert len({id(b) for b in blocks}) == len(set(blocks))
 
     def test_enumerated_partitions_outlive_later_lattice_work(self):
         chi = ("l", "r", "r", "l", "r", "l")
@@ -151,6 +175,7 @@ class TestBlockChecks:
         (("l",), ((), (1,)), "()"),
         (("l", "r"), ((1, 2.0),), "(1, 2.0)"),
         (("l", "r"), ((1,), ("2",)), "('2',)"),
+        (("l", "r"), ((True,), (2,)), "(True,)"),
     ])
     def test_malformed_block_is_named(self, chi, blocks, bad):
         with pytest.raises(ValueError, match=re.escape(bad)):
