@@ -26,7 +26,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 ChiSeq = tuple[str, ...]
 
@@ -160,7 +160,7 @@ def _mu_top(n: int) -> tuple[int, ...]:
 _MU_TOP = _mu_top(ENUMERATION_CAP + 1)
 
 
-def _bnc_walk(perm: Sequence[int], visit) -> None:
+def _bnc_walk(perm: Sequence[int], visit: Callable[[list, int], object]) -> None:
     """Call ``visit(starts, mu)`` for every non-crossing partition pi of the
     relabelled order 0..k-1, read back through ``perm`` (k = len(perm)) as
     blocks of positions, with mu(pi, 1_k).  ``starts[e]`` is the block whose
@@ -181,7 +181,8 @@ def _bnc_walk(perm: Sequence[int], visit) -> None:
     point form the outer Kreweras block.
 
     Every singleton is made once, and a block grows by position p through
-    one ``_Grown`` per p, so equal blocks are one object across the walk.
+    one dict per p (``_grown``), so equal blocks are one object across the
+    walk.
     ``starts`` is the walk's own list, changed in place after ``visit``
     returns: a visitor reads it and keeps no reference to it.
     """
@@ -193,7 +194,7 @@ def _bnc_walk(perm: Sequence[int], visit) -> None:
         visit(starts, 1)
         return
     mu_top = _MU_TOP if k < len(_MU_TOP) else _mu_top(k + 1)
-    levels = [(p, (p,), _Grown(p)) for p in perm]  # per element: its position, singleton, growth
+    levels = [(p, (p,), {}) for p in perm]  # per element: its position, singleton, growth
     stack = [levels[0][1]]  # the open blocks, oldest first
     starts[perm[0]] = stack[0]
     faces = [0, 0]  # Kreweras points per frontier face, outermost first
@@ -204,7 +205,7 @@ def _bnc_walk(perm: Sequence[int], visit) -> None:
             inner = 0  # points in faces[:depth + 1]
             for depth, block in enumerate(stack):
                 inner += faces[depth]
-                new = grow[block]
+                new = grow.get(block) or _grown(grow, block, p)
                 starts[block[0]] = None
                 starts[new[0]] = new
                 visit(starts, mu * mu_top[total - inner + 1] * mu_top[inner + 1])
@@ -221,7 +222,7 @@ def _bnc_walk(perm: Sequence[int], visit) -> None:
             del faces[depth + 1:]
             faces.append(0)
             size = sum(closed)
-            new = stack[depth] = grow[block]
+            new = stack[depth] = grow.get(block) or _grown(grow, block, p)
             starts[block[0]] = None
             starts[new[0]] = new
             rec(i + 1, mu * mu_top[size + 1], total - size)
@@ -243,18 +244,11 @@ def _bnc_walk(perm: Sequence[int], visit) -> None:
     rec(1, 1, 0)
 
 
-class _Grown(dict):
-    """Block -> the block with position ``p`` inserted, ascending, made on first read."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def __missing__(self, block: tuple[int, ...]) -> tuple[int, ...]:
-        j = bisect.bisect(block, self.p)
-        value = self[block] = block[:j] + (self.p,) + block[j:]
-        return value
+def _grown(grow: dict, block: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """``block`` with position p inserted, ascending, kept in ``grow`` under ``block``."""
+    j = bisect.bisect(block, p)
+    value = grow[block] = block[:j] + (p,) + block[j:]
+    return value
 
 
 _new = object.__new__

@@ -296,8 +296,9 @@ class CumulantMomentFunctional(MomentFunctional):
 
 
 def _block_word(args: Sequence[Word], block: Sequence[int]) -> Word:
+    # the arguments at the ascending positions of ``block``, multiplied in order
     out: list[Letter] = []
-    for position in sorted(block):
+    for position in block:
         out.extend(args[position - 1])
     return tuple(out)
 
