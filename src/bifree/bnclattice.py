@@ -182,9 +182,8 @@ def _bnc_walk(perm: Sequence[int], visit: Callable[[list, int], object]) -> None
 
     Every singleton is made once, and a block grows by position p through
     one dict per p (``_grown``), so equal blocks are one object across the
-    walk.
-    ``starts`` is the walk's own list, changed in place after ``visit``
-    returns: a visitor reads it and keeps no reference to it.
+    walk.  ``starts`` is the walk's own list, changed in place after
+    ``visit`` returns: a visitor reads it and keeps no reference to it.
     """
     k = len(perm)
     starts: list = [None] * (max(perm, default=-1) + 1)
