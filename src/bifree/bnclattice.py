@@ -17,12 +17,15 @@ block-factored cumulants over the lattice (moments) live with the moment
 functionals in ``cumulant``.
 
 Everything is pure; enumeration is memoized per side sequence, so
-concurrent readers are safe.
+concurrent readers are safe.  A cold enumeration pauses the cyclic
+collector and turns it back on only if it was on at entry, so a thread that
+turns it off while another thread's enumeration runs finds it on again after.
 """
 
 from __future__ import annotations
 
 import bisect
+import gc
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -184,6 +187,8 @@ def _bnc_walk(perm: Sequence[int], visit: Callable[[list, int], object]) -> None
     one dict per p (``_grown``), so equal blocks are one object across the
     walk.  ``starts`` is the walk's own list, changed in place after
     ``visit`` returns: a visitor reads it and keeps no reference to it.
+    The walk leaves no reference cycle, so its state and the visitor are
+    freed when it returns.
     """
     k = len(perm)
     starts: list = [None] * (max(perm, default=-1) + 1)
@@ -240,7 +245,10 @@ def _bnc_walk(perm: Sequence[int], visit: Callable[[list, int], object]) -> None
         faces.pop()
         faces[-1] -= 1
 
-    rec(1, 1, 0)
+    try:
+        rec(1, 1, 0)
+    finally:
+        del rec  # rec reaches itself through its closure cell
 
 
 def _grown(grow: dict, block: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -267,8 +275,14 @@ def _unchecked(chi: ChiSeq, blocks: Blocks) -> BNCPartition:
 def _enumerate_bnc_cached(chi: ChiSeq) -> tuple[BNCPartition, ...]:
     out: list[BNCPartition] = []
     append = out.append
-    _bnc_walk(_sigma(chi), lambda starts, mu: append(_unchecked(chi, tuple(filter(None, starts)))))
-    return tuple(out)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _bnc_walk(_sigma(chi), lambda starts, mu: append(_unchecked(chi, tuple(filter(None, starts)))))
+        return tuple(out)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def enumerate_bnc(chi: Sequence[str]) -> tuple[BNCPartition, ...]:
@@ -276,7 +290,9 @@ def enumerate_bnc(chi: Sequence[str]) -> tuple[BNCPartition, ...]:
     (the lex order of their relabelled restricted-growth strings).
 
     Every lattice is kept for the life of the process, equal blocks shared:
-    one of length 12 (208,012 partitions) holds about 31 MB."""
+    one of length 12 (208,012 partitions) holds about 31 MB.  A cold call
+    builds it with the cyclic collector paused, as no partition can form a
+    cycle, and leaves the collector on or off as it found it."""
     chi = validate_chi(chi)
     if len(chi) > ENUMERATION_CAP:
         raise CapExceededError(f"|chi| = {len(chi)} exceeds cap {ENUMERATION_CAP}")

@@ -1,7 +1,10 @@
 import copy
+import gc
 import pickle
 import random
 import re
+import threading
+import weakref
 from dataclasses import FrozenInstanceError
 from itertools import product
 
@@ -9,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bifree import bnclattice
 from bifree.bnclattice import (
     BNCPartition,
     CapExceededError,
     _bnc_walk,
+    _enumerate_bnc_cached,
     _kreweras_mobius,
     canonical_blocks,
     catalan,
@@ -50,6 +55,16 @@ def all_chis(k):
 
 def chis(max_size):
     return st.lists(st.sampled_from("lr"), min_size=1, max_size=max_size).map(tuple)
+
+
+@pytest.fixture
+def collector():
+    """Put the cyclic collector back as the test found it."""
+    was_enabled = gc.isenabled()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 class TestSigmaChi:
@@ -151,6 +166,22 @@ class TestNCGenerator:
                             for blocks in nc_partitions_by_stack(k)]
                 assert [blocks for blocks, _ in walk(perm)] == expected, perm
 
+    def test_the_visitor_is_freed_when_the_walk_returns(self, collector):
+        # with the collector off, only plain reference counting frees it,
+        # so a reference cycle left by the walk would keep it alive
+        gc.disable()
+        for perm in ((), (1,), (2, 1), tuple(range(1, 8))):
+            seen = []
+
+            def visit(starts, mu):
+                seen.append(mu)
+
+            ref = weakref.ref(visit)
+            _bnc_walk(perm, visit)
+            del visit
+            assert ref() is None, perm
+            assert len(seen) == catalan(len(perm))
+
     def test_equal_blocks_are_one_object(self):
         lattice = enumerate_bnc(("r", "l", "r", "r", "l", "l", "r", "l", "r", "r"))
         blocks = [b for p in lattice for b in p.blocks]
@@ -168,6 +199,64 @@ class TestNCGenerator:
         cumulant_chi(phi, tuple(l.side for l in word), [(l,) for l in word])
         assert [p.blocks for p in lattice] == before
         assert enumerate_bnc(chi) is lattice
+
+
+class TestCollectorPause:
+    # _enumerate_bnc_cached.__wrapped__ builds a lattice cold every call
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_collector_is_left_as_found(self, collector, enabled):
+        (gc.enable if enabled else gc.disable)()
+        lattice = _enumerate_bnc_cached.__wrapped__(tuple("rllrlrr"))
+        assert len(lattice) == catalan(7)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_collector_is_left_as_found_when_the_walk_raises(self, collector, monkeypatch, enabled):
+        def broken(perm, visit):
+            assert not gc.isenabled()
+            raise RuntimeError("walk failed")
+
+        monkeypatch.setattr(bnclattice, "_bnc_walk", broken)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="walk failed"):
+            _enumerate_bnc_cached.__wrapped__(tuple("lrrl"))
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_starts_during_a_cold_build(self, collector):
+        gc.enable()
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.callbacks.append(hook)
+        try:
+            lattice = _enumerate_bnc_cached.__wrapped__(tuple("rlrrllrlr"))
+        finally:
+            gc.callbacks.remove(hook)
+        assert len(lattice) == catalan(9)
+        assert starts == []
+
+    def test_concurrent_cold_builds(self, collector):
+        gc.enable()
+        chis = [tuple("rlrrllrlrr"), tuple("llrrlrlrrl")]
+        serial = [[p.blocks for p in _enumerate_bnc_cached.__wrapped__(chi)] for chi in chis]
+        barrier = threading.Barrier(len(chis))
+        got = [None] * len(chis)
+
+        def build(n):
+            barrier.wait()
+            got[n] = [p.blocks for p in _enumerate_bnc_cached.__wrapped__(chis[n])]
+
+        threads = [threading.Thread(target=build, args=(n,)) for n in range(len(chis))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got == serial
+        assert gc.isenabled()
 
 
 class TestBlockChecks:
