@@ -243,7 +243,7 @@ class TestCollectorPause:
         gc.enable()
         chis = [tuple("rlrrllrlrr"), tuple("llrrlrlrrl")]
         serial = [[p.blocks for p in _enumerate_bnc_cached.__wrapped__(chi)] for chi in chis]
-        barrier = threading.Barrier(len(chis))
+        barrier = threading.Barrier(len(chis), timeout=60)
         got = [None] * len(chis)
 
         def build(n):
