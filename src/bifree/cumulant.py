@@ -8,7 +8,9 @@ cumulant specification (a map from letter patterns to rationals) fills it
 on demand: moments sum block-factored cumulants by first-block recursion:
 phi(a_1...a_n) = sum over blocks V holding the first relabelled position of
 kappa_V times the moments of the gaps V leaves, each gap a subword answered
-by the functional's own memo.  ``moments_from_cumulants`` asks a fresh
+by the functional's own memo.  A word or gap whose length no sum of the
+spec's block sizes reaches has no partition with nonzero cumulants, so it
+is 0 without recursion.  ``moments_from_cumulants`` asks a fresh
 free-mode functional for the moment of its single-letter arguments.  The
 inverse transform recovers cumulants from moments by Mobius inversion: the
 lattice walk of ``bnclattice`` visits NC(k) in the relabelled order with
@@ -247,7 +249,8 @@ class CumulantMomentFunctional(MomentFunctional):
     (the bi-non-crossing lattice over the word's sides is NC(n) through
     ``sigma_chi``): each block V holding the first position contributes
     kappa_V times the moments of the gaps it leaves, and every gap moment is
-    read through the memo, which it fills on a miss.
+    read through the memo, which it fills on a miss.  A checked word, gap or
+    rest of a length no sum of block sizes reaches is 0 without recursion.
     """
 
     def __init__(self, mode: AlgebraMode, spec: CumulantSpec):
@@ -263,14 +266,23 @@ class CumulantMomentFunctional(MomentFunctional):
         }
         self._sizes = {len(pattern) for pattern in spec.entries}
         self._longest = max(self._sizes, default=0)
+        # the lengths 0..degree_bound that sums of block sizes reach
+        self._reach = {0}
+        for total in range(1, self.degree_bound + 1):
+            if any(total - s in self._reach for s in self._sizes):
+                self._reach.add(total)
 
     def _miss(self, word: Word) -> Pair:
         for letter in word:
             if letter.kind != VAR:
                 raise ValueError("cumulant-backed functionals cover variables only")
-        # the first-block sum; a gap (relabelled positions i..j-1 read back in
-        # original order) of a bipartite normal form is a normal form again
-        # (lefts before rights), hence a memo key once computed
+        reach = self._reach
+        if len(word) not in reach:
+            return (0, 1)
+        # the first-block sum, skipping gaps and rests of unreachable length;
+        # a gap (relabelled positions i..j-1 read back in original order) of a
+        # bipartite normal form is a normal form again (lefts before rights),
+        # hence a memo key once computed
         perm = sigma_chi(tuple(l.side for l in word))
         size = len(word)
         moment = self._phi_pair
@@ -279,7 +291,7 @@ class CumulantMomentFunctional(MomentFunctional):
         while stack:
             block, num, den = stack.pop()
             last = block[-1]
-            if len(block) in self._sizes:
+            if len(block) in self._sizes and size - last - 1 in reach:
                 kappa = self._kappas.get(
                     pattern_of_letters([word[p - 1] for p in sorted(perm[v] for v in block)])
                 )
@@ -289,6 +301,8 @@ class CumulantMomentFunctional(MomentFunctional):
                     sums[d] = sums.get(d, 0) + num * kappa[0] * rest_num
             if len(block) < self._longest:
                 for nxt in range(last + 1, size):
+                    if nxt - last - 1 not in reach:
+                        continue
                     gap_num, gap_den = moment(tuple(word[p - 1] for p in sorted(perm[last + 1:nxt])))
                     if gap_num:
                         stack.append((block + (nxt,), num * gap_num, den * gap_den))

@@ -301,6 +301,12 @@ class TestCumulantCli:
         assert main(argv) == 2
         assert "exceeds bound 10" in capsys.readouterr().err
 
+    def test_conjugate_check_symbol_xi_exits_2(self, spec_file, capsys):
+        # phi(xi) has length 1, which no pair sums to, yet the symbol is refused
+        argv = ["conjugate-check", "--spec", spec_file, "--xi", "x1"]
+        assert main(argv) == 2
+        assert "variables only" in capsys.readouterr().err
+
     def test_conjugate_check_reports_failure(self, spec_file, capsys):
         rc = main(
             ["conjugate-check", "--spec", spec_file, "--xi", "X1", "--max-degree", "3"]

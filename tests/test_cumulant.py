@@ -540,3 +540,85 @@ class TestFunctionals:
         assert phi.phi(word) == moment_by_interval_recursion(
             spec, tuple(l.side for l in word), word
         )
+
+    def test_unreachable_length_keeps_the_checks_in_order(self, monkeypatch):
+        # under a pair-only spec every odd length is 0 without recursion, but
+        # a symbol, an undeclared letter or a word past the bound still raises,
+        # every time, and leaves nothing in the memo
+        import bifree.cumulant
+
+        spec, phi = semicircular_pair(HALF)
+
+        def no_recursion(chi):
+            raise AssertionError("an unreachable length needs no first-block sum")
+
+        monkeypatch.setattr(bifree.cumulant, "sigma_chi", no_recursion)
+        assert phi._reach == set(range(0, 11, 2))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="variables only"):
+                phi.phi((lsym(1),))
+            with pytest.raises(ArityError):
+                phi.phi((lvar(5),))
+            with pytest.raises(DegreeBoundError):
+                phi.phi(S * 11)
+        assert phi._memo == {(): (1, 1)}
+        assert phi.phi(S * 3) == 0
+        assert phi._memo == {(): (1, 1), S * 3: (0, 1)}
+
+    def test_unreachable_gaps_are_never_asked(self):
+        # a pair-only spec: no even word's first-block sum asks for an odd gap
+        # or rest, so the memo holds even lengths only
+        spec, phi = semicircular_pair(HALF)
+        word = S + T + T + S + S + T + S + T + T + S
+        assert phi.phi(word) == Fraction(465, 32)
+        assert all(len(key) % 2 == 0 for key in phi._memo)
+        # a spec of sizes 3 and 4 reaches every length but 1, 2 and 5
+        spec = CumulantSpec(1, 1, {(("l", 1),) * 3: Fraction(2), (("l", 1),) * 4: Fraction(-1, 3)})
+        phi = CumulantMomentFunctional(free_mode(1, 1), spec)
+        assert phi._reach == {0, 3, 4, 6, 7, 8, 9, 10}
+        assert phi.phi(S * 9) == moment_by_interval_recursion(spec, ("l",) * 9, S * 9)
+        assert not {1, 2, 5} & {len(key) for key in phi._memo}
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_cumulant_backed_gapped_block_sizes_match_oracles(self, data):
+        # block sizes drawn from {2}, {3}, {4}, {2, 4}, {3, 4} or none, so some
+        # lengths are no sum of them: such a word or gap is 0 without recursion
+        n, m = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        letter = st.one_of(
+            st.integers(1, n).map(lambda i: ("l", i)),
+            st.integers(1, m).map(lambda j: ("r", j)),
+        )
+        sizes = data.draw(st.sampled_from([(), (2,), (3,), (4,), (2, 4), (3, 4)]))
+        entries = {}
+        if sizes:
+            pattern = st.sampled_from(sizes).flatmap(
+                lambda k: st.lists(letter, min_size=k, max_size=k).map(tuple)
+            )
+            value = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+            entries = data.draw(st.dictionaries(pattern, value, max_size=30))
+        spec = CumulantSpec(n, m, entries)
+        mode = data.draw(st.sampled_from([free_mode, bipartite_mode]))(n, m)
+        phi = CumulantMomentFunctional(mode, spec)
+
+        def oracle(word):
+            word = normal_form(word, mode)
+            if not word:
+                return Fraction(1)
+            return moment_by_interval_recursion(spec, tuple(l.side for l in word), word)
+
+        words = data.draw(st.lists(st.lists(letter, max_size=9), min_size=1, max_size=6))
+        for sides in words:
+            word = tuple(lvar(i) if side == "l" else rvar(i) for side, i in sides)
+            got = phi.phi(word)
+            assert type(got) is Fraction and got == oracle(word)
+            if 0 < len(word) <= 7:
+                word = normal_form(word, mode)
+                assert got == moment_by_lattice_sum(spec, tuple(l.side for l in word), word)
+        for word, pair in phi._memo.items():
+            assert normal_form(word, mode) == word
+            num, den = pair
+            assert type(pair) is tuple and len(pair) == 2
+            assert type(num) is int and type(den) is int
+            assert den > 0 and math.gcd(num, den) == 1
+            assert Fraction(*pair) == oracle(word)
