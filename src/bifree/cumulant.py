@@ -16,7 +16,8 @@ inverse transform recovers cumulants from moments by Mobius inversion: the
 lattice walk of ``bnclattice`` visits NC(k) in the relabelled order with
 mu(pi, 1) and the blocks in positions, and phi is asked once per distinct
 block.  The product-in-the-last-entry expansion walks only the interval
-below the embedded partition.
+below the embedded partition and decides each partition on the one block
+it splits, without forming a join over all positions.
 
 Inside these sums an exact value is a reduced (numerator, denominator) pair
 of ints with a positive denominator: terms are summed per denominator as
@@ -39,10 +40,9 @@ from .bnclattice import (
     ChiSeq,
     _bnc_walk,
     _inverse_perm,
+    _noncrossing_join,
     _unchecked,
     hat_embed,
-    hat_zero,
-    join,
     sigma_chi,
     validate_chi,
 )
@@ -152,15 +152,24 @@ class MomentFunctional:
     to reduced (numerator, denominator) pairs, which a subclass fills at
     construction and extends through ``_miss``.  ``phi`` turns a pair into a
     ``Fraction``.
+
+    ``_reach`` holds every word length at which a moment can be nonzero (it
+    may hold more); a word of any other length has moment 0, which lets a
+    caller skip whole degrees unread.  ``_check_letters`` raises for a word
+    with a letter the functional does not cover, before any miss is filled.
     """
 
     mode: AlgebraMode
     degree_bound: int
     _memo: dict[Word, Pair]
+    _reach: set[int]
 
     def _miss(self, word: Word) -> Pair:
         """The moment of a checked normal form that the memo does not hold."""
         raise NotImplementedError
+
+    def _check_letters(self, word: Word) -> None:
+        """Raise unless the functional covers every letter of ``word``."""
 
     def phi(self, word: Word) -> Fraction:
         return Fraction(*self._phi_pair(word))
@@ -237,6 +246,8 @@ class TableMomentFunctional(MomentFunctional):
             raise ValueError("the empty word must have moment 1")
         memo[()] = (1, 1)
         self._memo = memo
+        # a miss is 0, so only the lengths of nonzero entries reach
+        self._reach = {len(word) for word, (num, _) in memo.items() if num}
 
     def _miss(self, word: Word) -> Pair:
         return (0, 1)
@@ -272,10 +283,13 @@ class CumulantMomentFunctional(MomentFunctional):
             if any(total - s in self._reach for s in self._sizes):
                 self._reach.add(total)
 
-    def _miss(self, word: Word) -> Pair:
+    def _check_letters(self, word: Word) -> None:
         for letter in word:
             if letter.kind != VAR:
                 raise ValueError("cumulant-backed functionals cover variables only")
+
+    def _miss(self, word: Word) -> Pair:
+        self._check_letters(word)
         reach = self._reach
         if len(word) not in reach:
             return (0, 1)
@@ -410,22 +424,27 @@ def expand_product_last_entry(
     if pi.chi != chi:
         raise ValueError("pi must live over chi")
     pi_hat = hat_embed(pi, chi_prime)
-    bottom = hat_zero(chi, chi_prime)
     extended = pi_hat.chi
-    # sigma <= sigma v bottom = pi_hat, and bottom is discrete on every block
-    # of pi_hat but the one holding p..q, so sigma keeps those blocks whole
-    # and splits that one into a non-crossing partition of its relabelled order
+    # sigma <= sigma v bottom = pi_hat, and the bottom block embedding is
+    # discrete on every block of pi_hat but the one S holding p..q, so sigma
+    # keeps those blocks whole and splits S into a non-crossing partition of
+    # its relabelled order; the join is pi_hat exactly when the non-crossing
+    # closure of sigma's sub-blocks and {p..q}, ranked in that order, is all of S
     p = len(chi)
     inv = _inverse_perm(sigma_chi(extended))
     kept = [b for b in pi_hat.blocks if p not in b]
     (split,) = [b for b in pi_hat.blocks if p in b]
     ordered = sorted(split, key=lambda e: inv[e - 1])
+    rank = {e: r for r, e in enumerate(ordered)}
+    product_ranks = [rank[e] for e in range(p, len(extended) + 1)]
     out = []
 
     def visit(starts: list, mu: int) -> None:
-        sigma = _unchecked(extended, tuple(sorted(kept + list(filter(None, starts)))))
-        if join(sigma, bottom).blocks == pi_hat.blocks:
-            out.append(sigma)
+        blocks = list(filter(None, starts))
+        # a singleton merges nothing in the closure
+        sets = [[rank[e] for e in b] for b in blocks if len(b) > 1]
+        if len(_noncrossing_join(len(ordered), sets + [product_ranks])) == 1:
+            out.append(_unchecked(extended, tuple(sorted(kept + blocks))))
 
     _bnc_walk(ordered, visit)
     return tuple(out)

@@ -18,6 +18,12 @@ quotient, which the test suite verifies).
 The quotients, the scalar identity, ``conjugate_check`` and the adjoints of
 the flipped quotients all take their terms from this one leg formula,
 ``_legs``, and form no tensor product.
+
+``conjugate_check`` walks the words degree by degree.  A degree at which no
+word Z w (w a term of xi) and no leg pair of Z has a length in the moment
+functional's reach is 0 = 0 word for word, so its words are counted by a
+closed form and never read; under a pair-only (Gaussian) specification with
+a linear xi, those are the even degrees.
 """
 
 from __future__ import annotations
@@ -155,20 +161,29 @@ def enumerate_words(mode: AlgebraMode, max_degree: int) -> Iterator[Word]:
     Bipartite mode yields normal forms (left word times right word); free
     mode yields every word.  The empty word comes first, then by degree.
     """
+    for degree in range(max_degree + 1):
+        yield from _degree_words(mode, degree)
+
+
+def _degree_words(mode: AlgebraMode, degree: int) -> Iterator[Word]:
+    """The canonical words of one degree, in ``enumerate_words`` order."""
     lefts = [Letter(LEFT, i + 1, VAR) for i in range(mode.left_arity)]
     rights = [Letter(RIGHT, j + 1, VAR) for j in range(mode.right_arity)]
-    if mode.bipartite:
-        for degree in range(max_degree + 1):
-            for a in range(degree, -1, -1):
-                b = degree - a
-                for lw in product(lefts, repeat=a):
-                    for rw in product(rights, repeat=b):
-                        yield lw + rw
-    else:
-        alphabet = lefts + rights
-        for degree in range(max_degree + 1):
-            for word in product(alphabet, repeat=degree):
-                yield word
+    if not mode.bipartite:
+        yield from product(lefts + rights, repeat=degree)
+        return
+    for a in range(degree, -1, -1):
+        for lw in product(lefts, repeat=a):
+            for rw in product(rights, repeat=degree - a):
+                yield lw + rw
+
+
+def _degree_count(mode: AlgebraMode, degree: int) -> int:
+    """How many words ``_degree_words`` yields, by a closed form."""
+    n, m = mode.left_arity, mode.right_arity
+    if not mode.bipartite:
+        return (n + m) ** degree
+    return sum(n ** a * m ** (degree - a) for a in range(degree + 1))
 
 
 @dataclass(frozen=True)
@@ -200,14 +215,18 @@ def conjugate_check(
     for every word Z in the declared variables up to ``max_degree``.
 
     xi and the target are checked, and xi brought to normal form, once; a
-    nonzero xi whose degree takes Z xi past phi's degree bound raises
-    ``DegreeBoundError`` before phi is read.  By linearity the left side is
-    the sum of c phi(Z w) over xi's terms c w, so no product polynomial is
-    built; in bipartite mode the normal form of Z w is spliced from the
-    sides of Z and w, split once.  The right side reads the legs of each Z,
-    a normal form, directly.
+    check whose words would take phi past its degree bound raises
+    ``DegreeBoundError``, and an xi letter that phi does not cover raises,
+    before phi is read.  By linearity the left side is the sum of c phi(Z w)
+    over xi's terms c w, so no product polynomial is built; in bipartite
+    mode the normal form of Z w is spliced from the sides of Z and w, split
+    once.  The right side reads the legs of each Z, a normal form, directly.
     Both sides are summed per denominator as ints and compared by
     cross-multiplication; only a failure is turned into ``Fraction``s.
+
+    A degree d is dead when no length d + l of an xi term and no pair of leg
+    lengths a + (d - 1 - a) lies in phi's reach: both sides of every word of
+    degree d are then 0, so its words pass unread and are only counted.
     """
     if kind.flipped:
         raise ValueError("conjugate variables pair with the non-flipped quotients")
@@ -218,8 +237,10 @@ def conjugate_check(
     for word, _ in xi.items():
         mode.check_word(word)
     xi = normalize_poly(xi, mode)
-    if not xi.is_zero:
-        phi._check_degree(max_degree + xi.degree())
+    # the longest word read is Z w, or with xi zero a leg of Z = target^max_degree
+    phi._check_degree(max_degree - 1 if xi.is_zero else max_degree + xi.degree())
+    for word, _ in xi.items():
+        phi._check_letters(word)
     if mode.bipartite:
         # Z = L·R and each term of xi is L'·R', so the normal form of Z w is L·L'·R·R'
         split = [(_lefts(w), _rights(w), c) for w, c in xi.items()]
@@ -233,14 +254,20 @@ def conjugate_check(
         def times_xi(word: Word):
             return ((word + w, c) for w, c in xi_terms)
 
+    reach = phi._reach
+    xi_lengths = {len(w) for w, _ in xi.items()}
     checked = 0
     failures: list[tuple[Word, Fraction, Fraction]] = []
-    for word in enumerate_words(mode, max_degree):
-        lhs_num, lhs_den = phi._poly_pair(times_xi(word))
-        rhs_num, rhs_den = phi._tensor_pair((legs, 1) for legs in _legs(word, kind))
-        checked += 1
-        if lhs_num * rhs_den != rhs_num * lhs_den:
-            failures.append((word, Fraction(lhs_num, lhs_den), Fraction(rhs_num, rhs_den)))
+    for degree in range(max_degree + 1):
+        checked += _degree_count(mode, degree)
+        if not (any(degree + l in reach for l in xi_lengths)
+                or any(a in reach and degree - 1 - a in reach for a in range(degree))):
+            continue
+        for word in _degree_words(mode, degree):
+            lhs_num, lhs_den = phi._poly_pair(times_xi(word))
+            rhs_num, rhs_den = phi._tensor_pair((legs, 1) for legs in _legs(word, kind))
+            if lhs_num * rhs_den != rhs_num * lhs_den:
+                failures.append((word, Fraction(lhs_num, lhs_den), Fraction(rhs_num, rhs_den)))
     return ConjugateReport(kind, max_degree, checked, tuple(failures))
 
 

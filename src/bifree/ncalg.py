@@ -184,7 +184,10 @@ class _LinearCombination:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[object, Fraction | int]]):
-        return cls._of(_accumulate({}, ((cls._key(k), Fraction(c)) for k, c in pairs)))
+        # stored coefficients are exactly Fraction: only other types are converted
+        return cls._of(_accumulate({}, (
+            (cls._key(k), c if type(c) is Fraction else Fraction(c)) for k, c in pairs
+        )))
 
     def items(self) -> Iterator[tuple[object, Fraction]]:
         return iter(self._terms.items())

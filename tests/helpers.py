@@ -23,13 +23,16 @@ from bifree.bipartite_num import (
 )
 from bifree.bnclattice import (
     BNCPartition,
+    _bnc_walk,
     _inverse_perm,
+    _unchecked,
     canonical_blocks,
     enumerate_bnc,
     hat_chi,
     hat_embed,
     hat_zero,
     is_bnc,
+    join,
     mobius,
     one_partition,
     sigma_chi,
@@ -439,6 +442,28 @@ def expand_by_lattice_filter(pi, chi, chi_prime) -> set:
         for sigma in enumerate_bnc(hat_chi(chi, chi_prime))
         if join_by_closure(sigma, bottom) == pi_hat.blocks
     }
+
+
+def expand_by_join(pi, chi, chi_prime) -> tuple:
+    """The product expansion in the walk's order: every partition of the
+    split block's interval, kept only if its full join with the bottom-block
+    embedding equals the embedding of ``pi``."""
+    pi_hat = hat_embed(pi, chi_prime)
+    bottom = hat_zero(chi, chi_prime)
+    extended = pi_hat.chi
+    p = len(chi)
+    inv = _inverse_perm(sigma_chi(extended))
+    kept = [b for b in pi_hat.blocks if p not in b]
+    (split,) = [b for b in pi_hat.blocks if p in b]
+    out = []
+
+    def visit(starts, mu):
+        sigma = _unchecked(extended, tuple(sorted(kept + list(filter(None, starts)))))
+        if join(sigma, bottom).blocks == pi_hat.blocks:
+            out.append(sigma)
+
+    _bnc_walk(sorted(split, key=lambda e: inv[e - 1]), visit)
+    return tuple(out)
 
 
 def bifree_dq_by_branches(p: NCPolynomial, kind, mode: AlgebraMode) -> TensorPoly:

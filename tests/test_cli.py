@@ -307,6 +307,14 @@ class TestCumulantCli:
         assert main(argv) == 2
         assert "variables only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_degree", ["0", "1"])
+    def test_conjugate_check_symbol_xi_at_low_degree_exits_2(self, spec_file, capsys, max_degree):
+        # degree 0 reads only phi(xi) and is skipped as 0 = 0: the refusal
+        # comes from xi's letters, checked before any word
+        argv = ["conjugate-check", "--spec", spec_file, "--xi", "x1", "--max-degree", max_degree]
+        assert main(argv) == 2
+        assert "variables only" in capsys.readouterr().err
+
     def test_conjugate_check_reports_failure(self, spec_file, capsys):
         rc = main(
             ["conjugate-check", "--spec", spec_file, "--xi", "X1", "--max-degree", "3"]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bifree.bnclattice import (
     ENUMERATION_CAP,
     BNCPartition,
+    enumerate_bnc,
     one_partition,
     zero_partition,
 )
@@ -36,6 +37,7 @@ from bifree.ncalg import ArityError, bipartite_mode, free_mode, lsym, lvar, norm
 from helpers import (
     bnc_partitions,
     cumulant_by_lattice_sum,
+    expand_by_join,
     expand_by_lattice_filter,
     integer_partitions,
     moment_by_interval_recursion,
@@ -352,6 +354,18 @@ class TestProductExpansion:
         got = [s.blocks for s in expand_product_last_entry(pi, chi, chi_prime)]
         assert len(set(got)) == len(got)
         assert set(got) == expand_by_lattice_filter(pi, chi, chi_prime)
+
+    def test_matches_join_oracle_in_order(self):
+        # deciding on the split block keeps the same partitions, in the same
+        # order, as a full join with the bottom-block embedding
+        rng = random.Random(22)
+        for _ in range(150):
+            chi = rand_chi(rng, rng.randint(1, 6))
+            chi_prime = (chi[-1],) + rand_chi(rng, rng.randint(2, 4))
+            pi = rng.choice(enumerate_bnc(chi))
+            got = expand_product_last_entry(pi, chi, chi_prime)
+            expected = expand_by_join(pi, chi, chi_prime)
+            assert [(s.chi, s.blocks) for s in got] == [(s.chi, s.blocks) for s in expected]
 
 
 def test_no_whole_lattice_enumeration(monkeypatch):

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifree import derivation
-from bifree.cumulant import CumulantMomentFunctional, DegreeBoundError, gaussian_cumulant_spec
+from bifree.cumulant import (
+    CumulantMomentFunctional,
+    CumulantSpec,
+    DegreeBoundError,
+    TableMomentFunctional,
+    gaussian_cumulant_spec,
+)
 from bifree.derivation import (
     QuotientKind,
     adjoint_apply,
@@ -475,6 +481,61 @@ class TestConjugateCheck:
         with pytest.raises(DegreeBoundError):
             conjugate_check(phi, KL, xi, 7, mode)
         assert phi._memo == {(): (1, 1)}
+
+    def test_zero_xi_past_degree_bound_raises(self):
+        # with xi zero the longest word read is a leg of target^max_degree
+        mode, phi = semicircular_phi(HALF)
+        assert conjugate_check(phi, KL, NCPolynomial.zero(), 11).checked == 78  # 1 + ... + 12
+        with pytest.raises(DegreeBoundError):
+            conjugate_check(phi, KL, NCPolynomial.zero(), 12)
+
+    @pytest.mark.parametrize("max_degree", [0, 1])
+    @pytest.mark.parametrize("xi", ["x1", "X1 + x1"])
+    def test_symbol_xi_refused_when_no_word_reads_it(self, xi, max_degree):
+        # under the pair spec degree 0 is dead, so phi(xi) itself is never read
+        mode, phi = semicircular_phi(HALF)
+        with pytest.raises(ValueError, match="variables only"):
+            conjugate_check(phi, KL, parse_poly(xi, mode), max_degree)
+
+    @pytest.mark.parametrize("kind", [KL, KR, QuotientKind("l", 2)], ids=["l1", "r1", "l2"])
+    @pytest.mark.parametrize("mode", [FREE, BIP], ids=["free", "bipartite"])
+    def test_gapped_reach_matches_fraction_oracle(self, mode, kind):
+        # nonzero moments only at lengths 0 and 3 (a table), or 0, 3, 6, 9
+        # (cumulants of size 3): dead and live degrees alternate unevenly
+        rng = random.Random(31)
+        letters = var_letters(mode)
+        table = {normal_form(tuple(rng.choice(letters) for _ in range(3)), mode): rand_frac(rng)
+                 for _ in range(12)}
+        triples = {tuple((l.side, l.index) for l in rng.choices(letters, k=3)): rand_frac(rng)
+                   for _ in range(6)}
+        functionals = [
+            TableMomentFunctional(mode, table, 9),
+            CumulantMomentFunctional(mode, CumulantSpec(2, 2, triples, degree_bound=9)),
+        ]
+        assert [phi._reach for phi in functionals] == [{0, 3}, {0, 3, 6, 9}]
+        for phi in functionals:
+            for xi in (NCPolynomial.zero(), rand_poly(rng, mode, letters, max_terms=3, max_len=2)):
+                report = conjugate_check(phi, kind, xi, 5, mode)
+                assert report == conjugate_check_by_fractions(phi, kind, xi, 5, mode)
+                assert report.checked == len(list(enumerate_words(mode, 5)))
+
+    def test_pair_spec_reads_nothing_at_even_degrees(self, monkeypatch):
+        # pair cumulants only: phi(Z xi) has length d + 1 and each leg pair
+        # length d - 1 in all, so every word of even degree d is 0 = 0
+        mode, phi = semicircular_phi(HALF)
+        xi = semicircular_xi(HALF)
+        assert conjugate_check(phi, KL, xi, 8).passed  # warm: no miss recurses below
+        asked = []
+        pair = phi._phi_pair
+        monkeypatch.setattr(phi, "_phi_pair", lambda word: asked.append(word) or pair(word))
+        reads = []
+        for max_degree in range(9):
+            asked.clear()
+            assert conjugate_check(phi, KL, xi, max_degree).passed
+            reads.append(len(asked))
+        for degree in range(9):
+            before = reads[degree - 1] if degree else 0
+            assert (reads[degree] > before) == (degree % 2 == 1), (degree, reads)
 
     def test_flipped_kind_rejected(self):
         mode, phi = semicircular_phi(HALF)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,27 @@ def polys(draw, mode):
         )
     )
     return NCPolynomial({normal_form(w, mode): c for w, c in terms.items()})
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+class TestFromPairs:
+    @pytest.mark.parametrize("cls", [NCPolynomial, TensorPoly])
+    def test_coefficients_are_exactly_fractions(self, cls):
+        # an exact Fraction is kept, an int, a bool or a subclass converted
+        x, y = (lvar(1),), (rvar(1),)
+        keys = [x, y, x + y, ()] if cls is NCPolynomial else [(x, y), (y, x), (x, x), ((), y)]
+        coeffs = [Fraction(2, 3), 3, True, _FractionSubclass(1, 2)]
+        combo = cls.from_pairs(list(zip(keys, coeffs)) + [(keys[0], Fraction(1, 3))])
+        assert dict(combo.items()) == dict(zip(keys, [1, 3, 1, Fraction(1, 2)]))
+        assert all(type(c) is Fraction for _, c in combo.items())
+
+    def test_exact_fraction_not_rebuilt(self):
+        c = Fraction(2, 3)
+        ((_, kept),) = NCPolynomial.from_pairs([((lvar(1),), c)]).items()
+        assert kept is c
 
 
 class TestMul:
