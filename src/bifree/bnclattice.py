@@ -7,10 +7,12 @@ bi-non-crossing when it becomes non-crossing after relabelling through the
 inverse of that permutation, so the lattice is isomorphic to NC(k).  This
 module enumerates the lattice (one walk over NC(k) with a stack of open
 blocks, which carries each block as its positions and hands every partition
-to a visitor already canonical), computes the refinement order, joins
-(union-find and one stack pass that merges crossing blocks), the Mobius
-function, and the bottom-block embedding used to expand products sitting in
-the last entry of a cumulant.  mu(pi, 1_k) is a product over the Kreweras
+to a visitor already canonical), computes the refinement order, joins,
+the Mobius function, and the bottom-block embedding used to expand products
+sitting in the last entry of a cumulant.  Joins, the bi-non-crossing check
+of every validated partition and the product expansion in ``cumulant`` all
+take one non-crossing closure of int bitmasks, bit r for relabelled index
+r (``_nc_closure``).  mu(pi, 1_k) is a product over the Kreweras
 complement of pi: the walk carries it face by face for every partition it
 visits, and ``mobius`` forms it from the blocks of each interval.  Sums of
 block-factored cumulants over the lattice (moments) live with the moment
@@ -92,18 +94,20 @@ def _checked_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
 
 def is_bnc(blocks: Iterable[Iterable[int]], chi: Sequence[str]) -> bool:
     """Whether the given set partition of ``{1..len(chi)}`` is bi-non-crossing:
-    relabelled, it must come through the non-crossing pass unmerged."""
+    as bitmasks of relabelled indices, its blocks must come through the
+    non-crossing closure unmerged."""
     return _is_bnc(_checked_blocks(blocks), validate_chi(chi))
 
 
 def _is_bnc(blocks: Blocks, chi: ChiSeq) -> bool:
-    # is_bnc of checked blocks over a validated chi
+    # is_bnc of checked blocks over a validated chi; the partition check
+    # comes first, so every entry indexes ``bits`` inside 1..k
     covered = sorted(e for b in blocks for e in b)
     if covered != list(range(1, len(chi) + 1)):
         raise ValueError("blocks must partition {1..k}")
-    inv = _inverse_perm(_sigma(chi))
-    relabeled = [[inv[e - 1] - 1 for e in b] for b in blocks]
-    return len(_noncrossing_join(len(chi), relabeled)) == len(blocks)
+    bits = _position_bits(_sigma(chi), len(chi))
+    masks = [sum(map(bits.__getitem__, b)) for b in blocks if len(b) > 1]
+    return len(_nc_closure(len(chi), masks)) == len(masks)
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,60 +306,66 @@ def enumerate_bnc(chi: Sequence[str]) -> tuple[BNCPartition, ...]:
 # -- join ------------------------------------------------------------------
 
 
-def _noncrossing_join(k: int, sets: Iterable[Sequence[int]]) -> list[list[int]]:
-    """Blocks of the finest non-crossing partition of {0..k-1} that keeps
-    each of ``sets`` inside one block, ascending and ordered by first element.
-    After a union-find pass, one left-to-right pass keeps the open blocks
-    (seen, with elements still to come) on a stack: an element of an open
-    block crosses every block above it, so those merge into it."""
-    parent = list(range(k))
+def _position_bits(perm: Sequence[int], k: int) -> list[int]:
+    """``bits[e]`` for the positions e in 0..k: 1 << r where e = perm[r],
+    the bit of its relabelled index, and 0 where e is not in ``perm``."""
+    bits = [0] * (k + 1)
+    for r, e in enumerate(perm):
+        bits[e] = 1 << r
+    return bits
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for members in sets:
-        root = find(members[0])
-        for e in members[1:]:
-            parent[find(e)] = root
-    last = [0] * k
-    for i in range(k):
-        last[find(i)] = i
-    opened = [False] * k
+def _nc_closure(k: int, masks: Iterable[int]) -> list[int]:
+    """Blocks, as bitmasks, of the finest non-crossing partition of the bits
+    0..k-1 that keeps each of ``masks`` (nonempty) inside one block; a bit
+    no mask covers is a singleton and is left out.
+
+    The sets come in order of their lowest bit, those sharing it ORed into
+    one (they meet).  The open blocks sit on a stack, each in one gap of the
+    block below it.  A top block that ends below the new set's lowest bit is
+    done.  A top block with a bit inside the set's span crosses or meets it,
+    so it merges in and the span widens; a top block without one holds the
+    set in one of its gaps, and so does every block under it.  The span
+    keeps the set's own lowest bit: a block under the merged one has no bit
+    between the two lowest bits, as the merged block sat in one of its gaps.
+    """
+    by_low = [0] * k
+    for m in masks:
+        by_low[(m & -m).bit_length() - 1] |= m
+    done: list[int] = []
     stack: list[int] = []
-    for i in range(k):
-        r = find(i)
-        if opened[r]:
-            while stack[-1] != r:
-                c = stack.pop()
-                parent[c] = r
-                last[r] = max(last[r], last[c])
-        else:
-            opened[r] = True
-            stack.append(r)
-        if last[r] == i:
-            stack.pop()
-    blocks: dict[int, list[int]] = {}
-    for i in range(k):
-        blocks.setdefault(find(i), []).append(i)
-    return list(blocks.values())
+    for m in by_low:
+        if not m:
+            continue
+        low = m & -m
+        while stack and stack[-1] < low:
+            done.append(stack.pop())
+        while stack and stack[-1] & ((1 << m.bit_length()) - low):
+            m |= stack.pop()
+        stack.append(m)
+    return done + stack
 
 
 def join(sigma: BNCPartition, pi: BNCPartition) -> BNCPartition:
     """Least upper bound inside the bi-non-crossing lattice: the finest
-    non-crossing partition, in relabelled positions, above both."""
+    non-crossing partition, in relabelled positions, above both, from the
+    bitmask closure of the blocks of two or more positions (a singleton
+    merges nothing)."""
     _check_same_chi(sigma, pi)
     perm = _sigma(sigma.chi)
-    rank = [0] * (len(perm) + 1)  # position -> relabelled index, from 0
-    for r, e in enumerate(perm):
-        rank[e] = r
-    # a singleton merges nothing in the union-find
-    relabeled = [[rank[e] for e in b] for b in sigma.blocks + pi.blocks if len(b) > 1]
-    joined = _noncrossing_join(len(perm), relabeled)
-    positions = (tuple(sorted(map(perm.__getitem__, b))) for b in joined)
-    return _unchecked(sigma.chi, tuple(sorted(positions)))
+    bits = _position_bits(perm, len(perm))
+    masks = [sum(map(bits.__getitem__, b)) for b in sigma.blocks + pi.blocks if len(b) > 1]
+    closed = _nc_closure(len(perm), masks)
+    blocks: dict[int, list[int]] = {}  # closed mask -> its positions, by first position
+    for e in range(1, len(perm) + 1):
+        bit = bits[e]
+        for m in closed:
+            if m & bit:
+                break
+        else:  # no mask covers e: a singleton
+            m = bit
+        blocks.setdefault(m, []).append(e)
+    return _unchecked(sigma.chi, tuple(map(tuple, blocks.values())))
 
 
 # -- Mobius function --------------------------------------------------------

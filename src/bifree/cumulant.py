@@ -40,7 +40,8 @@ from .bnclattice import (
     ChiSeq,
     _bnc_walk,
     _inverse_perm,
-    _noncrossing_join,
+    _nc_closure,
+    _position_bits,
     _unchecked,
     hat_embed,
     sigma_chi,
@@ -429,21 +430,24 @@ def expand_product_last_entry(
     # discrete on every block of pi_hat but the one S holding p..q, so sigma
     # keeps those blocks whole and splits S into a non-crossing partition of
     # its relabelled order; the join is pi_hat exactly when the non-crossing
-    # closure of sigma's sub-blocks and {p..q}, ranked in that order, is all of S
+    # closure of sigma's sub-blocks and {p..q}, as bitmasks of ranks in that
+    # order, is the one full mask
     p = len(chi)
     inv = _inverse_perm(sigma_chi(extended))
     kept = [b for b in pi_hat.blocks if p not in b]
     (split,) = [b for b in pi_hat.blocks if p in b]
     ordered = sorted(split, key=lambda e: inv[e - 1])
-    rank = {e: r for r, e in enumerate(ordered)}
-    product_ranks = [rank[e] for e in range(p, len(extended) + 1)]
+    bits = _position_bits(ordered, len(extended))
+    product = sum(bits[p:])  # p..q end the extended sequence
+    full = [(1 << len(ordered)) - 1]
     out = []
 
     def visit(starts: list, mu: int) -> None:
         blocks = list(filter(None, starts))
         # a singleton merges nothing in the closure
-        sets = [[rank[e] for e in b] for b in blocks if len(b) > 1]
-        if len(_noncrossing_join(len(ordered), sets + [product_ranks])) == 1:
+        masks = [sum(map(bits.__getitem__, b)) for b in blocks if len(b) > 1]
+        masks.append(product)
+        if _nc_closure(len(ordered), masks) == full:
             out.append(_unchecked(extended, tuple(sorted(kept + blocks))))
 
     _bnc_walk(ordered, visit)

@@ -1,8 +1,8 @@
 """Golden-example self-test: closed-form facts checked against the library.
 
-Each check re-derives a known value (worked difference quotients, the
-semicircular pair's conjugate variable, Fisher/entropy/dimension closed
-forms, the two-variable semicircular density) and raises on any mismatch,
+Each check re-derives a known value (a lattice join, worked difference
+quotients, the semicircular pair's conjugate variable, Fisher/entropy/dimension
+closed forms, the two-variable semicircular density) and raises on any mismatch,
 also under ``python -O``.  ``run_selftest`` prints one PASS/FAIL line per item.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bipartite_num as bp
 from . import gaussfam as gf
-from .bnclattice import hat_embed, hat_zero, one_partition
+from .bnclattice import BNCPartition, hat_embed, hat_zero, join, one_partition
 from .cumulant import (
     CumulantMomentFunctional,
     cumulant_chi,
@@ -86,6 +86,16 @@ def check_hat_embedding() -> None:
     _require(top.blocks == one_partition(top.chi).blocks, f"top embeds as {top.blocks}")
     bottom = hat_zero(chi, chi_prime)
     _require(bottom.blocks == ((1,), (2,), (3, 4)), f"hat_zero gives {bottom.blocks}")
+
+
+def check_lattice_join() -> None:
+    # {1,3} and {2,4} cross in the order 1,2,3,4 of llll, not in the
+    # relabelled order 1,3,4,2 of lrlr
+    for chi, expected in (("llll", ((1, 2, 3, 4),)), ("lrlr", ((1, 3), (2, 4)))):
+        sigma = BNCPartition(tuple(chi), ((1, 3), (2,), (4,)))
+        pi = BNCPartition(tuple(chi), ((2, 4), (1,), (3,)))
+        got = join(sigma, pi).blocks
+        _require(got == expected, f"{{1,3}} v {{2,4}} over {chi} gives {got}")
 
 
 def check_central_limit_cumulants() -> None:
@@ -227,6 +237,7 @@ def all_checks(fast: bool = False):
     checks = [
         ("tensor-star-swap", check_tensor_star_swap),
         ("hat-embedding", check_hat_embedding),
+        ("lattice-join", check_lattice_join),
         ("central-limit-pair-cumulants", check_central_limit_cumulants),
         ("difference-quotient-left", check_worked_left),
         ("difference-quotient-right", check_worked_right),

@@ -371,6 +371,34 @@ def noncrossing_rgs_table(k: int) -> tuple:
     return tuple(noncrossing_rgs(k))
 
 
+def rand_nc_rgs(rng: random.Random, k: int) -> tuple[int, ...]:
+    """A restricted-growth string of a non-crossing partition of {0..k-1}:
+    each element opens a block or joins an open one, closing every block
+    opened after it."""
+    rgs: list[int] = []
+    stack: list[int] = []  # the open blocks, oldest first
+    for _ in range(k):
+        depth = rng.randrange(len(stack) + 1)
+        if depth == len(stack):
+            stack.append(max(rgs, default=-1) + 1)
+        else:
+            del stack[depth + 1:]
+        rgs.append(stack[depth])
+    return tuple(rgs)
+
+
+def rand_set_partition(rng: random.Random, k: int, max_blocks: int):
+    """Blocks of a random set partition of {1..k} into at most ``max_blocks``
+    blocks, as a random growth string, so most of them cross."""
+    blocks: list[list[int]] = []
+    for e in range(1, k + 1):
+        b = rng.randrange(min(len(blocks) + 1, max_blocks))
+        if b == len(blocks):
+            blocks.append([])
+        blocks[b].append(e)
+    return tuple(map(tuple, blocks))
+
+
 def rgs_bnc_blocks(rgs, chi):
     """Blocks, in original positions, of the partition of ``chi`` whose
     relabelled restricted-growth string is ``rgs``."""

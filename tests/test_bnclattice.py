@@ -43,6 +43,8 @@ from helpers import (
     nc_partitions_by_stack,
     noncrossing_rgs,
     rand_chi,
+    rand_nc_rgs,
+    rand_set_partition,
     rgs_bnc_blocks,
 )
 
@@ -130,6 +132,29 @@ class TestEnumeration:
     def test_is_bnc_matches_pairwise_crossing_check(self, chi):
         for blocks in all_set_partitions(len(chi)):
             assert is_bnc(blocks, chi) == is_bnc_by_pairs(blocks, chi), (chi, blocks)
+
+
+    @pytest.mark.parametrize("k", [8, 9, 10, 11, 12, 40])
+    def test_is_bnc_matches_pairwise_crossing_check_on_random_partitions(self, k):
+        # odd cases: a random set partition into at most 4 blocks, mostly
+        # crossing; even cases: a random bi-non-crossing partition with one
+        # entry moved to another block, which may or may not cross
+        rng = random.Random(700 + k)
+        verdicts = set()
+        for case in range(67):
+            chi = rand_chi(rng, k)
+            if case % 2:
+                blocks = rand_set_partition(rng, k, rng.randint(1, 4))
+            else:
+                lists = [list(b) for b in rgs_bnc_blocks(rand_nc_rgs(rng, k), chi)]
+                source = rng.choice([b for b in lists if len(b) > 1] or lists)
+                entry = source.pop(rng.randrange(len(source)))
+                rng.choice([b for b in lists if b is not source] or [source]).append(entry)
+                blocks = [b for b in lists if b]
+            verdict = is_bnc(blocks, chi)
+            assert verdict == is_bnc_by_pairs(blocks, chi), (chi, blocks)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 def walk(perm):
@@ -272,6 +297,24 @@ class TestBlockChecks:
         with pytest.raises(ValueError, match=re.escape(bad)):
             is_bnc(blocks, chi)
 
+    @pytest.mark.parametrize("blocks", [
+        ((0, 2), (3, 4)),          # an entry of 0
+        ((0, 1, 2), (3, 4)),       # an entry of 0 besides 1..k
+        ((-1, 2), (3, 4)),         # a negative entry
+        ((1, 2), (3, -4)),         # a negative entry that would index 1..k from the end
+        ((1, 2), (3, 5)),          # k + 1
+        ((1, 2), (3, 4, 5)),       # k + 1 besides 1..k
+        ((1, 2), (2, 3), (4,)),    # a repeat across blocks
+        ((1, 1, 2), (3, 4)),       # a repeat inside a block
+        ((1, 2), (4,)),            # a missing entry
+    ])
+    def test_blocks_that_do_not_partition_are_refused(self, blocks):
+        message = re.escape("blocks must partition {1..k}")
+        with pytest.raises(ValueError, match=message):
+            BNCPartition(LRLR, blocks)
+        with pytest.raises(ValueError, match=message):
+            is_bnc(blocks, LRLR)
+
     def test_empty_block_in_a_list(self):
         with pytest.raises(ValueError, match=re.escape("()")):
             is_bnc([[]], "l")
@@ -328,6 +371,16 @@ class TestJoin:
         sigma = data.draw(bnc_partitions(chi))
         pi = data.draw(bnc_partitions(chi))
         assert join(sigma, pi).blocks == join_by_closure(sigma, pi)
+
+    @pytest.mark.parametrize("k", [10, 11, 12, 40, 70])
+    def test_matches_pairwise_closure_at_bench_sizes_and_past_a_word(self, k):
+        # k = 70 needs masks wider than a 64-bit word
+        rng = random.Random(600 + k)
+        for _ in range(42):
+            chi = rand_chi(rng, k)
+            sigma, pi = (BNCPartition(chi, rgs_bnc_blocks(rand_nc_rgs(rng, k), chi))
+                         for _ in range(2))
+            assert join(sigma, pi).blocks == join_by_closure(sigma, pi), (chi, sigma, pi)
 
     def test_least_upper_bound_randomized(self):
         rng = random.Random(23)
