@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._io import load_json, read_fields, to_json, write_files
+from ._io import json_object, load_json, read_fields, to_json, write_files
 
 
 class ZeroMassError(ValueError):
@@ -566,13 +566,11 @@ def density_from_json_dict(data: dict) -> DensityGrid:
 
 
 def save_density(g: DensityGrid, path: str, overwrite: bool = True) -> None:
-    """Write the JSON form; without ``overwrite`` an existing file is refused
-    at the open (``_io.write_files``)."""
-    # the text to_json makes of density_to_json_dict(g), built a row at a time
-    # rather than from one full values.tolist() copy
-    rows = ", ".join("[" + ", ".join(map(repr, row.tolist())) + "]" for row in g.values)
-    header = to_json(axes_to_json_dict(g))
-    write_files({path: f'{header[:-1]}, "values": [{rows}]}}'}, overwrite)
+    """Write the JSON form, the text ``json.dumps`` makes of
+    ``density_to_json_dict(g)``, a row at a time; without ``overwrite`` an
+    existing file is refused at the open (``_io.write_files``)."""
+    rows = (row.tolist() for row in g.values)
+    write_files({path: json_object({**axes_to_json_dict(g), "values": rows})}, overwrite)
 
 
 def load_density(path: str) -> DensityGrid:
@@ -582,17 +580,38 @@ def load_density(path: str) -> DensityGrid:
 def save_density_csv(
     g: DensityGrid, header_path: str, csv_path: str, overwrite: bool = True
 ) -> None:
-    """Two-file form: a JSON header plus CSV values, one row per x sample.
-    Without ``overwrite`` an existing file of either name is refused at the
-    open, and neither file is left written (``_io.write_files``)."""
+    """Two-file form: a JSON header plus CSV values, one row per x sample,
+    written a row at a time.  Without ``overwrite`` an existing file of
+    either name is refused at the open, and neither file is left written
+    (``_io.write_files``)."""
     header = {**axes_to_json_dict(g), "values_csv": os.path.basename(csv_path)}
     # the rows csv.writer would write: reprs need no quoting, and \r\n ends each
-    values = "".join(",".join(map(repr, row)) + "\r\n" for row in g.values.tolist())
+    values = (",".join(map(repr, row.tolist())) + "\r\n" for row in g.values)
     write_files({header_path: to_json(header), csv_path: values}, overwrite)
 
 
 def load_density_csv(header_path: str, csv_path: str) -> DensityGrid:
+    """Read the two-file form into one (nx, ny) array sized from the header,
+    a row at a time; a row count or row length other than the header's, or
+    a value ``float`` cannot read, raises ``ValueError``."""
     header = read_fields(load_json(header_path), "density", _AXES)
+    nx, ny = header["nx"], header["ny"]
+    try:
+        values = np.empty((nx, ny))
+    except MemoryError:
+        raise ValueError(f"the header's {nx} x {ny} grid does not fit in memory") from None
+    count = 0
     with open(csv_path, encoding="utf-8", newline="") as handle:
-        rows = [[float(v) for v in row] for row in csv.reader(handle)]
-    return density_from_json_dict({**header, "values": rows})
+        for count, row in enumerate(csv.reader(handle), 1):
+            if count > nx or len(row) != ny:
+                raise ValueError(f"{csv_path}: row {count} does not fit the header's "
+                                 f"nx x ny = {nx} x {ny} grid")
+            try:
+                values[count - 1] = [float(v) for v in row]
+            except ValueError as exc:
+                raise ValueError(f"{csv_path}: row {count}: {exc}") from None
+    if count != nx:
+        raise ValueError(f"{csv_path}: {count} rows, the header has nx = {nx}")
+    x = np.linspace(header["xmin"], header["xmax"], nx)
+    y = np.linspace(header["ymin"], header["ymax"], ny)
+    return _own_grid(x, y, values)

@@ -105,7 +105,7 @@ def _is_bnc(blocks: Blocks, chi: ChiSeq) -> bool:
     covered = sorted(e for b in blocks for e in b)
     if covered != list(range(1, len(chi) + 1)):
         raise ValueError("blocks must partition {1..k}")
-    bits = _position_bits(_sigma(chi), len(chi))
+    bits = _chi_bits(chi)
     masks = [sum(map(bits.__getitem__, b)) for b in blocks if len(b) > 1]
     return len(_nc_closure(len(chi), masks)) == len(masks)
 
@@ -315,6 +315,13 @@ def _position_bits(perm: Sequence[int], k: int) -> list[int]:
     return bits
 
 
+@lru_cache(maxsize=4096)
+def _chi_bits(chi: ChiSeq) -> tuple[int, ...]:
+    """``_position_bits`` of sigma_chi for a validated chi, built once per
+    chi (4,096 kept: every side sequence of length 12)."""
+    return tuple(_position_bits(_sigma(chi), len(chi)))
+
+
 def _nc_closure(k: int, masks: Iterable[int]) -> list[int]:
     """Blocks, as bitmasks, of the finest non-crossing partition of the bits
     0..k-1 that keeps each of ``masks`` (nonempty) inside one block; a bit
@@ -352,12 +359,12 @@ def join(sigma: BNCPartition, pi: BNCPartition) -> BNCPartition:
     bitmask closure of the blocks of two or more positions (a singleton
     merges nothing)."""
     _check_same_chi(sigma, pi)
-    perm = _sigma(sigma.chi)
-    bits = _position_bits(perm, len(perm))
+    k = len(sigma.chi)
+    bits = _chi_bits(sigma.chi)
     masks = [sum(map(bits.__getitem__, b)) for b in sigma.blocks + pi.blocks if len(b) > 1]
-    closed = _nc_closure(len(perm), masks)
+    closed = _nc_closure(k, masks)
     blocks: dict[int, list[int]] = {}  # closed mask -> its positions, by first position
-    for e in range(1, len(perm) + 1):
+    for e in range(1, k + 1):
         bit = bits[e]
         for m in closed:
             if m & bit:

@@ -18,7 +18,10 @@ the rounding step of the printed ``entropy`` and is rounded up, so it
 bounds the distance from the printed value, not only the computed one, to
 the true entropy.  Text output uses 11 significant digits.
 Every writer (``--out`` and ``make-semicircular`` in both forms) refuses an
-existing file without --force.
+existing file without --force, and leaves no file behind if it fails.
+The large outputs (the ``bipartite conjugate`` arrays, the density grids and
+the ``lattice`` partitions) are written row by row, to a file or to stdout,
+in the same bytes as one ``json.dumps`` of the whole payload.
 The numerical modules, and numpy with them, are imported only by the
 ``gaussian``, ``bipartite`` and ``selftest`` handlers, so the exact
 subcommands start without them.
@@ -31,10 +34,11 @@ import math
 import sys
 import traceback
 import warnings
+from collections.abc import Iterable
 from decimal import ROUND_CEILING, Context, Decimal
 from typing import TYPE_CHECKING
 
-from ._io import load_json, to_json, write_files
+from ._io import json_object, load_json, write_files, write_stdout
 from .bnclattice import (
     enumerate_bnc,
     mobius,
@@ -91,16 +95,19 @@ def _jbound(value: float, bound: float):
     return float(Context(prec=12, rounding=ROUND_CEILING).add(Decimal(bound), Decimal(step)))
 
 
-def _write_output(text: str, args) -> None:
+def _write_output(text: str | Iterable[str], args) -> None:
     if args.out:
         write_files({args.out: text}, overwrite=args.force)
     else:
-        print(text)
+        write_stdout(text)
 
 
 def _emit(payload: dict, args, default_format: str, text_fn) -> None:
+    """Write ``payload`` as JSON or ``text_fn(payload)`` (a ``str`` or its
+    chunks); a payload value that is a generator of rows is written a row
+    at a time (``_io.json_object``)."""
     if (args.format or default_format) == "json":
-        _write_output(to_json(payload), args)
+        _write_output(json_object(payload), args)
     else:
         _write_output(text_fn(payload), args)
 
@@ -131,15 +138,14 @@ def _cmd_lattice(args) -> int:
     payload = {
         "chi": "".join(chi),
         "count": len(partitions),
-        "partitions": [[list(b) for b in p.blocks] for p in partitions],
+        "partitions": (p.blocks for p in partitions),  # JSON writes tuples as lists
         "mobius_0_to_1": mobius(zero_partition(chi), one_partition(chi)),
     }
 
     def text(p):
-        lines = [f"chi = {p['chi']}", f"count = {p['count']}",
-                 f"mobius(0,1) = {p['mobius_0_to_1']}"]
-        lines += [str(blocks) for blocks in p["partitions"]]
-        return "\n".join(lines)
+        yield f"chi = {p['chi']}\ncount = {p['count']}\nmobius(0,1) = {p['mobius_0_to_1']}"
+        for blocks in p["partitions"]:
+            yield f"\n{list(map(list, blocks))}"
 
     _emit(payload, args, "json", text)
     return 0
@@ -330,9 +336,9 @@ def _cmd_bipartite_conjugate(args) -> int:
         **bp.axes_to_json_dict(grid),
         "eps_x": fld.eps_x,
         "eps_y": fld.eps_y,
-        "xi_left": fld.xi_left.tolist(),
-        "xi_right": fld.xi_right.tolist(),
-        "mask": fld.mask.astype(int).tolist(),
+        "xi_left": (row.tolist() for row in fld.xi_left),
+        "xi_right": (row.tolist() for row in fld.xi_right),
+        "mask": (row.astype(int).tolist() for row in fld.mask),
     }
     _emit(payload, args, "json",
           lambda p: f"conjugate fields on {p['nx']}x{p['ny']} grid")

@@ -3,6 +3,9 @@ test suite."""
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,6 +21,9 @@ from bifree.bipartite_num import (
     FieldConfig,
     GridSpec,
     _AxisKernel,
+    axes_to_json_dict,
+    conjugate_field,
+    density_to_json_dict,
     grid_from_spec,
     marginals,
 )
@@ -36,6 +42,7 @@ from bifree.bnclattice import (
     mobius,
     one_partition,
     sigma_chi,
+    zero_partition,
 )
 from bifree.cumulant import TableMomentFunctional, moment_pi, pattern_of_letters
 from bifree import derivation
@@ -711,3 +718,55 @@ def semicircular_density_by_broadcast(c: float, spec: GridSpec) -> DensityGrid:
         return num / den
 
     return grid_from_spec(spec, fn)
+
+
+# -- the CLI writers' text, built whole: a full payload in one json.dumps --------
+
+
+def conjugate_json_whole(g: DensityGrid, cfg: FieldConfig | None = None) -> str:
+    """The ``bipartite conjugate`` JSON text, from full ``tolist()`` copies."""
+    fld = conjugate_field(g, cfg)
+    return json.dumps({
+        **axes_to_json_dict(g),
+        "eps_x": fld.eps_x,
+        "eps_y": fld.eps_y,
+        "xi_left": fld.xi_left.tolist(),
+        "xi_right": fld.xi_right.tolist(),
+        "mask": fld.mask.astype(int).tolist(),
+    })
+
+
+def density_json_whole(g: DensityGrid) -> str:
+    """The ``save_density`` text, without its closing newline."""
+    return json.dumps(density_to_json_dict(g))
+
+
+def density_csv_whole(g: DensityGrid, csv_name: str) -> tuple[str, str]:
+    """The ``save_density_csv`` header (without its closing newline) and the
+    values as ``csv.writer`` writes the full list of rows."""
+    values = io.StringIO()
+    csv.writer(values).writerows(g.values.tolist())
+    return json.dumps({**axes_to_json_dict(g), "values_csv": csv_name}), values.getvalue()
+
+
+def lattice_payload_whole(chi: str) -> dict:
+    partitions = enumerate_bnc(chi)
+    return {
+        "chi": chi,
+        "count": len(partitions),
+        "partitions": [[list(b) for b in p.blocks] for p in partitions],
+        "mobius_0_to_1": mobius(zero_partition(chi), one_partition(chi)),
+    }
+
+
+def lattice_json_whole(chi: str) -> str:
+    """The ``lattice --format json`` text, without the closing newline."""
+    return json.dumps(lattice_payload_whole(chi))
+
+
+def lattice_text_whole(chi: str) -> str:
+    """The ``lattice --format text`` text, without the closing newline."""
+    p = lattice_payload_whole(chi)
+    lines = [f"chi = {p['chi']}", f"count = {p['count']}", f"mobius(0,1) = {p['mobius_0_to_1']}"]
+    lines += [str(blocks) for blocks in p["partitions"]]
+    return "\n".join(lines)

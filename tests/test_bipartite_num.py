@@ -138,6 +138,42 @@ class TestDensityGrid:
         again = load_density_csv(str(header), str(values))
         assert np.allclose(again.values, g.values, rtol=1e-14, atol=0)
 
+    def test_csv_load_is_the_json_load_of_the_same_rows(self, tmp_path):
+        g = semicircular_density(-0.4, GridSpec(21, 13))
+        header, values = tmp_path / "grid.json", tmp_path / "grid.csv"
+        save_density_csv(g, str(header), str(values))
+        from_csv = load_density_csv(str(header), str(values))
+        from_dict = density_from_json_dict(density_to_json_dict(g))
+        for name in ("x", "y", "values", "wx", "wy"):
+            assert np.array_equal(getattr(from_csv, name), getattr(from_dict, name))
+        assert from_csv.raw_mass == from_dict.raw_mass
+
+    @pytest.mark.parametrize("text, match", [
+        ("1,2,3\n4,5\n6,7,8\n", "row 2 does not fit"),  # ragged
+        ("1,2\n3,4\n5,6\n", "row 1 does not fit"),  # every row short
+        ("1,2,3,4\n5,6,7,8\n9,1,2,3\n", "row 1 does not fit"),  # every row long
+        ("1,2,3\n4,5,6\n", "2 rows, the header has nx = 3"),  # too few rows
+        ("1,2,3\n4,5,6\n7,8,9\n1,2,3\n", "row 4 does not fit"),  # too many rows
+        ("1,2,3\n4,x,6\n7,8,9\n", "row 2: could not convert"),  # not a number
+        ("1,2,3\n\n4,5,6\n7,8,9\n", "row 2 does not fit"),  # a blank line
+        ("", "0 rows, the header has nx = 3"),
+    ])
+    def test_csv_load_rejects_rows_off_the_header(self, tmp_path, text, match):
+        header, values = tmp_path / "grid.json", tmp_path / "grid.csv"
+        header.write_text(json.dumps({"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1,
+                                      "nx": 3, "ny": 3, "values_csv": "grid.csv"}))
+        values.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_density_csv(str(header), str(values))
+
+    @pytest.mark.parametrize("n", [2 ** 20, 2 ** 40])  # 8 TB: no memory; 2^83 bytes: no array
+    def test_csv_load_rejects_a_header_grid_too_large_to_hold(self, tmp_path, n):
+        header, values = tmp_path / "grid.json", tmp_path / "grid.csv"
+        header.write_text(json.dumps({"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": n, "ny": n}))
+        values.write_text("1,1\n")
+        with pytest.raises(ValueError):  # never touched: row 1 is short if the array is made
+            load_density_csv(str(header), str(values))
+
     def test_dict_round_trip(self):
         g = semicircular_density(0.0, GridSpec(16, 16))
         again = density_from_json_dict(density_to_json_dict(g))

@@ -13,6 +13,13 @@ from bifree import gaussfam as gf
 from bifree.cli import main
 from bifree.cumulant import gaussian_cumulant_spec, save_spec
 from fractions import Fraction
+from helpers import (
+    conjugate_json_whole,
+    density_csv_whole,
+    density_json_whole,
+    lattice_json_whole,
+    lattice_text_whole,
+)
 
 
 def run_child(*args):
@@ -444,6 +451,59 @@ class TestBipartiteCli:
         assert value == pytest.approx(
             2 / (1 - 0.09), rel=0.1
         )  # coarse grid, loose check
+
+
+@pytest.mark.parametrize("text", ["1,1\n1\n", "1\n1\n", "1,1,1\n1,1,1\n", "1,1\n1,one\n"],
+                         ids=["ragged", "short", "long", "non-numeric"])
+def test_bad_csv_rows_exit_2(tmp_path, capsys, text):
+    header = tmp_path / "g.json"
+    header.write_text(json.dumps({"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": 2}))
+    (tmp_path / "g.csv").write_text(text)
+    args = ["bipartite", "fisher", "--grid", str(header), "--grid-csv", str(tmp_path / "g.csv")]
+    assert main(args) == 2
+    assert "g.csv: row" in capsys.readouterr().err
+
+
+class TestStreamedOutputsMatchWholeText:
+    """The row-by-row writers give the bytes of one ``json.dumps`` (or one
+    joined text) of the full payload, to stdout and to --out."""
+
+    @pytest.mark.parametrize("c, n, extra", [(0.5, 33, []), (-0.3, 20, ["--eps", "0.3"]),
+                                             (0.0, 16, ["--richardson"])])
+    def test_conjugate(self, tmp_path, capsys, c, n, extra):
+        args = ["bipartite", "conjugate", "--c", str(c), "--n", str(n), *extra]
+        cfg = bp.FieldConfig(eps=0.3 if "--eps" in extra else None,
+                             richardson="--richardson" in extra)
+        whole = conjugate_json_whole(bp.semicircular_density(c, bp.GridSpec(n, n)), cfg)
+        assert main(args) == 0
+        assert capsys.readouterr().out == whole + "\n"
+        out = tmp_path / "field.json"
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_text() == whole + "\n"
+
+    @pytest.mark.parametrize("c, n", [(0.5, 33), (-0.3, 16)])
+    def test_make_semicircular_json_and_csv(self, tmp_path, capsys, c, n):
+        g = bp.semicircular_density(c, bp.GridSpec(n, n))
+        make = ["bipartite", "make-semicircular", "--c", str(c), "--n", str(n)]
+        out = tmp_path / "grid.json"
+        assert main(make + ["--out", str(out)]) == 0
+        assert out.read_text() == density_json_whole(g) + "\n"
+        header = tmp_path / "two.json"
+        assert main(make + ["--format", "csv", "--out", str(header)]) == 0
+        header_text, values_text = density_csv_whole(g, "two.csv")
+        assert header.read_text() == header_text + "\n"
+        with open(tmp_path / "two.csv", encoding="utf-8", newline="") as handle:
+            assert handle.read() == values_text
+
+    @pytest.mark.parametrize("chi", ["l", "r", "lr", "rllrl", "lrrlrl", "rlrrllrl", "llllllll"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_lattice(self, tmp_path, capsys, chi, fmt):
+        whole = (lattice_json_whole if fmt == "json" else lattice_text_whole)(chi)
+        assert main(["lattice", "--chi", chi, "--format", fmt]) == 0
+        assert capsys.readouterr().out == whole + "\n"
+        out = tmp_path / "lattice.out"
+        assert main(["lattice", "--chi", chi, "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_text() == whole + "\n"
 
 
 MALFORMED_INPUTS = [

@@ -1,0 +1,95 @@
+import json
+import math
+import os
+
+import numpy as np
+import pytest
+
+from bifree._io import json_object, json_rows, write_files
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5, 0.0]
+
+
+def special_array(shape):
+    flat = [SPECIAL[i % len(SPECIAL)] for i in range(shape[0] * shape[1])]
+    return np.array(flat).reshape(shape)
+
+
+@pytest.mark.parametrize("shape", [(1, 10), (1, 17), (3, 5)])
+def test_json_rows_is_json_dumps_of_the_rows(shape):
+    array = special_array(shape)
+    assert "".join(json_rows(row.tolist() for row in array)) == json.dumps(array.tolist())
+
+
+@pytest.mark.parametrize("value", SPECIAL)
+def test_json_rows_of_one_value(value):
+    array = np.array([[value]])
+    assert "".join(json_rows(row.tolist() for row in array)) == json.dumps(array.tolist())
+
+
+def test_json_rows_yields_one_chunk_per_row_and_converts_lazily():
+    taken = []
+
+    def rows():
+        for i in range(3):
+            taken.append(i)
+            yield [i, -0.0]
+
+    chunks = json_rows(rows())
+    assert next(chunks) == "[[0, -0.0]" and taken == [0]
+    assert list(chunks) == [", [1, -0.0]", ", [2, -0.0]", "]"]
+
+
+def test_json_rows_of_no_rows():
+    assert "".join(json_rows(iter([]))) == json.dumps([]) == "[]"
+
+
+def test_json_object_is_json_dumps_of_the_payload():
+    array = special_array((3, 5))
+    mask = array != array
+    payload = {"name": "grid é\"", "n": 3, "eps": 5e-324, "none": None, "nested": {"a": [1, 2]},
+               "values": array.tolist(), "mask": mask.astype(int).tolist(), "last": math.inf}
+    streamed = {**payload, "values": (row.tolist() for row in array),
+                "mask": (row.astype(int).tolist() for row in mask)}
+    assert "".join(json_object(streamed)) == json.dumps(payload)
+    assert "".join(json_object({})) == json.dumps({})
+    assert "".join(json_object({"rows": iter(())})) == json.dumps({"rows": []})
+
+
+def raises_after_first_chunk():
+    yield "[1, 2"
+    raise RuntimeError("the rows broke")
+
+
+@pytest.mark.parametrize("overwrite", [False, True])
+def test_failed_write_leaves_no_file(tmp_path, overwrite):
+    path = tmp_path / "out.json"
+    if overwrite:
+        path.write_text("old\n")
+    with pytest.raises(RuntimeError, match="the rows broke"):
+        write_files({str(path): raises_after_first_chunk()}, overwrite)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("overwrite", [False, True])
+def test_failed_second_file_removes_the_first(tmp_path, overwrite):
+    first, second = tmp_path / "a.json", tmp_path / "a.csv"
+    with pytest.raises(RuntimeError, match="the rows broke"):
+        write_files({str(first): "{}", str(second): raises_after_first_chunk()}, overwrite)
+    assert os.listdir(tmp_path) == []
+
+
+def test_refused_open_removes_only_what_the_call_wrote(tmp_path):
+    first, kept = tmp_path / "a.json", tmp_path / "a.csv"
+    kept.write_text("keep me\n")
+    with pytest.raises(FileExistsError):
+        write_files({str(first): iter(["{", "}"]), str(kept): "1,2"}, overwrite=False)
+    assert os.listdir(tmp_path) == ["a.csv"]
+    assert kept.read_text() == "keep me\n"
+
+
+def test_chunks_are_written_with_one_closing_newline(tmp_path):
+    ended, open_ = tmp_path / "ended.txt", tmp_path / "open.txt"
+    write_files({str(ended): iter(["a\n", "b\n", ""]), str(open_): iter(["a", "", "b"])}, False)
+    assert ended.read_text() == "a\nb\n"
+    assert open_.read_text() == "ab\n"
