@@ -38,10 +38,6 @@ def load_json(path: str):
         return json.load(handle)
 
 
-def to_json(obj) -> str:
-    return json.dumps(obj)
-
-
 def json_rows(rows: Iterable) -> Iterator[str]:
     """The text ``json.dumps(list(rows))`` makes, one chunk per row: ``"["``,
     then ``json.dumps(row)`` for each row joined by ``", "``, then ``"]"``.

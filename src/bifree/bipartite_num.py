@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._io import json_object, load_json, read_fields, to_json, write_files
+from ._io import json_object, load_json, read_fields, write_files
 
 
 class ZeroMassError(ValueError):
@@ -587,7 +587,7 @@ def save_density_csv(
     header = {**axes_to_json_dict(g), "values_csv": os.path.basename(csv_path)}
     # the rows csv.writer would write: reprs need no quoting, and \r\n ends each
     values = (",".join(map(repr, row.tolist())) + "\r\n" for row in g.values)
-    write_files({header_path: to_json(header), csv_path: values}, overwrite)
+    write_files({header_path: json_object(header), csv_path: values}, overwrite)
 
 
 def load_density_csv(header_path: str, csv_path: str) -> DensityGrid:

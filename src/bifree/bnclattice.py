@@ -8,15 +8,17 @@ inverse of that permutation, so the lattice is isomorphic to NC(k).  This
 module enumerates the lattice (one walk over NC(k) with a stack of open
 blocks, which carries each block as its positions and hands every partition
 to a visitor already canonical), computes the refinement order, joins,
-the Mobius function, and the bottom-block embedding used to expand products
-sitting in the last entry of a cumulant.  Joins, the bi-non-crossing check
-of every validated partition and the product expansion in ``cumulant`` all
-take one non-crossing closure of int bitmasks, bit r for relabelled index
-r (``_nc_closure``).  mu(pi, 1_k) is a product over the Kreweras
-complement of pi: the walk carries it face by face for every partition it
-visits, and ``mobius`` forms it from the blocks of each interval.  Sums of
-block-factored cumulants over the lattice (moments) live with the moment
-functionals in ``cumulant``.
+the Mobius function, the bottom-block embedding, and the expansion of a
+product sitting in the last entry of a cumulant (``cumulant`` re-exports
+it), which walks the block that pi and the new positions form, read
+straight from pi.  Joins, the bi-non-crossing check of every validated
+partition and the product expansion all take one non-crossing closure of
+int bitmasks, bit r for relabelled index r (``_nc_closure``, the bits from
+``_chi_bits``); no other module knows that encoding.  mu(pi, 1_k) is a
+product over the Kreweras complement of pi: the walk carries it face by
+face for every partition it visits, and ``mobius`` forms it from the blocks
+of each interval.  Sums of block-factored cumulants over the lattice
+(moments) live with the moment functionals in ``cumulant``.
 
 Everything is pure; enumeration is memoized per side sequence, so
 concurrent readers are safe.  A cold enumeration pauses the cyclic
@@ -306,20 +308,15 @@ def enumerate_bnc(chi: Sequence[str]) -> tuple[BNCPartition, ...]:
 # -- join ------------------------------------------------------------------
 
 
-def _position_bits(perm: Sequence[int], k: int) -> list[int]:
-    """``bits[e]`` for the positions e in 0..k: 1 << r where e = perm[r],
-    the bit of its relabelled index, and 0 where e is not in ``perm``."""
-    bits = [0] * (k + 1)
-    for r, e in enumerate(perm):
-        bits[e] = 1 << r
-    return bits
-
-
 @lru_cache(maxsize=4096)
 def _chi_bits(chi: ChiSeq) -> tuple[int, ...]:
-    """``_position_bits`` of sigma_chi for a validated chi, built once per
-    chi (4,096 kept: every side sequence of length 12)."""
-    return tuple(_position_bits(_sigma(chi), len(chi)))
+    """``bits[e]`` for the positions e in 1..k of a validated chi: 1 << r
+    where e = sigma_chi[r], the bit of its relabelled index (``bits[0]`` is
+    0).  Built once per chi (4,096 kept: every side sequence of length 12)."""
+    bits = [0] * (len(chi) + 1)
+    for r, e in enumerate(_sigma(chi)):
+        bits[e] = 1 << r
+    return tuple(bits)
 
 
 def _nc_closure(k: int, masks: Iterable[int]) -> list[int]:
@@ -443,6 +440,49 @@ def hat_embed(pi: BNCPartition, chi_prime: Sequence[str]) -> BNCPartition:
         else:
             blocks.append(block)
     return BNCPartition(extended, canonical_blocks(blocks))
+
+
+def expand_product_last_entry(
+    pi: BNCPartition, chi: Sequence[str], chi_prime: Sequence[str]
+) -> tuple[BNCPartition, ...]:
+    """Partitions realizing a product in the last entry.
+
+    Returns the partitions sigma over the extended side sequence whose join
+    with the bottom-block embedding of the discrete partition equals the
+    embedding of ``pi``; summing block-factored cumulants over them expands a
+    cumulant whose last entry is the product of the new letters.
+
+    sigma <= sigma v bottom = pi_hat, and the bottom embedding is discrete
+    on every block of pi_hat but the one S holding p..q, so sigma keeps
+    pi's other blocks whole and splits S into a non-crossing partition of
+    its relabelled order, which ``_bnc_walk`` visits.  The join is pi_hat
+    exactly when the non-crossing closure of sigma's sub-blocks and {p..q},
+    as bitmasks of relabelled indices, is the one mask of S: no other bit
+    is set, and the bits of S lie in the same order as S's own ranks.
+    """
+    chi = validate_chi(chi)
+    if pi.chi != chi:
+        raise ValueError("pi must live over chi")
+    extended = hat_chi(chi, chi_prime)
+    p, q = len(chi), len(extended)
+    kept = [b for b in pi.blocks if p not in b]
+    (block,) = [b for b in pi.blocks if p in b]
+    split = set(block).union(range(p + 1, q + 1))
+    bits = _chi_bits(extended)
+    product = sum(bits[p:])  # p..q end the extended sequence
+    whole = [sum(map(bits.__getitem__, split))]
+    out = []
+
+    def visit(starts: list, mu: int) -> None:
+        blocks = list(filter(None, starts))
+        # a singleton merges nothing in the closure
+        masks = [sum(map(bits.__getitem__, b)) for b in blocks if len(b) > 1]
+        masks.append(product)
+        if _nc_closure(q, masks) == whole:
+            out.append(_unchecked(extended, tuple(sorted(kept + blocks))))
+
+    _bnc_walk([e for e in _sigma(extended) if e in split], visit)
+    return tuple(out)
 
 
 def hat_zero(chi: Sequence[str], chi_prime: Sequence[str]) -> BNCPartition:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import traceback
 import warnings
@@ -278,10 +279,9 @@ def _cmd_gaussian_dimension(args) -> int:
 def _parse_pattern(text: str):
     pattern = []
     for token in text.split():
-        side = token[0]
-        if side not in (LEFT, RIGHT):
+        if not re.fullmatch("[lr][0-9]+", token):
             raise CliError(f"pattern tokens look like l1 or r2, got {token!r}")
-        pattern.append((side, int(token[1:])))
+        pattern.append((token[0], int(token[1:])))
     return pattern
 
 

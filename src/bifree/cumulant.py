@@ -15,9 +15,10 @@ free-mode functional for the moment of its single-letter arguments.  The
 inverse transform recovers cumulants from moments by Mobius inversion: the
 lattice walk of ``bnclattice`` visits NC(k) in the relabelled order with
 mu(pi, 1) and the blocks in positions, and phi is asked once per distinct
-block.  The product-in-the-last-entry expansion walks only the interval
-below the embedded partition and decides each partition on the one block
-it splits, without forming a join over all positions.
+block; that walk (``_bnc_walk``) is the one lattice internal read here.
+The product-in-the-last-entry expansion is lattice work:
+``expand_product_last_entry`` lives in ``bnclattice`` and is imported
+from there.
 
 Inside these sums an exact value is a reduced (numerator, denominator) pair
 of ints with a positive denominator: terms are summed per denominator as
@@ -32,18 +33,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from ._io import load_json, read_fields, to_json, write_files
+from ._io import json_object, load_json, read_fields, write_files
 from .bnclattice import (
     ENUMERATION_CAP,
     BNCPartition,
     CapExceededError,
     ChiSeq,
     _bnc_walk,
-    _inverse_perm,
-    _nc_closure,
-    _position_bits,
-    _unchecked,
-    hat_embed,
+    expand_product_last_entry,
     sigma_chi,
     validate_chi,
 )
@@ -411,49 +408,6 @@ def moments_from_cumulants(
     return CumulantMomentFunctional(AlgebraMode("free", spec.n, spec.m), spec).phi(tuple(letters))
 
 
-def expand_product_last_entry(
-    pi: BNCPartition, chi: Sequence[str], chi_prime: Sequence[str]
-) -> tuple[BNCPartition, ...]:
-    """Partitions realizing a product in the last entry.
-
-    Returns the partitions sigma over the extended side sequence whose join
-    with the bottom-block embedding of the discrete partition equals the
-    embedding of ``pi``; summing block-factored cumulants over them expands a
-    cumulant whose last entry is the product of the new letters.
-    """
-    chi = validate_chi(chi)
-    if pi.chi != chi:
-        raise ValueError("pi must live over chi")
-    pi_hat = hat_embed(pi, chi_prime)
-    extended = pi_hat.chi
-    # sigma <= sigma v bottom = pi_hat, and the bottom block embedding is
-    # discrete on every block of pi_hat but the one S holding p..q, so sigma
-    # keeps those blocks whole and splits S into a non-crossing partition of
-    # its relabelled order; the join is pi_hat exactly when the non-crossing
-    # closure of sigma's sub-blocks and {p..q}, as bitmasks of ranks in that
-    # order, is the one full mask
-    p = len(chi)
-    inv = _inverse_perm(sigma_chi(extended))
-    kept = [b for b in pi_hat.blocks if p not in b]
-    (split,) = [b for b in pi_hat.blocks if p in b]
-    ordered = sorted(split, key=lambda e: inv[e - 1])
-    bits = _position_bits(ordered, len(extended))
-    product = sum(bits[p:])  # p..q end the extended sequence
-    full = [(1 << len(ordered)) - 1]
-    out = []
-
-    def visit(starts: list, mu: int) -> None:
-        blocks = list(filter(None, starts))
-        # a singleton merges nothing in the closure
-        masks = [sum(map(bits.__getitem__, b)) for b in blocks if len(b) > 1]
-        masks.append(product)
-        if _nc_closure(len(ordered), masks) == full:
-            out.append(_unchecked(extended, tuple(sorted(kept + blocks))))
-
-    _bnc_walk(ordered, visit)
-    return tuple(out)
-
-
 # -- mixed-cumulant vanishing -------------------------------------------------
 
 
@@ -551,7 +505,7 @@ def spec_from_json_dict(data: Mapping) -> CumulantSpec:
 
 
 def save_spec(spec: CumulantSpec, path: str) -> None:
-    write_files({path: to_json(spec_to_json_dict(spec))}, overwrite=True)
+    write_files({path: json_object(spec_to_json_dict(spec))}, overwrite=True)
 
 
 def load_spec(path: str) -> CumulantSpec:

@@ -184,10 +184,16 @@ class TestGaussianCli:
         ["gaussian", "entropy", "--method", "quadrature", "--quad-tol", "inf"],
         ["gaussian", "fisher", "--t", "nan"],
         ["gaussian", "fisher", "--t", "inf"],
+        ["gaussian", "moments", "--pattern", "l"],
+        ["gaussian", "moments", "--pattern", "lx"],
+        ["gaussian", "moments", "--pattern", "l+1"],
     ])
     def test_bad_numeric_option_exits_2(self, cov_file, capsys, argv):
         assert main(argv + ["--cov", cov_file]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if "--pattern" in argv:  # the malformed token is named
+            assert repr(argv[-1]) in err
 
 
 class TestLatticeCli:
@@ -551,8 +557,9 @@ def test_format_outside_choices_exits_2(capsys, argv):
 
 
 class TestSelftest:
-    def test_fast_selftest_passes(self, capsys):
-        assert main(["selftest", "--fast"]) == 0
+    @pytest.mark.parametrize("flags", [[], ["--fast"]], ids=["full", "fast"])
+    def test_fast_selftest_passes(self, capsys, flags):
+        assert main(["selftest", *flags]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 15

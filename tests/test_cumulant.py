@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -10,8 +12,10 @@ from hypothesis import strategies as st
 from bifree.bnclattice import (
     ENUMERATION_CAP,
     BNCPartition,
+    canonical_blocks,
     enumerate_bnc,
     one_partition,
+    sigma_chi,
     zero_partition,
 )
 from bifree.cumulant import (
@@ -349,7 +353,9 @@ class TestProductExpansion:
     def test_matches_whole_lattice_filter(self, data):
         extended = tuple(data.draw(st.lists(st.sampled_from("lr"), min_size=2, max_size=8)))
         p = data.draw(st.integers(1, len(extended) - 1))
-        chi, chi_prime = extended[:p], extended[p - 1:]
+        # position p may take either side in the extended sequence
+        chi = extended[:p - 1] + (data.draw(st.sampled_from("lr")),)
+        chi_prime = extended[p - 1:]
         pi = data.draw(bnc_partitions(chi))
         got = [s.blocks for s in expand_product_last_entry(pi, chi, chi_prime)]
         assert len(set(got)) == len(got)
@@ -361,11 +367,58 @@ class TestProductExpansion:
         rng = random.Random(22)
         for _ in range(150):
             chi = rand_chi(rng, rng.randint(1, 6))
-            chi_prime = (chi[-1],) + rand_chi(rng, rng.randint(2, 4))
+            # the first side of chi_prime is drawn on its own, so position p
+            # may change side in the extended sequence
+            chi_prime = rand_chi(rng, rng.randint(3, 5))
             pi = rng.choice(enumerate_bnc(chi))
             got = expand_product_last_entry(pi, chi, chi_prime)
             expected = expand_by_join(pi, chi, chi_prime)
             assert [(s.chi, s.blocks) for s in got] == [(s.chi, s.blocks) for s in expected]
+
+    def test_split_block_past_the_cap(self):
+        # a split block of 13 positions, p changing side: sigma v bottom = 1
+        # exactly for 1_13 and for the two-block partitions that cut the
+        # relabelled circle between p and q, which sit next to each other
+        # (two non-crossing blocks are two arcs of it); the walk gives them
+        # in the lex order of their relabelled restricted-growth strings
+        rng = random.Random(31)
+        chi = rand_chi(rng, 12)
+        chi_prime = ("r" if chi[-1] == "l" else "l", rng.choice("lr"))
+        order = sigma_chi(chi[:-1] + chi_prime)  # relabelled index -> position
+        k = len(order)
+        assert k > ENUMERATION_CAP
+        after = max(order.index(12), order.index(13))  # the arc after the p, q cut
+        rgs = [(0,) * k]
+        for j in range(1, k):
+            arc = {(after + t) % k for t in range(j)}
+            rgs.append(tuple(int((r in arc) != (0 in arc)) for r in range(k)))
+        expected = [
+            canonical_blocks([order[r] for r in range(k) if g[r] == label] for label in set(g))
+            for g in sorted(rgs)
+        ]
+        got = expand_product_last_entry(one_partition(chi), chi, chi_prime)
+        assert [s.blocks for s in got] == expected
+
+    @pytest.mark.parametrize("pi_chi, chi, chi_prime, message", [
+        ("ll", "lx", "ll", "chi labels must be 'l' or 'r'"),
+        ("ll", "lr", "ll", "pi must live over chi"),
+        ("ll", "ll", "lq", "chi labels must be 'l' or 'r'"),
+        ("ll", "ll", "", "chi must be nonempty"),
+        ("ll", "ll", "r", "chi_prime must cover at least positions p..p+1"),
+    ])
+    def test_errors(self, pi_chi, chi, chi_prime, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            expand_product_last_entry(one_partition(pi_chi), chi, chi_prime)
+
+    def test_one_object(self):
+        # the cumulant module and the package export the lattice's function
+        import bifree
+        import bifree.bnclattice
+        import bifree.cumulant
+
+        fn = bifree.bnclattice.expand_product_last_entry
+        assert bifree.expand_product_last_entry is fn
+        assert bifree.cumulant.expand_product_last_entry is fn
 
 
 def test_no_whole_lattice_enumeration(monkeypatch):
@@ -442,6 +495,7 @@ class TestSpecJson:
         spec = gaussian_cumulant_spec(1, 1, [[1, HALF], [HALF, 1]], degree_bound=8)
         path = tmp_path / "spec.json"
         save_spec(spec, str(path))
+        assert path.read_text() == json.dumps(spec_to_json_dict(spec)) + "\n"
         loaded = load_spec(str(path))
         assert loaded.n == spec.n and loaded.m == spec.m
         assert loaded.degree_bound == spec.degree_bound
