@@ -22,9 +22,13 @@ existing file without --force, and leaves no file behind if it fails.
 The large outputs (the ``bipartite conjugate`` arrays, the density grids and
 the ``lattice`` partitions) are written row by row, to a file or to stdout,
 in the same bytes as one ``json.dumps`` of the whole payload.
-The numerical modules, and numpy with them, are imported only by the
-``gaussian``, ``bipartite`` and ``selftest`` handlers, so the exact
-subcommands start without them.
+Each handler imports the modules it runs, so an invocation loads only those:
+``lattice`` loads ``bnclattice``; ``cumulants`` and ``moments`` load
+``cumulant`` (with the ``ncalg`` and ``bnclattice`` it imports); ``dq`` loads
+``ncalg`` and ``derivation``; ``conjugate-check`` loads the four exact
+modules; ``gaussian`` loads ``gaussfam`` (with ``bnclattice``) and
+``bipartite`` loads ``bipartite_num``, which bring numpy; ``selftest`` loads
+every module.  Parsing the arguments (``--help`` included) loads none.
 """
 
 from __future__ import annotations
@@ -33,37 +37,11 @@ import argparse
 import math
 import re
 import sys
-import traceback
 import warnings
 from collections.abc import Iterable
-from decimal import ROUND_CEILING, Context, Decimal
 from typing import TYPE_CHECKING
 
 from ._io import json_object, load_json, write_files, write_stdout
-from .bnclattice import (
-    enumerate_bnc,
-    mobius,
-    one_partition,
-    validate_chi,
-    zero_partition,
-)
-from .cumulant import (
-    CumulantMomentFunctional,
-    cumulant_chi,
-    load_spec,
-)
-from .derivation import QuotientKind, bifree_dq, conjugate_check
-from .ncalg import (
-    LEFT,
-    RIGHT,
-    VAR,
-    AlgebraMode,
-    _literal_terms,
-    format_tensor,
-    format_word,
-    parse_poly,
-    parse_word,
-)
 
 if TYPE_CHECKING:
     from . import bipartite_num as bp
@@ -90,6 +68,8 @@ def _jbound(value: float, bound: float):
     """``bound`` plus the rounding step from ``value`` to ``_jfloat(value)``,
     rounded up to 12 significant digits: a bound on the distance from the
     printed value to the true one."""
+    from decimal import ROUND_CEILING, Context, Decimal
+
     if not (math.isfinite(value) and math.isfinite(bound)):
         return _jfloat(bound)
     step = abs(_jfloat(value) - value)  # exact: the two lie within a factor of 2
@@ -121,26 +101,30 @@ def _add_common(parser: argparse.ArgumentParser, formats=("json", "text")) -> No
 
 
 def _infer_mode(poly_text: str, mode_name: str, left_arity, right_arity, extra=()):
-    top = {LEFT: 0, RIGHT: 0}
-    letters = [l for _, legs in _literal_terms(poly_text) for leg in legs for l in leg]
-    for side, index in [(l.side, l.index) for l in letters if l.kind == VAR] + list(extra):
+    from . import ncalg as nc
+
+    top = {nc.LEFT: 0, nc.RIGHT: 0}
+    letters = [l for _, legs in nc._literal_terms(poly_text) for leg in legs for l in leg]
+    for side, index in [(l.side, l.index) for l in letters if l.kind == nc.VAR] + list(extra):
         top[side] = max(top[side], index)
-    n = left_arity if left_arity is not None else top[LEFT]
-    m = right_arity if right_arity is not None else top[RIGHT]
-    return AlgebraMode(mode_name, n, m)
+    n = left_arity if left_arity is not None else top[nc.LEFT]
+    m = right_arity if right_arity is not None else top[nc.RIGHT]
+    return nc.AlgebraMode(mode_name, n, m)
 
 
 # -- subcommand handlers --------------------------------------------------------
 
 
 def _cmd_lattice(args) -> int:
-    chi = validate_chi(tuple(args.chi))
-    partitions = enumerate_bnc(chi)
+    from . import bnclattice as bl
+
+    chi = bl.validate_chi(tuple(args.chi))
+    partitions = bl.enumerate_bnc(chi)
     payload = {
         "chi": "".join(chi),
         "count": len(partitions),
         "partitions": (p.blocks for p in partitions),  # JSON writes tuples as lists
-        "mobius_0_to_1": mobius(zero_partition(chi), one_partition(chi)),
+        "mobius_0_to_1": bl.mobius(bl.zero_partition(chi), bl.one_partition(chi)),
     }
 
     def text(p):
@@ -153,40 +137,51 @@ def _cmd_lattice(args) -> int:
 
 
 def _functional_from_spec(path: str):
-    spec = load_spec(path)
-    mode = AlgebraMode("free", spec.n, spec.m)
-    return spec, mode, CumulantMomentFunctional(mode, spec)
+    from . import cumulant as cu
+    from . import ncalg as nc
+
+    spec = cu.load_spec(path)
+    mode = nc.AlgebraMode("free", spec.n, spec.m)
+    return spec, mode, cu.CumulantMomentFunctional(mode, spec)
 
 
 def _cmd_cumulants(args) -> int:
+    from . import cumulant as cu
+    from . import ncalg as nc
+
     spec, mode, phi = _functional_from_spec(args.spec)
-    word = parse_word(args.word, mode)
+    word = nc.parse_word(args.word, mode)
     if not word:
         raise CliError("cumulants need at least one letter")
     chi = tuple(l.side for l in word)
-    value = cumulant_chi(phi, chi, [(l,) for l in word])
+    value = cu.cumulant_chi(phi, chi, [(l,) for l in word])
     payload = {"word": args.word, "chi": "".join(chi), "value": str(value)}
     _emit(payload, args, "json", lambda p: p["value"])
     return 0
 
 
 def _cmd_moments(args) -> int:
+    from . import ncalg as nc
+
     spec, mode, phi = _functional_from_spec(args.spec)
-    value = phi.phi(parse_word(args.word, mode))
+    value = phi.phi(nc.parse_word(args.word, mode))
     payload = {"word": args.word, "value": str(value)}
     _emit(payload, args, "json", lambda p: p["value"])
     return 0
 
 
 def _cmd_dq(args) -> int:
-    side = LEFT if args.side == "left" else RIGHT
+    from . import derivation as dv
+    from . import ncalg as nc
+
+    side = nc.LEFT if args.side == "left" else nc.RIGHT
     mode = _infer_mode(
         args.poly, args.mode, args.left_arity, args.right_arity, extra=[(side, args.index)]
     )
-    p = parse_poly(args.poly, mode)
-    kind = QuotientKind(side, args.index, flipped=args.flipped)
-    result = bifree_dq(p, kind, mode)
-    literal = format_tensor(result)
+    p = nc.parse_poly(args.poly, mode)
+    kind = dv.QuotientKind(side, args.index, flipped=args.flipped)
+    result = dv.bifree_dq(p, kind, mode)
+    literal = nc.format_tensor(result)
     payload = {"input": args.poly, "side": args.side, "index": args.index,
                "flipped": args.flipped, "mode": mode.mode, "tensor": literal}
     _emit(payload, args, "text", lambda pl: pl["tensor"])
@@ -194,16 +189,20 @@ def _cmd_dq(args) -> int:
 
 
 def _cmd_conjugate_check(args) -> int:
-    spec = load_spec(args.spec)
-    mode = AlgebraMode(args.mode, spec.n, spec.m)
-    phi = CumulantMomentFunctional(mode, spec)
-    xi = parse_poly(args.xi, mode)
-    side = LEFT if args.side == "left" else RIGHT
-    report = conjugate_check(phi, QuotientKind(side, args.index), xi, args.max_degree, mode)
+    from . import cumulant as cu
+    from . import derivation as dv
+    from . import ncalg as nc
+
+    spec = cu.load_spec(args.spec)
+    mode = nc.AlgebraMode(args.mode, spec.n, spec.m)
+    phi = cu.CumulantMomentFunctional(mode, spec)
+    xi = nc.parse_poly(args.xi, mode)
+    side = nc.LEFT if args.side == "left" else nc.RIGHT
+    report = dv.conjugate_check(phi, dv.QuotientKind(side, args.index), xi, args.max_degree, mode)
     failure = None
     if report.first_failure:
         word, lhs, rhs = report.first_failure
-        failure = {"word": format_word(word), "lhs": str(lhs), "rhs": str(rhs)}
+        failure = {"word": nc.format_word(word), "lhs": str(lhs), "rhs": str(rhs)}
     payload = {
         "passed": report.passed,
         "checked": report.checked,
@@ -510,6 +509,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except _loaded("numpy.linalg", "LinAlgError"):  # a ValueError, but never a sign of bad input
+        import traceback
+
         traceback.print_exc()
         return 4
     except FileExistsError as exc:  # only the writers' exclusive opens raise it
@@ -519,6 +520,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 4
 

@@ -31,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .cumulant import MomentFunctional
 from .ncalg import (
     LEFT,
     RIGHT,
@@ -46,6 +45,9 @@ from .ncalg import (
     normal_form,
     normalize_poly,
 )
+
+if TYPE_CHECKING:
+    from .cumulant import MomentFunctional
 
 
 @dataclass(frozen=True)

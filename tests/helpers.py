@@ -704,6 +704,16 @@ def product_gap_fraction_by_outer(g: DensityGrid) -> float:
     return float(np.mean(mask & (outer > MASK_THRESHOLD * float(outer.max()))))
 
 
+def marchenko_pastur(lam: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` uniform points on [a, b] = [(1 - sqrt(lam))^2, (1 + sqrt(lam))^2]
+    and the free Poisson (Marchenko-Pastur) density with rate ``lam`` > 1 and
+    jump 1 there, sqrt((b - x)(x - a)) / (2 pi x).  Its free Fisher
+    information, (4 pi^2 / 3) times the integral of its cube, is 1/(lam - 1)."""
+    a, b = (1.0 - math.sqrt(lam)) ** 2, (1.0 + math.sqrt(lam)) ** 2
+    x = np.linspace(a, b, n)
+    return x, np.sqrt(np.clip((b - x) * (x - a), 0.0, None)) / (2.0 * math.pi * x)
+
+
 def semicircular_density_by_broadcast(c: float, spec: GridSpec) -> DensityGrid:
     """The semicircular density of ``bipartite_num`` evaluated on the full
     grid by broadcasting, then checked and normalized by ``make_density_grid``."""

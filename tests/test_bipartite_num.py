@@ -41,6 +41,7 @@ from helpers import (
     conjugate_field_by_matrix,
     fields_by_allocating_blocks,
     hilbert_rows_by_matrix,
+    marchenko_pastur,
     product_gap_fraction_by_outer,
     semicircular_density_by_broadcast,
 )
@@ -435,6 +436,35 @@ class TestFisherNumeric:
         joint = fisher_numeric(g)
         split = free_fisher_marginal(mx) + free_fisher_marginal(my)
         assert abs(joint - split) / joint < 0.02
+
+    # A product of Marchenko-Pastur marginals: ({X}, {}) and ({}, {Y}) are
+    # bi-free, so Phi* adds to 1/(lam1 - 1) + 1/(lam2 - 1).  The grid value
+    # falls short at first order in the spacing, by 1.4e-2, 2.2e-2 and
+    # 4.7e-2 at 1025 x 1025 and 2.3e-2 at 1025 x 769; each bound is about
+    # 1.3 times that, and (4, 1.5) is steep at its lower edge a = 0.05.
+    @pytest.mark.parametrize("lam1, lam2, nx, ny, rtol", [
+        (3.0, 3.0, 1025, 1025, 2e-2),
+        (2.0, 5.0, 1025, 1025, 3e-2),
+        (4.0, 1.5, 1025, 1025, 6e-2),
+        (2.0, 5.0, 1025, 769, 3e-2),
+    ])
+    def test_marchenko_pastur_products(self, lam1, lam2, nx, ny, rtol):
+        (x, px), (y, py) = marchenko_pastur(lam1, nx), marchenko_pastur(lam2, ny)
+        g = make_density_grid(x, y, np.outer(px, py))
+        target = 1 / (lam1 - 1) + 1 / (lam2 - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rel = (fisher_numeric(g) - target) / target
+        assert -rtol < rel < 0
+
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 3.0, 4.0, 5.0])
+    def test_marchenko_pastur_marginal(self, lam):
+        # relative error -1.4e-2 at lam = 1.5 down to -2.6e-3 at lam = 5
+        x, p = marchenko_pastur(lam, 4097)
+        w = np.full(x.size, x[1] - x[0])
+        w[0] = w[-1] = 0.5 * (x[1] - x[0])
+        rel = (free_fisher_marginal(MarginalDensity(x, p / float(w @ p), w)) * (lam - 1)) - 1
+        assert -2e-2 < rel < 0
 
     def test_cramer_rao(self):
         # equality holds at c = 0, so allow the quadrature bias there

@@ -610,6 +610,92 @@ def test_exact_subcommand_leaves_numpy_out(spec_file, name):
     assert proc.returncode == 0, proc.stderr
 
 
+_BASE = ("bifree", "bifree.cli", "bifree._io")
+_CUMULANT = (*_BASE, "bifree.ncalg", "bifree.bnclattice", "bifree.cumulant")
+_GAUSSIAN = (*_BASE, "bifree.bnclattice", "bifree.gaussfam")
+_BIPARTITE = (*_BASE, "bifree.bipartite_num")
+
+#: Each invocation and every ``bifree`` module it loads, no more.
+LOADED_MODULES = {
+    "help": (["--help"], _BASE),
+    "lattice-help": (["lattice", "--help"], _BASE),
+    "lattice": (["lattice", "--chi", "lrlr"], (*_BASE, "bifree.bnclattice")),
+    "cumulants": (["cumulants", "--spec", "{spec}", "--word", "X1 Y1"], _CUMULANT),
+    "moments": (["moments", "--spec", "{spec}", "--word", "X1 Y1 X1 Y1"], _CUMULANT),
+    "dq": (["dq", "--side", "left", "X1 X1 Y1"], (*_BASE, "bifree.ncalg", "bifree.derivation")),
+    "conjugate-check": (
+        ["conjugate-check", "--spec", "{spec}", "--xi", "4/3*X1 - 2/3*Y1", "--max-degree", "3"],
+        (*_CUMULANT, "bifree.derivation"),
+    ),
+    "gaussian-fisher": (["gaussian", "fisher", "--cov", "{cov}"], _GAUSSIAN),
+    "gaussian-entropy": (["gaussian", "entropy", "--cov", "{cov}", "--method", "quadrature"],
+                         _GAUSSIAN),
+    "gaussian-dimension": (["gaussian", "dimension", "--cov", "{cov}"], _GAUSSIAN),
+    "gaussian-moments": (["gaussian", "moments", "--cov", "{cov}", "--pattern", "l1 r1",
+                          "--depth", "2"], _GAUSSIAN),
+    "bipartite-fisher": (["bipartite", "fisher", "--c", "0.5", "--n", "17"], _BIPARTITE),
+    "bipartite-conjugate": (["bipartite", "conjugate", "--c", "0.5", "--n", "17"], _BIPARTITE),
+    "bipartite-make": (["bipartite", "make-semicircular", "--c", "0.5", "--n", "17",
+                        "--out", "{tmp}/g.json"], _BIPARTITE),
+}
+
+
+@pytest.mark.parametrize("name", list(LOADED_MODULES))
+def test_subcommand_loads_only_its_modules(spec_file, cov_file, tmp_path, name):
+    argv, want = LOADED_MODULES[name]
+    argv = [arg.format(spec=spec_file, cov=cov_file, tmp=tmp_path) for arg in argv]
+    code = (
+        "import sys\n"
+        "from bifree.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'bifree')\n"
+        "print(loaded, 'numpy' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    numerical = {"bifree.gaussfam", "bifree.bipartite_num"} & set(want)
+    assert proc.stderr.splitlines()[-1] == f"{sorted(want)} {bool(numerical)}"
+
+
+def test_exact_layer_loads_whole_on_first_name():
+    exact = ("ncalg", "bnclattice", "cumulant", "derivation")
+    names = [n for n in PUBLIC_NAMES if n not in (*exact, "gaussfam", "bipartite_num")]
+    exact_names = [n for n in names
+                   if getattr(bifree, n).__module__.rpartition(".")[2] in exact]
+    code = (
+        "import sys, bifree\n"
+        f"exact, names, exact_names = {exact!r}, {names!r}, {exact_names!r}\n"
+        "def loaded():\n"
+        "    return [m for m in exact if f'bifree.{m}' in sys.modules]\n"
+        "public = [n for n in dir(bifree) if not n.startswith('_')]\n"
+        "if loaded() or any(n in vars(bifree) for n in names):\n"
+        "    sys.exit(5)\n"
+        "bifree.normal_form\n"
+        "if loaded() != list(exact) or 'numpy' in sys.modules:\n"
+        "    sys.exit(6)\n"
+        "bound = [n for n in names if n in vars(bifree)]\n"
+        "if bound != exact_names:\n"
+        "    sys.exit(7)\n"
+        "if any(getattr(bifree, m) is not sys.modules[f'bifree.{m}'] for m in exact):\n"
+        "    sys.exit(8)\n"
+        "sys.exit(0 if [n for n in dir(bifree) if not n.startswith('_')] == public else 9)\n"
+    )
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["ncalg", "bnclattice", "cumulant", "derivation"])
+def test_exact_module_name_resolves_as_attribute(module):
+    code = (
+        "import importlib, sys, bifree\n"
+        f"loaded = bifree.{module}\n"
+        f"sys.exit(0 if loaded is importlib.import_module('bifree.{module}') else 3)\n"
+    )
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_exact_layer_import_leaves_numpy_out_until_first_numerical_name():
     code = (
         "import sys, bifree\n"
@@ -658,6 +744,8 @@ def test_public_api_is_complete():
     listed = dir(bifree)
     star: dict = {}
     exec("from bifree import *", star)
+    assert sorted(bifree.__all__) == sorted(PUBLIC_NAMES)
+    assert sorted(n for n in star if not n.startswith("_")) == sorted(PUBLIC_NAMES)
     for name in PUBLIC_NAMES:
         value = getattr(bifree, name)
         scope: dict = {}
