@@ -685,12 +685,15 @@ def test_exact_layer_loads_whole_on_first_name():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("module", ["ncalg", "bnclattice", "cumulant", "derivation"])
-def test_exact_module_name_resolves_as_attribute(module):
+def test_exact_module_names_resolve_as_attributes():
+    # in this order each module is still unloaded when the package is asked for it
     code = (
         "import importlib, sys, bifree\n"
-        f"loaded = bifree.{module}\n"
-        f"sys.exit(0 if loaded is importlib.import_module('bifree.{module}') else 3)\n"
+        "for m in ('bnclattice', 'ncalg', 'derivation', 'cumulant'):\n"
+        "    if f'bifree.{m}' in sys.modules:\n"
+        "        sys.exit(4)\n"
+        "    if getattr(bifree, m) is not importlib.import_module(f'bifree.{m}'):\n"
+        "        sys.exit(3)\n"
     )
     proc = run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
