@@ -10,12 +10,11 @@ blocks, which carries each block as its positions and hands every partition
 to a visitor already canonical), computes the refinement order, joins,
 the Mobius function, the bottom-block embedding, and the expansion of a
 product sitting in the last entry of a cumulant (``cumulant`` re-exports
-it), which walks the block that pi and the new positions form, read
-straight from pi.  Joins, the bi-non-crossing check of every validated
-partition and the product expansion all take one non-crossing closure of
-int bitmasks, bit r for relabelled index r (``_nc_closure``, the bits from
-``_chi_bits``); no other module knows that encoding.  mu(pi, 1_k) is a
-product over the Kreweras complement of pi: the walk carries it face by
+it), a walk of its own over the kept partitions only.  Joins and the
+bi-non-crossing check of every validated partition take one non-crossing
+closure of int bitmasks, bit r for relabelled index r (``_nc_closure``, the
+bits from ``_chi_bits``); no other module knows that encoding.  mu(pi, 1_k)
+is a product over the Kreweras complement of pi: the walk carries it face by
 face for every partition it visits, and ``mobius`` forms it from the blocks
 of each interval.  Sums of block-factored cumulants over the lattice
 (moments) live with the moment functionals in ``cumulant``.
@@ -455,33 +454,44 @@ def expand_product_last_entry(
     sigma <= sigma v bottom = pi_hat, and the bottom embedding is discrete
     on every block of pi_hat but the one S holding p..q, so sigma keeps
     pi's other blocks whole and splits S into a non-crossing partition of
-    its relabelled order, which ``_bnc_walk`` visits.  The join is pi_hat
-    exactly when the non-crossing closure of sigma's sub-blocks and {p..q},
-    as bitmasks of relabelled indices, is the one mask of S: no other bit
-    is set, and the bits of S lie in the same order as S's own ranks.
+    its relabelled order, in which the product positions I = p..q are
+    contiguous.  The join is pi_hat exactly when every block inside S meets
+    I (Krawczyk-Speicher).  So the walk, in ``_bnc_walk``'s order, never
+    closes a block that has not met I, never leaves one open at the end,
+    and never opens one that the positions of I still to come cannot reach.
     """
     chi = validate_chi(chi)
     if pi.chi != chi:
         raise ValueError("pi must live over chi")
     extended = hat_chi(chi, chi_prime)
-    p, q = len(chi), len(extended)
+    p = len(chi)
     kept = [b for b in pi.blocks if p not in b]
     (block,) = [b for b in pi.blocks if p in b]
-    split = set(block).union(range(p + 1, q + 1))
-    bits = _chi_bits(extended)
-    product = sum(bits[p:])  # p..q end the extended sequence
-    whole = [sum(map(bits.__getitem__, split))]
+    order = [e for e in _sigma(extended) if e >= p or e in block]  # S, relabelled
+    room = [sum(f >= p for f in order[i + 1:]) for i in range(len(order))]  # I after i
+    blocks: list[list[int]] = []  # sigma's blocks inside S, in the order they open
     out = []
 
-    def visit(starts: list, mu: int) -> None:
-        blocks = list(filter(None, starts))
-        # a singleton merges nothing in the closure
-        masks = [sum(map(bits.__getitem__, b)) for b in blocks if len(b) > 1]
-        masks.append(product)
-        if _nc_closure(q, masks) == whole:
-            out.append(_unchecked(extended, tuple(sorted(kept + blocks))))
+    def rec(i: int, stack: list[int], unmet: int) -> None:
+        # stack: open blocks, oldest first; the first unmet miss I, each needing a later I position
+        if i == len(order):
+            inner = [tuple(sorted(b)) for b in blocks]
+            out.append(_unchecked(extended, tuple(sorted(kept + inner))))
+            return
+        e = order[i]  # in I when e >= p
+        for depth in range(max(unmet - 1, 0), len(stack)):  # closes only met blocks
+            left = unmet - 1 if e >= p and depth == unmet - 1 else unmet
+            if left <= room[i]:
+                blocks[stack[depth]].append(e)
+                rec(i + 1, stack[:depth + 1], left)
+                blocks[stack[depth]].pop()
+        if unmet + (e < p) <= room[i]:
+            blocks.append([e])
+            rec(i + 1, stack + [len(blocks) - 1], unmet + (e < p))
+            blocks.pop()
 
-    _bnc_walk([e for e in _sigma(extended) if e in split], visit)
+    rec(0, [], 0)
+    del rec  # rec reaches itself through its closure cell
     return tuple(out)
 
 

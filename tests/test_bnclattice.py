@@ -173,16 +173,17 @@ class TestNCGenerator:
             assert mu == _kreweras_mobius(blocks, k), blocks
 
     def test_mu_past_the_cap(self):
-        # the walk's own table of top values covers a split block of
-        # expand_product_last_entry longer than the enumeration cap
+        # the walk's own table of top values covers a walk longer than the
+        # enumeration cap, as the test oracle expand_by_join may run on a
+        # split block
         k = 13
         for n, (blocks, mu) in enumerate(walk(tuple(range(k)))):
             if n % 997 == 0:
                 assert mu == _kreweras_mobius(blocks, k), blocks
 
     def test_positions_are_read_through_the_perm(self):
-        # position sets other than 1..k, in any relabelled order, as
-        # expand_product_last_entry passes them
+        # position sets other than 1..k, in any relabelled order, as the
+        # oracle expand_by_join passes a split block
         rng = random.Random(23)
         for k in range(1, 9):
             for _ in range(3):

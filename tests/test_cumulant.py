@@ -14,6 +14,9 @@ from bifree.bnclattice import (
     BNCPartition,
     canonical_blocks,
     enumerate_bnc,
+    hat_embed,
+    hat_zero,
+    join,
     one_partition,
     sigma_chi,
     zero_partition,
@@ -50,6 +53,7 @@ from helpers import (
     rand_chi,
     rand_frac,
     rand_functional,
+    rand_nc_rgs,
     rgs_bnc_blocks,
 )
 
@@ -375,19 +379,21 @@ class TestProductExpansion:
             expected = expand_by_join(pi, chi, chi_prime)
             assert [(s.chi, s.blocks) for s in got] == [(s.chi, s.blocks) for s in expected]
 
-    def test_split_block_past_the_cap(self):
-        # a split block of 13 positions, p changing side: sigma v bottom = 1
-        # exactly for 1_13 and for the two-block partitions that cut the
+    @pytest.mark.parametrize("k", [13, 21])
+    def test_split_block_past_the_cap(self, k):
+        # a split block of k positions, p changing side: sigma v bottom = 1
+        # exactly for 1_k and for the two-block partitions that cut the
         # relabelled circle between p and q, which sit next to each other
         # (two non-crossing blocks are two arcs of it); the walk gives them
-        # in the lex order of their relabelled restricted-growth strings
+        # in the lex order of their relabelled restricted-growth strings.
+        # NC(21) has Cat(21) ~ 2.4e10 partitions, so k = 21 finishes only
+        # if the walk visits about as many partitions as it keeps
         rng = random.Random(31)
-        chi = rand_chi(rng, 12)
+        chi = rand_chi(rng, k - 1)
         chi_prime = ("r" if chi[-1] == "l" else "l", rng.choice("lr"))
         order = sigma_chi(chi[:-1] + chi_prime)  # relabelled index -> position
-        k = len(order)
-        assert k > ENUMERATION_CAP
-        after = max(order.index(12), order.index(13))  # the arc after the p, q cut
+        assert len(order) == k > ENUMERATION_CAP
+        after = max(order.index(k - 1), order.index(k))  # the arc after the p, q cut
         rgs = [(0,) * k]
         for j in range(1, k):
             arc = {(after + t) % k for t in range(j)}
@@ -398,6 +404,31 @@ class TestProductExpansion:
         ]
         got = expand_product_last_entry(one_partition(chi), chi, chi_prime)
         assert [s.blocks for s in got] == expected
+
+    def test_large_split_block_is_sound(self):
+        # a general pi whose block at p, with the new positions, gives a split
+        # block of 20 or more: each partition is bi-non-crossing by the
+        # checked constructor and joins the bottom embedding to pi_hat, with
+        # join and hat_embed, which have no enumeration cap
+        rng = random.Random(37)
+        for _ in range(4):
+            chi = rand_chi(rng, 24)
+            chi_prime = rand_chi(rng, rng.randint(3, 5))
+            # pi: one block around p, and a random non-crossing partition in
+            # a gap of six relabelled indices away from p
+            at_p = sigma_chi(chi).index(len(chi))
+            gap = rng.choice([g for g in range(len(chi) - 5) if not g <= at_p < g + 6])
+            inner = iter(rand_nc_rgs(rng, 6))
+            rgs = [1 + next(inner) if gap <= r < gap + 6 else 0 for r in range(len(chi))]
+            pi = BNCPartition(chi, rgs_bnc_blocks(rgs, chi))
+            (block,) = [b for b in pi.blocks if len(chi) in b]
+            assert len(block) + len(chi_prime) - 1 >= 20
+            bottom, pi_hat = hat_zero(chi, chi_prime), hat_embed(pi, chi_prime)
+            got = expand_product_last_entry(pi, chi, chi_prime)
+            assert len(got) >= 1
+            assert len({s.blocks for s in got}) == len(got)
+            for s in got:
+                assert join(BNCPartition(s.chi, s.blocks), bottom) == pi_hat, s
 
     @pytest.mark.parametrize("pi_chi, chi, chi_prime, message", [
         ("ll", "lx", "ll", "chi labels must be 'l' or 'r'"),
