@@ -34,8 +34,12 @@ def read_fields(data, what: str, converters: Mapping[str, Callable], defaults: M
 
 
 def load_json(path: str):
+    """The JSON value in ``path``; a decode error names the file."""
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def json_rows(rows: Iterable) -> Iterator[str]:

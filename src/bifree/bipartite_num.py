@@ -34,7 +34,8 @@ the circulant's length without a padded copy per block; the field quotient
 is taken at every point of a block and the masked points are zeroed after.
 The semicircular density is filled by row blocks on the same threads, and
 the share of the support product that carries no density is counted per
-row block; all of these are the same bits for any thread count.
+row block; all of these are the same bits for any thread count.  A grid
+file holds its values inline or in the CSV its JSON header names.
 """
 
 from __future__ import annotations
@@ -573,28 +574,35 @@ def save_density(g: DensityGrid, path: str, overwrite: bool = True) -> None:
     write_files({path: json_object({**axes_to_json_dict(g), "values": rows})}, overwrite)
 
 
-def load_density(path: str) -> DensityGrid:
-    return density_from_json_dict(load_json(path))
-
-
-def save_density_csv(
-    g: DensityGrid, header_path: str, csv_path: str, overwrite: bool = True
-) -> None:
-    """Two-file form: a JSON header plus CSV values, one row per x sample,
-    written a row at a time.  Without ``overwrite`` an existing file of
-    either name is refused at the open, and neither file is left written
+def save_density_csv(g: DensityGrid, header_path: str, overwrite: bool = True) -> None:
+    """Two-file form: a JSON header naming its CSV of values, ``X.csv`` for
+    a header ``X.json`` (else the header's name + ``.csv``), one row per x
+    sample, written a row at a time.  Without ``overwrite`` an existing file
+    of either name is refused at the open, and neither file is left written
     (``_io.write_files``)."""
+    csv_path = (header_path[:-5] if header_path.endswith(".json") else header_path) + ".csv"
     header = {**axes_to_json_dict(g), "values_csv": os.path.basename(csv_path)}
     # the rows csv.writer would write: reprs need no quoting, and \r\n ends each
     values = (",".join(map(repr, row.tolist())) + "\r\n" for row in g.values)
     write_files({header_path: json_object(header), csv_path: values}, overwrite)
 
 
-def load_density_csv(header_path: str, csv_path: str) -> DensityGrid:
-    """Read the two-file form into one (nx, ny) array sized from the header,
-    a row at a time; a row count or row length other than the header's, or
-    a value ``float`` cannot read, raises ``ValueError``."""
-    header = read_fields(load_json(header_path), "density", _AXES)
+def load_density(path: str) -> DensityGrid:
+    """Read a grid file: JSON with its ``values`` inline, or a header whose
+    ``values_csv`` names the CSV of values beside it, read a row at a time
+    into one (nx, ny) array sized from the header.  Both keys, a
+    ``values_csv`` with a directory part, rows off the header's shape or a
+    value ``float`` cannot read raise ``ValueError``."""
+    data = load_json(path)
+    if not isinstance(data, dict) or "values_csv" not in data:
+        return density_from_json_dict(data)
+    if "values" in data:
+        raise ValueError("density JSON has both 'values' and 'values_csv'")
+    name = data["values_csv"]
+    if not isinstance(name, str) or not name or os.path.dirname(name):
+        raise ValueError(f"density JSON field 'values_csv' must be a bare file name, got {name!r}")
+    header = read_fields(data, "density", _AXES)
+    csv_path = os.path.join(os.path.dirname(path), name)
     nx, ny = header["nx"], header["ny"]
     try:
         values = np.empty((nx, ny))

@@ -159,19 +159,16 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
-def _mu_top(n: int) -> tuple[int, ...]:
-    """mu(0_s, 1_s) = (-1)^(s-1) Cat(s-1) for s < n (0 at s = 0)."""
-    return (0,) + tuple((-1) ** (s - 1) * catalan(s - 1) for s in range(1, n))
-
-
-#: The factor of mu(pi, 1) that one Kreweras block of size s contributes.
-_MU_TOP = _mu_top(ENUMERATION_CAP + 1)
+#: The factor of mu(pi, 1) that one Kreweras block of size s <= the cap
+#: contributes: mu(0_s, 1_s) = (-1)^(s-1) Cat(s-1) (0 at s = 0).
+_MU_TOP = (0,) + tuple((-1) ** (s - 1) * catalan(s - 1) for s in range(1, ENUMERATION_CAP + 1))
 
 
 def _bnc_walk(perm: Sequence[int], visit: Callable[[list, int], object]) -> None:
     """Call ``visit(starts, mu)`` for every non-crossing partition pi of the
-    relabelled order 0..k-1, read back through ``perm`` (k = len(perm)) as
-    blocks of positions, with mu(pi, 1_k).  ``starts[e]`` is the block whose
+    relabelled order 0..k-1, read back through ``perm`` (k = len(perm) <= the
+    cap, positions up to k, as sigma_chi's 1..k) as blocks of positions,
+    with mu(pi, 1_k).  ``starts[e]`` is the block whose
     first position is e, ascending, and None where no block starts, so the
     blocks in ``starts`` are the canonical blocks of the partition.  The
     partitions come in the lex order of their relabelled restricted-growth
@@ -196,13 +193,13 @@ def _bnc_walk(perm: Sequence[int], visit: Callable[[list, int], object]) -> None
     freed when it returns.
     """
     k = len(perm)
-    starts: list = [None] * (max(perm, default=-1) + 1)
+    starts: list = [None] * (k + 1)
     if k <= 1:
         if k:
             starts[perm[0]] = (perm[0],)
         visit(starts, 1)
         return
-    mu_top = _MU_TOP if k < len(_MU_TOP) else _mu_top(k + 1)
+    mu_top = _MU_TOP
     levels = [(p, (p,), {}) for p in perm]  # per element: its position, singleton, growth
     stack = [levels[0][1]]  # the open blocks, oldest first
     starts[perm[0]] = stack[0]

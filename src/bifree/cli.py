@@ -10,7 +10,8 @@ quadrature reaching its halving cap), 4 an internal error (a
 ``numpy.linalg.LinAlgError`` or any other unexpected exception, reported
 with its traceback).  Error text goes to standard error.
 ``--format`` is ``json`` or ``text``, except for ``make-semicircular``, which
-writes ``json`` or a JSON header plus ``csv`` values.  JSON output is
+writes ``json`` or a JSON header naming its ``csv`` values; ``--grid`` reads
+either form, and ``--grid`` or ``--c`` is required, not both.  JSON output is
 compact.  Rationals are serialized as ``"p/q"`` strings in JSON and scalar
 floats with 12 significant digits; the ``bipartite conjugate`` arrays and
 density values keep full precision.  The quadrature's ``error_bound`` adds
@@ -301,26 +302,16 @@ def _cmd_gaussian_moments(args) -> int:
 def _grid_from_args(args) -> bp.DensityGrid:
     from . import bipartite_num as bp
 
-    if args.grid:
-        if args.grid_csv:
-            return bp.load_density_csv(args.grid, args.grid_csv)
+    if args.grid is not None:
         return bp.load_density(args.grid)
-    if args.c is None:
-        raise CliError("provide --grid FILE or --c C")
     return bp.semicircular_density(args.c, bp.GridSpec(args.n, args.n))
-
-
-def _field_config(args) -> bp.FieldConfig:
-    from . import bipartite_num as bp
-
-    return bp.FieldConfig(eps=args.eps, richardson=args.richardson)
 
 
 def _cmd_bipartite_fisher(args) -> int:
     from . import bipartite_num as bp
 
     grid = _grid_from_args(args)
-    value = bp.fisher_numeric(grid, _field_config(args))
+    value = bp.fisher_numeric(grid, bp.FieldConfig(eps=args.eps, richardson=args.richardson))
     payload = {"fisher": _jfloat(value)}
     _emit(payload, args, "text", lambda p: _fmt_float(value))
     return 0
@@ -330,7 +321,7 @@ def _cmd_bipartite_conjugate(args) -> int:
     from . import bipartite_num as bp
 
     grid = _grid_from_args(args)
-    fld = bp.conjugate_field(grid, _field_config(args))
+    fld = bp.conjugate_field(grid, bp.FieldConfig(eps=args.eps, richardson=args.richardson))
     payload = {
         **bp.axes_to_json_dict(grid),
         "eps_x": fld.eps_x,
@@ -351,8 +342,7 @@ def _cmd_bipartite_make(args) -> int:
 
     grid = bp.semicircular_density(args.c, bp.GridSpec(args.n, args.n))
     if args.format == "csv":
-        csv_path = (args.out[:-5] if args.out.endswith(".json") else args.out) + ".csv"
-        bp.save_density_csv(grid, args.out, csv_path, overwrite=args.force)
+        bp.save_density_csv(grid, args.out, overwrite=args.force)
     else:
         bp.save_density(grid, args.out, overwrite=args.force)
     if not args.quiet:
@@ -449,10 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = bipartite.add_subparsers(dest="bipartite_command", required=True)
 
     def add_grid_args(p):
-        p.add_argument("--grid", default=None, help="density grid JSON file")
-        p.add_argument("--grid-csv", default=None, help="values CSV (with --grid header)")
-        p.add_argument("--c", type=float, default=None,
-                       help="build the semicircular family with this covariance")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--grid", help="density grid JSON file, with its values inline "
+                            "or a header naming its values CSV")
+        source.add_argument("--c", type=float,
+                            help="build the semicircular family with this covariance")
         p.add_argument("--n", type=int, default=512, help="grid points per axis")
         p.add_argument("--eps", type=float, default=None,
                        help="kernel regularization (default: one grid spacing)")

@@ -29,7 +29,6 @@ from bifree.bipartite_num import (
 )
 from bifree.bnclattice import (
     BNCPartition,
-    _bnc_walk,
     _inverse_perm,
     _unchecked,
     canonical_blocks,
@@ -480,9 +479,11 @@ def expand_by_lattice_filter(pi, chi, chi_prime) -> set:
 
 
 def expand_by_join(pi, chi, chi_prime) -> tuple:
-    """The product expansion in the walk's order: every partition of the
-    split block's interval, kept only if its full join with the bottom-block
-    embedding equals the embedding of ``pi``."""
+    """The product expansion in the walk's order: every non-crossing
+    partition of the split block in its relabelled order, from
+    ``nc_partitions_by_stack`` (the lex order of restricted-growth strings),
+    kept only if its full join with the bottom-block embedding equals the
+    embedding of ``pi``."""
     pi_hat = hat_embed(pi, chi_prime)
     bottom = hat_zero(chi, chi_prime)
     extended = pi_hat.chi
@@ -490,14 +491,12 @@ def expand_by_join(pi, chi, chi_prime) -> tuple:
     inv = _inverse_perm(sigma_chi(extended))
     kept = [b for b in pi_hat.blocks if p not in b]
     (split,) = [b for b in pi_hat.blocks if p in b]
+    order = sorted(split, key=lambda e: inv[e - 1])
     out = []
-
-    def visit(starts, mu):
-        sigma = _unchecked(extended, tuple(sorted(kept + list(filter(None, starts)))))
+    for blocks in nc_partitions_by_stack(len(order)):
+        sigma = _unchecked(extended, canonical_blocks(kept + [[order[v] for v in b] for b in blocks]))
         if join(sigma, bottom).blocks == pi_hat.blocks:
             out.append(sigma)
-
-    _bnc_walk(sorted(split, key=lambda e: inv[e - 1]), visit)
     return tuple(out)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import sys
 import threading
@@ -29,7 +30,6 @@ from bifree.bipartite_num import (
     grid_from_spec,
     hilbert_pv,
     load_density,
-    load_density_csv,
     make_density_grid,
     marginals,
     save_density,
@@ -134,20 +134,65 @@ class TestDensityGrid:
     def test_csv_round_trip(self, tmp_path):
         g = semicircular_density(0.2, GridSpec(24, 24))
         header = tmp_path / "grid.json"
-        values = tmp_path / "grid.csv"
-        save_density_csv(g, str(header), str(values))
-        again = load_density_csv(str(header), str(values))
+        save_density_csv(g, str(header))
+        assert json.loads(header.read_text())["values_csv"] == "grid.csv"
+        again = load_density(str(header))
         assert np.allclose(again.values, g.values, rtol=1e-14, atol=0)
 
     def test_csv_load_is_the_json_load_of_the_same_rows(self, tmp_path):
         g = semicircular_density(-0.4, GridSpec(21, 13))
-        header, values = tmp_path / "grid.json", tmp_path / "grid.csv"
-        save_density_csv(g, str(header), str(values))
-        from_csv = load_density_csv(str(header), str(values))
-        from_dict = density_from_json_dict(density_to_json_dict(g))
+        save_density_csv(g, str(tmp_path / "grid.json"))
+        save_density(g, str(tmp_path / "inline.json"))
+        from_csv = load_density(str(tmp_path / "grid.json"))
+        from_json = load_density(str(tmp_path / "inline.json"))
         for name in ("x", "y", "values", "wx", "wy"):
-            assert np.array_equal(getattr(from_csv, name), getattr(from_dict, name))
-        assert from_csv.raw_mass == from_dict.raw_mass
+            assert np.array_equal(getattr(from_csv, name), getattr(from_json, name))
+        assert from_csv.raw_mass == from_json.raw_mass
+
+    @pytest.mark.parametrize("header, values", [
+        ("grid.json", "grid.csv"), ("grid", "grid.csv"), ("grid.txt", "grid.txt.csv"),
+        ("grid.JSON", "grid.JSON.csv"), (".json", ".csv"),
+    ])
+    def test_csv_name_follows_the_header_name(self, tmp_path, header, values):
+        g = semicircular_density(0.1, GridSpec(5, 4))
+        save_density_csv(g, str(tmp_path / header))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([header, values])
+        assert json.loads((tmp_path / header).read_text())["values_csv"] == values
+
+    def test_csv_is_read_beside_the_header_from_any_directory(self, tmp_path, monkeypatch):
+        g = semicircular_density(0.3, GridSpec(9, 7))
+        (tmp_path / "data").mkdir()
+        save_density_csv(g, str(tmp_path / "data" / "g.json"))
+        (tmp_path / "g.csv").write_text("not, the, grid\n")  # a decoy in the working directory
+        monkeypatch.chdir(tmp_path)
+        again = load_density(os.path.join("data", "g.json"))
+        assert np.array_equal(again.values, load_density(str(tmp_path / "data" / "g.json")).values)
+        assert np.allclose(again.values, g.values, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("extra, match", [
+        ({"values": [[1, 1], [1, 1]]}, "both 'values' and 'values_csv'"),
+        ({"values_csv": "../grid.csv"}, "field 'values_csv' must be a bare file name"),
+        ({"values_csv": "sub/grid.csv"}, "field 'values_csv' must be a bare file name"),
+        ({"values_csv": ""}, "field 'values_csv' must be a bare file name"),
+        ({"values_csv": 5}, "field 'values_csv' must be a bare file name"),
+    ])
+    def test_header_must_name_one_csv_beside_it(self, tmp_path, extra, match):
+        (tmp_path / "grid.csv").write_text("1,1\n1,1\n")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "grid.csv").write_text("1,1\n1,1\n")
+        header = tmp_path / "sub" / "grid.json"
+        header.write_text(json.dumps({"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": 2,
+                                      "values_csv": "grid.csv", **extra}))
+        with pytest.raises(ValueError, match=match):
+            load_density(str(header))
+
+    def test_missing_csv_raises_file_not_found(self, tmp_path):
+        header = tmp_path / "grid.json"
+        header.write_text(json.dumps({"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": 2,
+                                      "values_csv": "absent.csv"}))
+        with pytest.raises(FileNotFoundError) as info:
+            load_density(str(header))
+        assert info.value.filename == str(tmp_path / "absent.csv")
 
     @pytest.mark.parametrize("text, match", [
         ("1,2,3\n4,5\n6,7,8\n", "row 2 does not fit"),  # ragged
@@ -164,16 +209,17 @@ class TestDensityGrid:
         header.write_text(json.dumps({"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1,
                                       "nx": 3, "ny": 3, "values_csv": "grid.csv"}))
         values.write_text(text)
-        with pytest.raises(ValueError, match=match):
-            load_density_csv(str(header), str(values))
+        with pytest.raises(ValueError, match=re.escape(str(values)) + ": " + match):
+            load_density(str(header))
 
     @pytest.mark.parametrize("n", [2 ** 20, 2 ** 40])  # 8 TB: no memory; 2^83 bytes: no array
     def test_csv_load_rejects_a_header_grid_too_large_to_hold(self, tmp_path, n):
         header, values = tmp_path / "grid.json", tmp_path / "grid.csv"
-        header.write_text(json.dumps({"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": n, "ny": n}))
+        header.write_text(json.dumps({"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": n, "ny": n,
+                                      "values_csv": "grid.csv"}))
         values.write_text("1,1\n")
         with pytest.raises(ValueError):  # never touched: row 1 is short if the array is made
-            load_density_csv(str(header), str(values))
+            load_density(str(header))
 
     def test_dict_round_trip(self):
         g = semicircular_density(0.0, GridSpec(16, 16))

@@ -442,31 +442,66 @@ class TestBipartiteCli:
         )
         assert rc == 0
         capsys.readouterr()
-        rc = main(
-            [
-                "bipartite",
-                "fisher",
-                "--grid",
-                str(header),
-                "--grid-csv",
-                str(tmp_path / "g.csv"),
-            ]
-        )
+        rc = main(["bipartite", "fisher", "--grid", str(header)])
         assert rc == 0
         value = float(capsys.readouterr().out)
         assert value == pytest.approx(
             2 / (1 - 0.09), rel=0.1
         )  # coarse grid, loose check
 
+    @pytest.mark.parametrize("command", ["fisher", "conjugate"])
+    def test_both_grid_forms_give_the_same_output(self, tmp_path, capsys, command):
+        make = ["bipartite", "make-semicircular", "--c", "0.5", "--n", "33", "--out"]
+        assert main(make + [str(tmp_path / "inline.json")]) == 0
+        assert main(make + [str(tmp_path / "two.json"), "--format", "csv"]) == 0
+        capsys.readouterr()
+        outs = []
+        for name in ("inline.json", "two.json"):
+            assert main(["bipartite", command, "--grid", str(tmp_path / name)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--grid", "g.json", "--grid-csv", "g.csv"], "unrecognized arguments: --grid-csv"),
+    (["--grid", "g.json", "--c", "0.5"], "argument --c: not allowed with argument --grid"),
+    (["--c", "0.5", "--grid", "g.json"], "argument --grid: not allowed with argument --c"),
+    ([], "one of the arguments --grid --c is required"),
+    (["--n", "16"], "one of the arguments --grid --c is required"),
+])
+@pytest.mark.parametrize("command", ["fisher", "conjugate"])
+def test_grid_source_is_one_of_grid_or_c(capsys, command, argv, message):
+    assert main(["bipartite", command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra, named", [
+    ({"values": [[1, 1], [1, 1]]}, "both 'values' and 'values_csv'"),
+    ({"values_csv": "../g.csv"}, "field 'values_csv' must be a bare file name"),
+    ({"values_csv": "missing.csv"}, "No such file or directory"),
+])
+def test_bad_values_csv_exits_2(tmp_path, capsys, extra, named):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "g.csv").write_text("1,1\n1,1\n")
+    (tmp_path / "sub" / "g.csv").write_text("1,1\n1,1\n")
+    header = tmp_path / "sub" / "g.json"
+    header.write_text(json.dumps({"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": 2,
+                                  "values_csv": "g.csv", **extra}))
+    assert main(["bipartite", "fisher", "--grid", str(header)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert named in err
+
 
 @pytest.mark.parametrize("text", ["1,1\n1\n", "1\n1\n", "1,1,1\n1,1,1\n", "1,1\n1,one\n"],
                          ids=["ragged", "short", "long", "non-numeric"])
 def test_bad_csv_rows_exit_2(tmp_path, capsys, text):
     header = tmp_path / "g.json"
-    header.write_text(json.dumps({"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": 2}))
+    header.write_text(json.dumps({"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": 2,
+                                  "values_csv": "g.csv"}))
     (tmp_path / "g.csv").write_text(text)
-    args = ["bipartite", "fisher", "--grid", str(header), "--grid-csv", str(tmp_path / "g.csv")]
-    assert main(args) == 2
+    assert main(["bipartite", "fisher", "--grid", str(header)]) == 2
     assert "g.csv: row" in capsys.readouterr().err
 
 
@@ -526,7 +561,7 @@ MALFORMED_INPUTS = [
     (["bipartite", "fisher", "--grid"],
      {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": None, "ny": 2, "values": [[1, 1], [1, 1]]},
      "field 'nx'"),
-    (["bipartite", "fisher", "--grid-csv", "values.csv", "--grid"],
+    (["bipartite", "fisher", "--grid"],
      {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": None, "values_csv": "values.csv"},
      "field 'ny'"),
 ]
@@ -535,15 +570,27 @@ MALFORMED_INPUTS = [
 # the ids pytest gives argv and content alone, so each case keeps its name
 @pytest.mark.parametrize("argv, content, named", MALFORMED_INPUTS,
                          ids=[f"argv{i}-content{i}" for i in range(len(MALFORMED_INPUTS))])
-def test_malformed_input_file_exits_2(tmp_path, monkeypatch, capsys, argv, content, named):
-    monkeypatch.chdir(tmp_path)  # a --grid-csv argument names a well-formed values.csv here
-    (tmp_path / "values.csv").write_text("1,1\n1,1\n")
+def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content, named):
+    (tmp_path / "values.csv").write_text("1,1\n1,1\n")  # a header may name it
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
     assert main(argv + [str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gaussian", "fisher", "--cov"],
+    ["moments", "--word", "X1", "--spec"],
+    ["bipartite", "fisher", "--grid"],
+])
+def test_input_that_is_not_json_exits_2_naming_the_file(tmp_path, capsys, argv):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 1, ')
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: Expecting property name") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

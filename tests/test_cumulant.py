@@ -340,7 +340,13 @@ class TestProductExpansion:
             p = rng.randint(1, total_len - 1)
             q_minus_p = total_len - p
             letters = [rng.choice(pool) for _ in range(total_len)]
-            phi = rand_functional(rng, mode, total_len + 1)
+            # every moment read is of a subsequence of the letters
+            table = {
+                tuple(letters[i] for i in idx): rand_frac(rng)
+                for r in range(1, total_len + 1)
+                for idx in combinations(range(total_len), r)
+            }
+            phi = TableMomentFunctional(mode, table)
             chi = tuple(l.side for l in letters[: p - 1]) + ("l",)
             chi_prime = tuple(l.side for l in letters[p - 1 :])
             # direct: the product word sits in the last entry

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from bifree._io import json_object, json_rows, write_files
+from bifree._io import json_object, json_rows, load_json, write_files
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5, 0.0]
 
@@ -93,3 +93,22 @@ def test_chunks_are_written_with_one_closing_newline(tmp_path):
     write_files({str(ended): iter(["a\n", "b\n", ""]), str(open_): iter(["a", "", "b"])}, False)
     assert ended.read_text() == "a\nb\n"
     assert open_.read_text() == "ab\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"n": 1, ', "Expecting property name enclosed in double quotes"),
+    (b"", "Expecting value"),
+    (b'{"n": "\xff"}', "can't decode byte 0xff"),
+])
+def test_load_json_names_the_file_in_a_decode_error(tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        load_json(str(path))
+    assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+
+def test_load_json_reads_a_value(tmp_path):
+    path = tmp_path / "good.json"
+    path.write_text('{"n": [1, 2.5]}')
+    assert load_json(str(path)) == {"n": [1, 2.5]}
