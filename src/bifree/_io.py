@@ -6,6 +6,8 @@ pure-Python encoder.  The large outputs (grids, fields, lattices) are
 written row by row: ``json_object`` yields the text ``json.dumps`` makes of
 a payload, one row of each row-valued field at a time, so no whole-document
 string and no full list of rows is ever built, and the bytes are the same.
+The library's two error types live here too, so the CLI catches them by
+type without loading a layer.
 """
 
 from __future__ import annotations
@@ -17,29 +19,43 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
 
+class BifreeInputError(ValueError):
+    """Bad input: a malformed file, literal, option or argument.  Every
+    validation error of the library is one, or of a subclass."""
+
+
+class NonConvergenceError(RuntimeError):
+    """The entropy quadrature failed to reach the requested tolerance."""
+
+
 def read_fields(data, what: str, converters: Mapping[str, Callable], defaults: Mapping = {}) -> dict:
     """Convert ``data[key]`` with each converter, taking an absent key from
-    ``defaults``.  Anything else raises ``ValueError`` naming ``what`` and the key."""
+    ``defaults``.  Anything else raises ``BifreeInputError`` naming ``what`` and the key."""
     if not isinstance(data, Mapping):
-        raise ValueError(f"{what} JSON must be an object, not {type(data).__name__}")
+        raise BifreeInputError(f"{what} JSON must be an object, not {type(data).__name__}")
     fields = {}
     for key, convert in converters.items():
         if key not in data and key not in defaults:
-            raise ValueError(f"{what} JSON field {key!r} is missing")
+            raise BifreeInputError(f"{what} JSON field {key!r} is missing")
         try:
             fields[key] = convert(data[key] if key in data else defaults[key])
         except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{what} JSON field {key!r} is malformed: {exc}") from None
+            raise BifreeInputError(f"{what} JSON field {key!r} is malformed: {exc}") from None
     return fields
 
 
-def load_json(path: str):
-    """The JSON value in ``path``; a decode error names the file."""
+def load_json(path: str, parse: Callable = lambda data: data):
+    """``parse`` of the JSON value in ``path``.  A decode error, or a
+    ``BifreeInputError`` from ``parse`` (of the same class), names the file."""
     with open(path, encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            data = json.load(handle)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise BifreeInputError(f"{path}: {exc}") from None
+    try:
+        return parse(data)
+    except BifreeInputError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def json_rows(rows: Iterable) -> Iterator[str]:

@@ -11,7 +11,7 @@ field is symmetric.  Fisher information is the integral of
 (xi_l^2 + xi_r^2) f over the grid.  The built-in reference family is the
 two-variable semicircular density with covariance c on [-2, 2]^2.
 
-Grids are finite and uniform (anything else raises ``ValueError``), with
+Grids are finite and uniform (anything else raises ``BifreeInputError``), with
 trapezoid weights; the kernel regularization defaults
 to one grid spacing, with an optional two-point Richardson extrapolation in
 the regularization parameter.  On a uniform axis the kernel matrix is
@@ -51,10 +51,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._io import json_object, load_json, read_fields, write_files
+from ._io import BifreeInputError, json_object, load_json, read_fields, write_files
 
 
-class ZeroMassError(ValueError):
+class ZeroMassError(BifreeInputError):
     """The sampled density integrates to (numerically) zero."""
 
 
@@ -64,7 +64,7 @@ class NonProductSupportWarning(UserWarning):
 
 def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
     if points.size < 2:
-        raise ValueError("need at least two sample points per axis")
+        raise BifreeInputError("need two or more points per axis")
     h = float(points[1] - points[0])
     w = np.full(points.size, h)
     w[0] = w[-1] = 0.5 * h
@@ -81,6 +81,18 @@ class GridSpec:
     xmax: float = 2.0
     ymin: float = -2.0
     ymax: float = 2.0
+
+    def __post_init__(self) -> None:
+        if min(self.nx, self.ny) < 2:
+            raise BifreeInputError(f"need two or more points per axis, got {self.nx} x {self.ny}")
+
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x and y sample points; an axis too long to allocate is bad input."""
+        try:
+            return (np.linspace(self.xmin, self.xmax, self.nx),
+                    np.linspace(self.ymin, self.ymax, self.ny))
+        except (MemoryError, ValueError):  # numpy's "Maximum allowed size exceeded"
+            raise BifreeInputError(f"a {self.nx} x {self.ny} grid does not fit in memory") from None
 
 
 @dataclass(frozen=True)
@@ -136,7 +148,7 @@ def _check_uniform(points: np.ndarray, name: str) -> None:
     assume one spacing per axis."""
     steps = np.diff(points)
     if steps.size and not (steps.min() > 0 and steps.max() - steps.min() <= 1e-9 * steps.max()):
-        raise ValueError(f"the {name} axis must be strictly increasing and uniformly spaced")
+        raise BifreeInputError(f"the {name} axis must be strictly increasing and uniformly spaced")
 
 
 def make_density_grid(x: np.ndarray, y: np.ndarray, values: np.ndarray) -> DensityGrid:
@@ -150,14 +162,14 @@ def _own_grid(x: np.ndarray, y: np.ndarray, values: np.ndarray) -> DensityGrid:
     """``make_density_grid`` on float arrays the grid may keep: ``values``
     is clipped and scaled in place, and all three are made read-only."""
     if values.shape != (x.size, y.size):
-        raise ValueError(f"values must have shape (nx, ny) = {(x.size, y.size)}")
+        raise BifreeInputError(f"values must have shape (nx, ny) = {(x.size, y.size)}")
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(values).all()):
-        raise ValueError("grid axes and density values must be finite")
+        raise BifreeInputError("grid axes and density values must be finite")
     _check_uniform(x, "x")
     _check_uniform(y, "y")
     top = float(values.max(initial=0.0))
     if values.min(initial=0.0) < -1e-12 * max(top, 1.0):
-        raise ValueError("density values must be nonnegative")
+        raise BifreeInputError("density values must be nonnegative")
     np.clip(values, 0.0, None, out=values)
     wx = _trapezoid_weights(x)
     wy = _trapezoid_weights(y)
@@ -171,8 +183,7 @@ def _own_grid(x: np.ndarray, y: np.ndarray, values: np.ndarray) -> DensityGrid:
 
 
 def grid_from_spec(spec: GridSpec, fn) -> DensityGrid:
-    x = np.linspace(spec.xmin, spec.xmax, spec.nx)
-    y = np.linspace(spec.ymin, spec.ymax, spec.ny)
+    x, y = spec.axes()
     values = fn(x[:, None], y[None, :])
     return make_density_grid(x, y, np.broadcast_to(values, (spec.nx, spec.ny)))
 
@@ -188,9 +199,8 @@ def semicircular_density(c: float, spec: GridSpec) -> DensityGrid:
     the denominator and one divide, so no temporary is larger than a block.
     """
     if not -1.0 < c < 1.0:
-        raise ValueError("the covariance must satisfy |c| < 1")
-    x = np.linspace(spec.xmin, spec.xmax, spec.nx)
-    y = np.linspace(spec.ymin, spec.ymax, spec.ny)
+        raise BifreeInputError("the covariance must satisfy |c| < 1")
+    x, y = spec.axes()
     root_x = (1.0 - c * c) / (4.0 * math.pi ** 2) * np.sqrt(np.clip(4.0 - x * x, 0.0, None))
     root_y = np.sqrt(np.clip(4.0 - y * y, 0.0, None))
     y_squared = y * y
@@ -323,7 +333,7 @@ class _AxisKernel:
               richardson: bool, name: str) -> "_AxisKernel":
         _check_uniform(points, name)
         if not (math.isfinite(eps) and eps > 0):
-            raise ValueError(f"eps must be finite and positive, got {eps}")
+            raise BifreeInputError(f"eps must be finite and positive, got {eps}")
         n = points.size
         d = points - points[0]
         profile = d / (d * d + eps * eps)
@@ -358,7 +368,7 @@ def hilbert_pv(density: MarginalDensity, eps: float | None = None) -> np.ndarray
     Converges to pi times the Hilbert transform as eps and the grid spacing
     go to zero together; eps of about one grid spacing balances the kernel
     bias against discretization oscillation.  The points must be uniformly
-    spaced (``ValueError`` otherwise).
+    spaced (``BifreeInputError`` otherwise).
     """
     eps = density.spacing if eps is None else eps
     kernel = _AxisKernel.build(density.x, density.weights, eps, False, "x")
@@ -561,9 +571,8 @@ _AXES = {"xmin": float, "xmax": float, "ymin": float, "ymax": float, "nx": int, 
 
 def density_from_json_dict(data: dict) -> DensityGrid:
     fields = read_fields(data, "density", {**_AXES, "values": partial(np.asarray, dtype=float)})
-    x = np.linspace(fields["xmin"], fields["xmax"], fields["nx"])
-    y = np.linspace(fields["ymin"], fields["ymax"], fields["ny"])
-    return make_density_grid(x, y, fields["values"])
+    values = fields.pop("values")
+    return make_density_grid(*GridSpec(**fields).axes(), values)
 
 
 def save_density(g: DensityGrid, path: str, overwrite: bool = True) -> None:
@@ -592,34 +601,41 @@ def load_density(path: str) -> DensityGrid:
     ``values_csv`` names the CSV of values beside it, read a row at a time
     into one (nx, ny) array sized from the header.  Both keys, a
     ``values_csv`` with a directory part, rows off the header's shape or a
-    value ``float`` cannot read raise ``ValueError``."""
-    data = load_json(path)
+    value ``float`` cannot read raise ``BifreeInputError`` naming ``path``."""
+    return load_json(path, partial(_density_from_file, os.path.dirname(path)))
+
+
+def _density_from_file(folder: str, data) -> DensityGrid:
     if not isinstance(data, dict) or "values_csv" not in data:
         return density_from_json_dict(data)
     if "values" in data:
-        raise ValueError("density JSON has both 'values' and 'values_csv'")
+        raise BifreeInputError("density JSON has both 'values' and 'values_csv'")
     name = data["values_csv"]
     if not isinstance(name, str) or not name or os.path.dirname(name):
-        raise ValueError(f"density JSON field 'values_csv' must be a bare file name, got {name!r}")
-    header = read_fields(data, "density", _AXES)
-    csv_path = os.path.join(os.path.dirname(path), name)
-    nx, ny = header["nx"], header["ny"]
+        raise BifreeInputError(
+            f"density JSON field 'values_csv' must be a bare file name, got {name!r}")
+    spec = GridSpec(**read_fields(data, "density", _AXES))
+    csv_path = os.path.join(folder, name)
+    nx, ny = spec.nx, spec.ny
     try:
         values = np.empty((nx, ny))
-    except MemoryError:
-        raise ValueError(f"the header's {nx} x {ny} grid does not fit in memory") from None
+    except (MemoryError, ValueError):  # numpy's "array is too big"
+        raise BifreeInputError(f"the header's {nx} x {ny} grid does not fit in memory") from None
     count = 0
-    with open(csv_path, encoding="utf-8", newline="") as handle:
-        for count, row in enumerate(csv.reader(handle), 1):
-            if count > nx or len(row) != ny:
-                raise ValueError(f"{csv_path}: row {count} does not fit the header's "
-                                 f"nx x ny = {nx} x {ny} grid")
-            try:
-                values[count - 1] = [float(v) for v in row]
-            except ValueError as exc:
-                raise ValueError(f"{csv_path}: row {count}: {exc}") from None
+    # an undecodable byte reads as U+FFFD, which float() refuses on its row
+    with open(csv_path, encoding="utf-8", errors="replace", newline="") as handle:
+        rows = csv.reader(handle)
+        try:
+            for count, row in enumerate(rows, 1):
+                if count > nx or len(row) != ny:
+                    raise BifreeInputError(f"{csv_path}: row {count} does not fit the header's "
+                                           f"nx x ny = {nx} x {ny} grid")
+                try:
+                    values[count - 1] = [float(v) for v in row]
+                except ValueError as exc:
+                    raise BifreeInputError(f"{csv_path}: row {count}: {exc}") from None
+        except csv.Error as exc:  # a field past csv.field_size_limit, say
+            raise BifreeInputError(f"{csv_path}: row {rows.line_num}: {exc}") from None
     if count != nx:
-        raise ValueError(f"{csv_path}: {count} rows, the header has nx = {nx}")
-    x = np.linspace(header["xmin"], header["xmax"], nx)
-    y = np.linspace(header["ymin"], header["ymax"], ny)
-    return _own_grid(x, y, values)
+        raise BifreeInputError(f"{csv_path}: {count} rows, the header has nx = {nx}")
+    return _own_grid(*spec.axes(), values)

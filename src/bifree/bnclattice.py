@@ -34,23 +34,25 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
+from ._io import BifreeInputError
+
 ChiSeq = tuple[str, ...]
 
 #: Exhaustive lattice work beyond this length is impractical (Catalan growth).
 ENUMERATION_CAP = 12
 
 
-class CapExceededError(ValueError):
+class CapExceededError(BifreeInputError):
     """The requested chi sequence is longer than the enumeration cap."""
 
 
 def validate_chi(chi: Sequence[str]) -> ChiSeq:
     chi = tuple(chi)
     if not chi:
-        raise ValueError("chi must be nonempty")
+        raise BifreeInputError("chi must be nonempty")
     for label in chi:
         if label not in ("l", "r"):
-            raise ValueError(f"chi labels must be 'l' or 'r', got {label!r}")
+            raise BifreeInputError(f"chi labels must be 'l' or 'r', got {label!r}")
     return chi
 
 
@@ -88,7 +90,7 @@ def _checked_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
     for block in blocks:
         block = tuple(block)
         if not block or not all(type(e) is int for e in block):
-            raise ValueError(f"a block must be a nonempty collection of ints, got {block!r}")
+            raise BifreeInputError(f"a block must be a nonempty collection of ints, got {block!r}")
         out.append(block)
     return canonical_blocks(out)
 
@@ -105,7 +107,7 @@ def _is_bnc(blocks: Blocks, chi: ChiSeq) -> bool:
     # comes first, so every entry indexes ``bits`` inside 1..k
     covered = sorted(e for b in blocks for e in b)
     if covered != list(range(1, len(chi) + 1)):
-        raise ValueError("blocks must partition {1..k}")
+        raise BifreeInputError("blocks must partition {1..k}")
     bits = _chi_bits(chi)
     masks = [sum(map(bits.__getitem__, b)) for b in blocks if len(b) > 1]
     return len(_nc_closure(len(chi), masks)) == len(masks)
@@ -124,7 +126,7 @@ class BNCPartition:
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "blocks", blocks)
         if not _is_bnc(blocks, chi):
-            raise ValueError(f"partition {blocks} is not bi-non-crossing for {chi}")
+            raise BifreeInputError(f"partition {blocks} is not bi-non-crossing for {chi}")
 
     def leq(self, other: "BNCPartition") -> bool:
         """Refinement order: every block of ``self`` fits inside a block of ``other``."""
@@ -142,7 +144,7 @@ class BNCPartition:
 
 def _check_same_chi(a: BNCPartition, b: BNCPartition) -> None:
     if a.chi != b.chi:
-        raise ValueError("partitions live over different chi sequences")
+        raise BifreeInputError("partitions live over different chi sequences")
 
 
 def zero_partition(chi: Sequence[str]) -> BNCPartition:
@@ -399,7 +401,7 @@ def mobius(sigma: BNCPartition, pi: BNCPartition) -> int:
     each ranked in relabelled order and given by the Kreweras product."""
     _check_same_chi(sigma, pi)
     if not sigma.leq(pi):
-        raise ValueError("mobius requires sigma <= pi")
+        raise BifreeInputError("mobius requires sigma <= pi")
     inv = _inverse_perm(_sigma(sigma.chi))
     value = 1
     for block in pi.blocks:
@@ -418,7 +420,7 @@ def hat_chi(chi: Sequence[str], chi_prime: Sequence[str]) -> ChiSeq:
     chi = validate_chi(chi)
     chi_prime = validate_chi(chi_prime)
     if len(chi_prime) < 2:
-        raise ValueError("chi_prime must cover at least positions p..p+1")
+        raise BifreeInputError("chi_prime must cover at least positions p..p+1")
     return chi[:-1] + chi_prime
 
 
@@ -459,7 +461,7 @@ def expand_product_last_entry(
     """
     chi = validate_chi(chi)
     if pi.chi != chi:
-        raise ValueError("pi must live over chi")
+        raise BifreeInputError("pi must live over chi")
     extended = hat_chi(chi, chi_prime)
     p = len(chi)
     kept = [b for b in pi.blocks if p not in b]

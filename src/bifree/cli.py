@@ -4,11 +4,12 @@ Subcommands: ``lattice``, ``cumulants``, ``moments``, ``dq``,
 ``conjugate-check``, ``gaussian {fisher|entropy|dimension|moments}``,
 ``bipartite {fisher|conjugate|make-semicircular}``, ``selftest``.
 
-Exit codes: 0 success, 1 a failing self-test check, 2 validation error
-(an unknown ``--format`` included), 3 numerical non-convergence (the entropy
-quadrature reaching its halving cap), 4 an internal error (a
-``numpy.linalg.LinAlgError`` or any other unexpected exception, reported
-with its traceback).  Error text goes to standard error.
+Exit codes, by exception type alone: 0 success, 1 a failing self-test
+check, 2 bad input (a ``BifreeInputError``, a missing or unreadable file, a
+refused overwrite, or arguments argparse rejects), 3 a
+``NonConvergenceError`` (the entropy quadrature reaching its halving cap),
+4 any other exception, a stray ``ValueError`` included, reported with its
+traceback.  Error text goes to standard error.
 ``--format`` is ``json`` or ``text``, except for ``make-semicircular``, which
 writes ``json`` or a JSON header naming its ``csv`` values; ``--grid`` reads
 either form, and ``--grid`` or ``--c`` is required, not both.  JSON output is
@@ -42,15 +43,11 @@ import warnings
 from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
+from ._io import BifreeInputError, NonConvergenceError
 from ._io import json_object, load_json, write_files, write_stdout
 
 if TYPE_CHECKING:
     from . import bipartite_num as bp
-    from . import gaussfam as gf
-
-
-class CliError(ValueError):
-    pass
 
 
 def _fmt_float(v: float) -> str:
@@ -94,11 +91,13 @@ def _emit(payload: dict, args, default_format: str, text_fn) -> None:
         _write_output(text_fn(payload), args)
 
 
-def _add_common(parser: argparse.ArgumentParser, formats=("json", "text")) -> None:
+def _add_common(parser: argparse.ArgumentParser, handler, formats=("json", "text")) -> None:
+    """The output options of a subcommand, and the handler that runs it."""
     parser.add_argument("--out", help="write output to this path instead of stdout")
     parser.add_argument("--format", choices=formats, default=None)
     parser.add_argument("--force", action="store_true", help="allow overwriting --out")
     parser.add_argument("--quiet", action="store_true", help="suppress warnings")
+    parser.set_defaults(handler=handler, parser=parser)
 
 
 def _infer_mode(poly_text: str, mode_name: str, left_arity, right_arity, extra=()):
@@ -153,7 +152,7 @@ def _cmd_cumulants(args) -> int:
     spec, mode, phi = _functional_from_spec(args.spec)
     word = nc.parse_word(args.word, mode)
     if not word:
-        raise CliError("cumulants need at least one letter")
+        raise BifreeInputError("cumulants need at least one letter")
     chi = tuple(l.side for l in word)
     value = cu.cumulant_chi(phi, chi, [(l,) for l in word])
     payload = {"word": args.word, "chi": "".join(chi), "value": str(value)}
@@ -221,16 +220,10 @@ def _cmd_conjugate_check(args) -> int:
     return 0
 
 
-def _load_covariance(path: str) -> gf.Covariance:
-    from . import gaussfam as gf
-
-    return gf.Covariance.from_json_dict(load_json(path))
-
-
 def _cmd_gaussian_fisher(args) -> int:
     from . import gaussfam as gf
 
-    cov = _load_covariance(args.cov)
+    cov = load_json(args.cov, gf.Covariance.from_json_dict)
     value = gf.fisher(cov) if args.t is None else gf.fisher_perturbed(cov, args.t)
     payload = {"fisher": _jfloat(value), "t": args.t}
     _emit(payload, args, "text", lambda p: _fmt_float(value))
@@ -240,7 +233,7 @@ def _cmd_gaussian_fisher(args) -> int:
 def _cmd_gaussian_entropy(args) -> int:
     from . import gaussfam as gf
 
-    cov = _load_covariance(args.cov)
+    cov = load_json(args.cov, gf.Covariance.from_json_dict)
     if args.method == "closed":
         value = gf.entropy_closed(cov)
         payload = {"entropy": _jfloat(value), "method": "closed"}
@@ -262,7 +255,7 @@ def _cmd_gaussian_entropy(args) -> int:
 def _cmd_gaussian_dimension(args) -> int:
     from . import gaussfam as gf
 
-    cov = _load_covariance(args.cov)
+    cov = load_json(args.cov, gf.Covariance.from_json_dict)
     if args.method == "closed":
         value: float | int = gf.entropy_dimension(cov)
     else:
@@ -280,7 +273,7 @@ def _parse_pattern(text: str):
     pattern = []
     for token in text.split():
         if not re.fullmatch("[lr][0-9]+", token):
-            raise CliError(f"pattern tokens look like l1 or r2, got {token!r}")
+            raise BifreeInputError(f"pattern tokens look like l1 or r2, got {token!r}")
         pattern.append((token[0], int(token[1:])))
     return pattern
 
@@ -288,7 +281,7 @@ def _parse_pattern(text: str):
 def _cmd_gaussian_moments(args) -> int:
     from . import gaussfam as gf
 
-    cov = _load_covariance(args.cov)
+    cov = load_json(args.cov, gf.Covariance.from_json_dict)
     pattern = _parse_pattern(args.pattern)
     value = gf.gaussian_moment(cov, pattern)
     payload = {"pattern": args.pattern, "moment": _jfloat(value)}
@@ -337,7 +330,7 @@ def _cmd_bipartite_conjugate(args) -> int:
 
 def _cmd_bipartite_make(args) -> int:
     if not args.out:
-        raise CliError("make-semicircular requires --out")
+        raise BifreeInputError("make-semicircular requires --out")
     from . import bipartite_num as bp
 
     grid = bp.semicircular_density(args.c, bp.GridSpec(args.n, args.n))
@@ -369,20 +362,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="enumerate a bi-non-crossing lattice")
     p.add_argument("--chi", required=True, help="side sequence, e.g. lrlr")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_lattice)
+    _add_common(p, _cmd_lattice)
 
     p = sub.add_parser("cumulants", help="cumulant of a word under a cumulant spec")
     p.add_argument("--spec", required=True, help="cumulant spec JSON file")
     p.add_argument("--word", required=True, help="letters, e.g. 'X1 Y1 X1'")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_cumulants)
+    _add_common(p, _cmd_cumulants)
 
     p = sub.add_parser("moments", help="moment of a word under a cumulant spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--word", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_moments)
+    _add_common(p, _cmd_moments)
 
     p = sub.add_parser("dq", help="apply a difference quotient to a polynomial")
     p.add_argument("poly", help="polynomial literal, e.g. 'X1 X1 Y1'")
@@ -392,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["free", "bipartite"], default="bipartite")
     p.add_argument("--left-arity", type=int, default=None)
     p.add_argument("--right-arity", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_dq)
+    _add_common(p, _cmd_dq)
 
     p = sub.add_parser("conjugate-check", help="verify a polynomial conjugate variable")
     p.add_argument("--spec", required=True)
@@ -402,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=1)
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--mode", choices=["free", "bipartite"], default="bipartite")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_conjugate_check)
+    _add_common(p, _cmd_conjugate_check)
 
     gaussian = sub.add_parser("gaussian", help="central-limit family computations")
     gsub = gaussian.add_subparsers(dest="gaussian_command", required=True)
@@ -411,34 +399,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = gsub.add_parser("fisher")
     p.add_argument("--cov", required=True, help="covariance JSON file")
     p.add_argument("--t", type=float, default=None, help="perturbation time")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_gaussian_fisher)
+    _add_common(p, _cmd_gaussian_fisher)
 
     p = gsub.add_parser("entropy")
     p.add_argument("--cov", required=True)
     p.add_argument("--method", choices=["closed", "quadrature"], default="closed")
     p.add_argument("--quad-tol", type=float, default=1e-9)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_gaussian_entropy)
+    _add_common(p, _cmd_gaussian_entropy)
 
     p = gsub.add_parser("dimension")
     p.add_argument("--cov", required=True)
     p.add_argument("--method", choices=["closed", "limit"], default="closed")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_gaussian_dimension)
+    _add_common(p, _cmd_gaussian_dimension)
 
     p = gsub.add_parser("moments")
     p.add_argument("--cov", required=True)
     p.add_argument("--pattern", required=True, help="e.g. 'l1 r1 l1 r1'")
     p.add_argument("--depth", type=int, default=None,
                    help="also evaluate in the Fock model at this truncation depth")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_gaussian_moments)
+    _add_common(p, _cmd_gaussian_moments)
 
     bipartite = sub.add_parser("bipartite", help="joint-density numerics")
     bsub = bipartite.add_subparsers(dest="bipartite_command", required=True)
 
-    def add_grid_args(p):
+    for name, run in (("fisher", _cmd_bipartite_fisher), ("conjugate", _cmd_bipartite_conjugate)):
+        p = bsub.add_parser(name)
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--grid", help="density grid JSON file, with its values inline "
                             "or a header naming its values CSV")
@@ -448,66 +433,40 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float, default=None,
                        help="kernel regularization (default: one grid spacing)")
         p.add_argument("--richardson", action="store_true")
-
-    p = bsub.add_parser("fisher")
-    add_grid_args(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_bipartite_fisher)
-
-    p = bsub.add_parser("conjugate")
-    add_grid_args(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_bipartite_conjugate)
+        _add_common(p, run)
 
     p = bsub.add_parser("make-semicircular")
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--n", type=int, default=512)
-    _add_common(p, formats=("json", "csv"))
-    p.set_defaults(handler=_cmd_bipartite_make)
+    _add_common(p, _cmd_bipartite_make, formats=("json", "csv"))
 
     p = sub.add_parser("selftest", help="run the golden-example suite")
     p.add_argument("--fast", action="store_true",
                    help="smaller grids, looser numeric thresholds")
-    p.set_defaults(handler=_cmd_selftest)
+    p.set_defaults(handler=_cmd_selftest, parser=p)
 
     return parser
-
-
-#: Bad input: the library's own errors (and json's) subclass ValueError.
-VALIDATION_ERRORS = (ValueError, OSError)
-
-
-def _loaded(module: str, name: str) -> tuple[type[BaseException], ...]:
-    """``module.name`` if ``module`` is loaded, else no class at all: the
-    numerical layer loads on demand, and an exception class that was never
-    imported cannot have been raised."""
-    loaded = sys.modules.get(module)
-    return (getattr(loaded, name),) if loaded is not None else ()
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # parse_args would report them with the top-level usage
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     if getattr(args, "quiet", False):
         warnings.simplefilter("ignore")
     try:
         return args.handler(args)
-    # each except clause is evaluated only once the handler has raised
-    except _loaded("bifree.gaussfam", "NonConvergenceError") as exc:
+    except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _loaded("numpy.linalg", "LinAlgError"):  # a ValueError, but never a sign of bad input
-        import traceback
-
-        traceback.print_exc()
-        return 4
     except FileExistsError as exc:  # only the writers' exclusive opens raise it
         print(f"error: refusing to overwrite {exc.filename} without --force", file=sys.stderr)
         return 2
-    except VALIDATION_ERRORS as exc:
+    except (BifreeInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

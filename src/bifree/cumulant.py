@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from ._io import json_object, load_json, read_fields, write_files
+from ._io import BifreeInputError, json_object, load_json, read_fields, write_files
 from .bnclattice import (
     ENUMERATION_CAP,
     BNCPartition,
@@ -63,7 +63,7 @@ Pattern = tuple[tuple[str, int], ...]
 DEFAULT_DEGREE_BOUND = 10
 
 
-class DegreeBoundError(ValueError):
+class DegreeBoundError(BifreeInputError):
     """A word or argument list exceeds the functional's degree bound."""
 
 
@@ -77,15 +77,17 @@ class CumulantSpec:
     degree_bound: int = DEFAULT_DEGREE_BOUND
 
     def __post_init__(self) -> None:
+        if min(self.n, self.m, self.degree_bound) < 0:
+            raise BifreeInputError("arities and degree bound must be nonnegative")
         clean: dict[Pattern, Fraction] = {}
         for pattern, value in self.entries.items():
             pattern = tuple((side, int(index)) for side, index in pattern)
             for side, index in pattern:
                 if side not in (LEFT, RIGHT):
-                    raise ValueError(f"bad side {side!r} in pattern")
+                    raise BifreeInputError(f"bad side {side!r} in pattern")
                 arity = self.n if side == LEFT else self.m
                 if not 1 <= index <= arity:
-                    raise ValueError(f"pattern index {index} out of range for side {side}")
+                    raise BifreeInputError(f"pattern index {index} out of range for side {side}")
             if len(pattern) > self.degree_bound:
                 raise DegreeBoundError("pattern longer than degree bound")
             value = Fraction(value)
@@ -117,14 +119,14 @@ def gaussian_cumulant_spec(
     """
     k = n + m
     if len(cov) != k or any(len(row) != k for row in cov):
-        raise ValueError("covariance table has wrong shape")
+        raise BifreeInputError("covariance table has wrong shape")
     letters = [(LEFT, i + 1) for i in range(n)] + [(RIGHT, j + 1) for j in range(m)]
     entries: dict[Pattern, Fraction] = {}
     for a in range(k):
         for b in range(k):
             value = Fraction(cov[a][b])
             if Fraction(cov[b][a]) != value:
-                raise ValueError("covariance table must be symmetric")
+                raise BifreeInputError("covariance table must be symmetric")
             if value:
                 entries[(letters[a], letters[b])] = value
     return CumulantSpec(n, m, entries, degree_bound)
@@ -241,7 +243,7 @@ class TableMomentFunctional(MomentFunctional):
             value = Fraction(value)
             memo[word] = (value.numerator, value.denominator)
         if memo.get((), (1, 1)) != (1, 1):
-            raise ValueError("the empty word must have moment 1")
+            raise BifreeInputError("the empty word must have moment 1")
         memo[()] = (1, 1)
         self._memo = memo
         # a miss is 0, so only the lengths of nonzero entries reach
@@ -264,7 +266,7 @@ class CumulantMomentFunctional(MomentFunctional):
 
     def __init__(self, mode: AlgebraMode, spec: CumulantSpec):
         if mode.left_arity != spec.n or mode.right_arity != spec.m:
-            raise ValueError("mode arities disagree with the cumulant data")
+            raise BifreeInputError("mode arities disagree with the cumulant data")
         self.mode = mode
         self.spec = spec
         self.degree_bound = spec.degree_bound
@@ -284,7 +286,7 @@ class CumulantMomentFunctional(MomentFunctional):
     def _check_letters(self, word: Word) -> None:
         for letter in word:
             if letter.kind != VAR:
-                raise ValueError("cumulant-backed functionals cover variables only")
+                raise BifreeInputError("cumulant-backed functionals cover variables only")
 
     def _miss(self, word: Word) -> Pair:
         self._check_letters(word)
@@ -333,7 +335,7 @@ def moment_pi(phi: MomentFunctional, pi: BNCPartition, args: Sequence[Word]) -> 
     """Partitioned moment: product over blocks of phi of the in-block product,
     factors multiplied in increasing position order."""
     if len(args) != len(pi.chi):
-        raise ValueError("argument count must match |chi|")
+        raise BifreeInputError("argument count must match |chi|")
     phi._check_degree(sum(len(w) for w in args))
     num = den = 1
     for block in pi.blocks:
@@ -351,7 +353,7 @@ def cumulant_chi(phi: MomentFunctional, chi: Sequence[str], args: Sequence[Word]
     and a term stops at its first zero factor."""
     chi = validate_chi(chi)
     if len(args) != len(chi):
-        raise ValueError("argument count must match |chi|")
+        raise BifreeInputError("argument count must match |chi|")
     k = len(chi)
     if k > ENUMERATION_CAP:
         raise CapExceededError(f"|chi| = {k} exceeds cap {ENUMERATION_CAP}")
@@ -394,14 +396,14 @@ def moments_from_cumulants(
     free-mode ``CumulantMomentFunctional``."""
     chi = validate_chi(chi)
     if len(args) != len(chi):
-        raise ValueError("argument count must match |chi|")
+        raise BifreeInputError("argument count must match |chi|")
     letters: list[Letter] = []
     for word, label in zip(args, chi):
         if len(word) != 1:
-            raise ValueError("cumulant-specified moments take single letters")
+            raise BifreeInputError("cumulant-specified moments take single letters")
         letter = word[0]
         if letter.side != label:
-            raise ValueError(f"argument side {letter.side} disagrees with chi label {label}")
+            raise BifreeInputError(f"argument side {letter.side} disagrees with chi label {label}")
         letters.append(letter)
     if len(letters) > spec.degree_bound:
         raise DegreeBoundError("degree bound exceeded")
@@ -509,4 +511,4 @@ def save_spec(spec: CumulantSpec, path: str) -> None:
 
 
 def load_spec(path: str) -> CumulantSpec:
-    return spec_from_json_dict(load_json(path))
+    return load_json(path, spec_from_json_dict)

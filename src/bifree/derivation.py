@@ -33,6 +33,7 @@ from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Iterator
 
+from ._io import BifreeInputError
 from .ncalg import (
     LEFT,
     RIGHT,
@@ -60,9 +61,9 @@ class QuotientKind:
 
     def __post_init__(self) -> None:
         if self.side not in (LEFT, RIGHT):
-            raise ValueError(f"side must be 'l' or 'r', got {self.side!r}")
+            raise BifreeInputError(f"side must be 'l' or 'r', got {self.side!r}")
         if self.index < 1:
-            raise ValueError("target index must be positive")
+            raise BifreeInputError("target index must be positive")
 
     @property
     def target(self) -> Letter:
@@ -98,7 +99,7 @@ def free_dq(p: NCPolynomial, letter: Letter, mode: AlgebraMode) -> TensorPoly:
     acts on the canonical representative of each word.
     """
     if letter.kind != VAR:
-        raise ValueError(f"cannot differentiate in the subalgebra symbol {letter.token()}")
+        raise BifreeInputError(f"cannot differentiate in the subalgebra symbol {letter.token()}")
     mode.check_letter(letter)
     pairs = []
     for word, coeff in p.items():
@@ -132,11 +133,11 @@ def scalar_identity_residual(p: NCPolynomial, mode: AlgebraMode) -> TensorPoly:
     from ``_legs`` and summed once.
     """
     if not mode.bipartite:
-        raise ValueError("the scalar identity lives in bipartite mode")
+        raise BifreeInputError("the scalar identity lives in bipartite mode")
     for word, _ in p.items():
         for letter in word:
             if letter.kind != VAR:
-                raise ValueError("the scalar identity covers variables only")
+                raise BifreeInputError("the scalar identity covers variables only")
     kinds = [QuotientKind(LEFT, i) for i in range(1, mode.left_arity + 1)]
     kinds += [QuotientKind(RIGHT, j) for j in range(1, mode.right_arity + 1)]
     pairs = []
@@ -231,9 +232,9 @@ def conjugate_check(
     degree d are then 0, so its words pass unread and are only counted.
     """
     if kind.flipped:
-        raise ValueError("conjugate variables pair with the non-flipped quotients")
+        raise BifreeInputError("conjugate variables pair with the non-flipped quotients")
     if max_degree < 0:
-        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
+        raise BifreeInputError(f"max_degree must be nonnegative, got {max_degree}")
     mode = mode or phi.mode
     mode.check_letter(kind.target)
     for word, _ in xi.items():
@@ -279,7 +280,7 @@ def conjugate_check(
 def _validate_adjoint_leg(word: Word, side: str, which: str) -> None:
     for letter in word:
         if letter.side != side:
-            raise ValueError(
+            raise BifreeInputError(
                 f"{which} tensor leg must be pure-{'left' if side == LEFT else 'right'}; "
                 f"got letter {letter.token()} (adjoint domain beyond this span is unsettled)"
             )
@@ -304,7 +305,7 @@ def adjoint_apply(
     how u is peeled into factors.
     """
     if not kind.flipped:
-        raise ValueError("adjoint_apply takes a flipped quotient kind")
+        raise BifreeInputError("adjoint_apply takes a flipped quotient kind")
     mode = mode or phi.mode
     mode.check_letter(kind.target)
     for word, _ in xi.items():

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._io import read_fields
+from ._io import BifreeInputError, NonConvergenceError, read_fields
 from .bnclattice import sigma_chi
 
 Pattern = Sequence[tuple[str, int]]
@@ -42,12 +42,8 @@ RANK_TOL = 1e-8
 DIMENSION_EPS = tuple(0.25 * 0.5 ** i for i in range(10))
 
 
-class SingularCovarianceError(ValueError):
+class SingularCovarianceError(BifreeInputError):
     """The covariance is singular: no polynomial conjugate variables exist."""
-
-
-class NonConvergenceError(RuntimeError):
-    """The entropy quadrature failed to reach the requested tolerance."""
 
 
 class RankAmbiguityWarning(UserWarning):
@@ -68,16 +64,16 @@ class Covariance:
         k = self.n + self.m
         A = np.asarray(self.A, dtype=float)
         if A.shape != (k, k):
-            raise ValueError(f"covariance must be {k}x{k}, got {A.shape}")
+            raise BifreeInputError(f"covariance must be {k}x{k}, got {A.shape}")
         if not np.isfinite(A).all():
-            raise ValueError("covariance entries must be finite")
+            raise BifreeInputError("covariance entries must be finite")
         scale = max(1.0, float(np.abs(A).max(initial=0.0)))
         if np.abs(A - A.T).max(initial=0.0) > 1e-10 * scale:
-            raise ValueError("covariance must be symmetric")
+            raise BifreeInputError("covariance must be symmetric")
         A = 0.5 * (A + A.T)
         eigs = np.linalg.eigvalsh(A)
         if k and eigs[0] < -1e-10 * scale:
-            raise ValueError("covariance must be positive semidefinite")
+            raise BifreeInputError("covariance must be positive semidefinite")
         A.setflags(write=False)
         eigs.setflags(write=False)
         object.__setattr__(self, "A", A)
@@ -90,13 +86,13 @@ class Covariance:
     def flat_index(self, side: str, index: int) -> int:
         if side == "l":
             if not 1 <= index <= self.n:
-                raise ValueError(f"left index {index} out of range 1..{self.n}")
+                raise BifreeInputError(f"left index {index} out of range 1..{self.n}")
             return index - 1
         if side == "r":
             if not 1 <= index <= self.m:
-                raise ValueError(f"right index {index} out of range 1..{self.m}")
+                raise BifreeInputError(f"right index {index} out of range 1..{self.m}")
             return self.n + index - 1
-        raise ValueError(f"side must be 'l' or 'r', got {side!r}")
+        raise BifreeInputError(f"side must be 'l' or 'r', got {side!r}")
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "m": self.m, "matrix": self.A.tolist()}
@@ -158,9 +154,9 @@ class FockModel:
 
 def build_fock_model(cov: Covariance, depth: int) -> FockModel:
     if cov.size == 0:
-        raise ValueError("empty covariance")
+        raise BifreeInputError("empty covariance")
     if depth < 0:
-        raise ValueError("depth must be nonnegative")
+        raise BifreeInputError("depth must be nonnegative")
     return FockModel(cov, depth)
 
 
@@ -173,7 +169,7 @@ def fock_moment(model: FockModel, pattern: Pattern) -> float:
     """
     pattern = [(side, index) for side, index in pattern]
     if len(pattern) > model.depth:
-        raise ValueError(
+        raise BifreeInputError(
             f"pattern length {len(pattern)} exceeds truncation depth {model.depth}"
         )
     cov = model.cov
@@ -208,7 +204,7 @@ def conjugate_coeffs(cov: Covariance, k: int) -> np.ndarray:
     """Coefficients of the k-th polynomial conjugate variable (1-based k):
     the solution of A b = e_k, i.e. column k of the inverse covariance."""
     if not 1 <= k <= cov.size:
-        raise ValueError(f"k must be in 1..{cov.size}")
+        raise BifreeInputError(f"k must be in 1..{cov.size}")
     if _is_singular(cov._eigs):
         raise SingularCovarianceError(
             "singular covariance: no polynomial conjugate variable (Fisher information is infinite)"
@@ -227,7 +223,7 @@ def fisher_perturbed(cov: Covariance, t: float) -> float:
     """Fisher information along the perturbation A + tI: the sum of
     1/(lambda_i + t) over the eigenvalues lambda_i of A."""
     if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
+        raise BifreeInputError(f"t must be finite and nonnegative, got {t}")
     eigs = cov._eigs + t
     if _is_singular(eigs):
         return math.inf
@@ -277,7 +273,7 @@ def entropy_quadrature(
     infinite at 0 (degenerate covariance), yields minus infinity.
     """
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+        raise BifreeInputError(f"tol must be finite and positive, got {tol}")
     k = n_plus_m
 
     # Degenerate families: t * Phi(t) tends to the nullity, not to 0, or

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
+from ._io import BifreeInputError
+
 LEFT = "l"
 RIGHT = "r"
 VAR = "var"
@@ -30,7 +32,7 @@ STRAIGHT = "straight"
 OPPOSITE = "opposite-second-leg"
 
 
-class ArityError(ValueError):
+class ArityError(BifreeInputError):
     """A letter is outside the declared arities, or arities disagree."""
 
 
@@ -82,9 +84,9 @@ class AlgebraMode:
 
     def __post_init__(self) -> None:
         if self.mode not in ("free", "bipartite"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise BifreeInputError(f"unknown mode {self.mode!r}")
         if self.left_arity < 0 or self.right_arity < 0:
-            raise ValueError("arities must be nonnegative")
+            raise BifreeInputError("arities must be nonnegative")
 
     @property
     def bipartite(self) -> bool:
@@ -318,7 +320,7 @@ def tensor_mul(s: TensorPoly, t: TensorPoly, convention: str, mode: AlgebraMode)
     reverses the order of multiplication in the second leg.
     """
     if convention not in (STRAIGHT, OPPOSITE):
-        raise ValueError(f"unknown convention {convention!r}")
+        raise BifreeInputError(f"unknown convention {convention!r}")
     pairs = []
     for (a1, a2), ca in s.items():
         mode.check_word(a1)
@@ -370,7 +372,7 @@ _TOKEN_SIDE = {"X": (LEFT, VAR), "Y": (RIGHT, VAR), "x": (LEFT, SYM), "y": (RIGH
 def letter_from_token(token: str) -> Letter:
     match = _LETTER_RE.match(token)
     if not match:
-        raise ValueError(f"bad letter token {token!r}")
+        raise BifreeInputError(f"bad letter token {token!r}")
     side, kind = _TOKEN_SIDE[match.group(1)]
     return Letter(side, int(match.group(2)), kind)
 
@@ -379,7 +381,9 @@ def _rational(token: str) -> Fraction:
     try:
         return Fraction(token)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {token!r}") from None
+        raise BifreeInputError(f"zero denominator in {token!r}") from None
+    except ValueError:  # Fraction's "Invalid literal"
+        raise BifreeInputError(f"bad coefficient {token!r}") from None
 
 
 def _literal_terms(text: str) -> list[tuple[Fraction, list[Word]]]:
@@ -420,7 +424,7 @@ def _checked(word: Word, mode: AlgebraMode) -> Word:
 def parse_word(text: str, mode: AlgebraMode) -> Word:
     terms = _literal_terms(text) or [(Fraction(1), [EMPTY_WORD])]
     if len(terms) != 1 or terms[0][0] != 1 or len(terms[0][1]) != 1:
-        raise ValueError(f"not a word: {text!r}")
+        raise BifreeInputError(f"not a word: {text!r}")
     return _checked(terms[0][1][0], mode)
 
 
@@ -428,7 +432,7 @@ def parse_poly(text: str, mode: AlgebraMode) -> NCPolynomial:
     pairs: list[tuple[Word, Fraction]] = []
     for coeff, legs in _literal_terms(text):
         if len(legs) != 1:
-            raise ValueError(f"polynomial term with ⊗: {text!r}")
+            raise BifreeInputError(f"polynomial term with ⊗: {text!r}")
         pairs.append((_checked(legs[0], mode), coeff))
     return NCPolynomial.from_pairs(pairs)
 
@@ -440,7 +444,7 @@ def parse_tensor(text: str, mode: AlgebraMode) -> TensorPoly:
             continue  # a zero term; format_tensor writes the zero tensor as "0"
         if len(legs) != 2:
             problem = "missing ⊗" if len(legs) < 2 else "with more than one ⊗"
-            raise ValueError(f"tensor term {problem}: {text!r}")
+            raise BifreeInputError(f"tensor term {problem}: {text!r}")
         pairs.append(((_checked(legs[0], mode), _checked(legs[1], mode)), coeff))
     return TensorPoly.from_pairs(pairs)
 

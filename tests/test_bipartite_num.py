@@ -76,6 +76,15 @@ class TestDensityGrid:
         g = semicircular_density(0.3, GridSpec(128, 128))
         assert g.mass() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("nx, ny", [(-3, 8), (8, 0), (1, 8)])
+    def test_grid_spec_needs_two_points_per_axis(self, nx, ny):
+        with pytest.raises(bp.BifreeInputError, match=f"got {nx} x {ny}"):
+            GridSpec(nx, ny)
+
+    def test_grid_spec_axes_too_long_to_hold_are_bad_input(self):
+        with pytest.raises(bp.BifreeInputError, match="does not fit in memory"):
+            GridSpec(10 ** 30, 8).axes()  # numpy refuses the size before allocating
+
     def test_rejects_negative(self):
         x = np.linspace(0, 1, 8)
         with pytest.raises(ValueError):

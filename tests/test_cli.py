@@ -148,7 +148,7 @@ class TestGaussianCli:
         assert rc == 3
         assert "stalled" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, TypeError])
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, TypeError, ValueError])
     def test_internal_error_maps_to_exit_4(self, cov_file, monkeypatch, capsys, error):
         def broken(*args, **kwargs):
             raise error("library bug")
@@ -259,6 +259,11 @@ class TestDqCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.strip() == "error: zero denominator in '3/0'"
+
+    @pytest.mark.parametrize("number", ["abc", "1/2/3"])
+    def test_bad_coefficient_exits_2(self, capsys, number):
+        assert main(["dq", f"{number}*X1", "--side", "left"]) == 2
+        assert capsys.readouterr().err == f"error: bad coefficient {number!r}\n"
 
 
 class TestCumulantCli:
@@ -503,6 +508,83 @@ def test_bad_csv_rows_exit_2(tmp_path, capsys, text):
     (tmp_path / "g.csv").write_text(text)
     assert main(["bipartite", "fisher", "--grid", str(header)]) == 2
     assert "g.csv: row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["fisher"], ["conjugate"], ["make-semicircular", "--out"]])
+def test_grid_size_below_two_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "g.json"
+    argv = ["bipartite", *argv, *([str(out)] if argv[-1] == "--out" else [])]
+    assert main(argv + ["--c", "0.5", "--n", "-3"]) == 2
+    assert capsys.readouterr().err == "error: need two or more points per axis, got -3 x -3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", [{"values_csv": "g.csv"}, {"values": [[1, 1], [1, 1]]}],
+                         ids=["header", "inline"])
+def test_grid_file_size_below_two_exits_2_naming_the_file(tmp_path, capsys, values):
+    (tmp_path / "g.csv").write_text("1,1\n1,1\n")
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": -1, "ny": 2,
+                                **values}))
+    assert main(["bipartite", "fisher", "--grid", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: need two or more points per axis, got -1 x 2\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"1,1\n1,\xff\n", "row 2: could not convert string to float: '\ufffd'"),
+    (b"1,1\n1," + b"1" * 200_000 + b"\n", "row 2: field larger than field limit"),
+], ids=["undecodable", "field-too-long"])
+def test_unreadable_csv_exits_2_naming_both_files(tmp_path, capsys, data, message):
+    (tmp_path / "g.csv").write_bytes(data)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": 2,
+                                "values_csv": "g.csv"}))
+    assert main(["bipartite", "fisher", "--grid", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {tmp_path / 'g.csv'}: {message}")
+    assert len(err.splitlines()) == 1
+
+
+FILE_ERRORS = [
+    (["gaussian", "fisher", "--cov"], {"n": 1, "m": 1}, "covariance JSON field 'matrix' is missing"),
+    (["gaussian", "entropy", "--cov"], {"n": 1, "m": 1, "matrix": [[1, 2], [2, 1]]},
+     "covariance must be positive semidefinite"),
+    (["moments", "--word", "X1", "--spec"], {"n": -1, "m": 1},
+     "arities and degree bound must be nonnegative"),
+    (["cumulants", "--word", "X1", "--spec"],
+     {"n": 1, "m": 1, "entries": [{"pattern": [["x", 1]], "value": "1"}]}, "bad side 'x' in pattern"),
+    (["bipartite", "fisher", "--grid"],
+     {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": None, "ny": 2, "values_csv": "v.csv"},
+     "density JSON field 'nx' is malformed"),
+    (["bipartite", "conjugate", "--grid"],
+     {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": 2, "values": [[0, 0], [0, 0]]},
+     "density has zero mass on the grid"),
+]
+
+
+@pytest.mark.parametrize("argv, content, message", FILE_ERRORS,
+                         ids=[f"{argv[0]}-{i}" for i, (argv, _, _) in enumerate(FILE_ERRORS)])
+def test_input_file_error_names_the_file_once(tmp_path, capsys, argv, content, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and err.count(str(path)) == 1
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bipartite", "fisher", "--c", "0.5", "--bogus"],
+    ["gaussian", "moments", "--cov", "c.json", "--pattern", "l1", "extra"],
+    ["lattice", "--chi", "lr", "--bogus"],
+    ["selftest", "--fast", "--bogus"],
+])
+def test_unrecognized_argument_is_reported_with_the_subcommand_usage(capsys, argv):
+    command = " ".join(a for a in argv[:2] if not a.startswith("-"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: bifree {command} ")
+    assert f"bifree {command}: error: unrecognized arguments: {argv[-1]}\n" in err
 
 
 class TestStreamedOutputsMatchWholeText:

@@ -1,11 +1,15 @@
+import ast
+import importlib
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bifree._io import json_object, json_rows, load_json, write_files
+import bifree
+from bifree._io import BifreeInputError, json_object, json_rows, load_json, write_files
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5, 0.0]
 
@@ -112,3 +116,67 @@ def test_load_json_reads_a_value(tmp_path):
     path = tmp_path / "good.json"
     path.write_text('{"n": [1, 2.5]}')
     assert load_json(str(path)) == {"n": [1, 2.5]}
+
+
+def test_load_json_names_the_file_in_a_parse_error_of_the_same_class(tmp_path):
+    class Narrow(BifreeInputError):
+        pass
+
+    def parse(data):
+        raise Narrow(f"field 'n' is {data['n']}")
+
+    path = tmp_path / "input.json"
+    path.write_text('{"n": -1}')
+    with pytest.raises(Narrow) as info:
+        load_json(str(path), parse)
+    assert str(info.value) == f"{path}: field 'n' is -1"
+
+
+def test_load_json_passes_other_errors_through(tmp_path):
+    def parse(data):
+        raise ValueError("a bug, not bad input")
+
+    path = tmp_path / "input.json"
+    path.write_text("{}")
+    with pytest.raises(ValueError) as info:
+        load_json(str(path), parse)
+    assert type(info.value) is ValueError and str(info.value) == "a bug, not bad input"
+
+
+def _package_modules():
+    for path in sorted(Path(bifree.__file__).parent.glob("*.py")):
+        name = "bifree" if path.stem == "__init__" else f"bifree.{path.stem}"
+        yield path, importlib.import_module(name), ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_no_plain_value_error_is_raised():
+    """Bad input raises ``BifreeInputError`` (a ``ValueError``), so the CLI
+    can tell it from a bug by type alone."""
+    plain = []
+    for path, _, tree in _package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    plain.append(f"{path.name}:{node.lineno}")
+    assert plain == []
+
+
+def test_every_value_error_class_is_a_bifree_input_error():
+    classes = []
+    for path, module, tree in _package_modules():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name)
+                if issubclass(cls, ValueError):
+                    classes.append(cls.__name__)
+                    assert issubclass(cls, BifreeInputError), f"{path.name}: {cls.__name__}"
+    assert set(classes) >= {"BifreeInputError", "ArityError", "CapExceededError",
+                            "DegreeBoundError", "ZeroMassError", "SingularCovarianceError"}
+
+
+def test_non_convergence_error_is_one_class():
+    from bifree import _io, gaussfam
+
+    assert gaussfam.NonConvergenceError is _io.NonConvergenceError
+    assert not issubclass(_io.NonConvergenceError, ValueError)
