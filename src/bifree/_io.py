@@ -28,6 +28,13 @@ class NonConvergenceError(RuntimeError):
     """The entropy quadrature failed to reach the requested tolerance."""
 
 
+def json_int(value) -> int:
+    """A JSON integer: an ``int``, never a ``bool`` or a float, ``2.0`` included."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def read_fields(data, what: str, converters: Mapping[str, Callable], defaults: Mapping = {}) -> dict:
     """Convert ``data[key]`` with each converter, taking an absent key from
     ``defaults``.  Anything else raises ``BifreeInputError`` naming ``what`` and the key."""

@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._io import BifreeInputError, json_object, load_json, read_fields, write_files
+from ._io import BifreeInputError, json_int, json_object, load_json, read_fields, write_files
 
 
 class ZeroMassError(BifreeInputError):
@@ -91,7 +91,7 @@ class GridSpec:
         try:
             return (np.linspace(self.xmin, self.xmax, self.nx),
                     np.linspace(self.ymin, self.ymax, self.ny))
-        except (MemoryError, ValueError):  # numpy's "Maximum allowed size exceeded"
+        except (MemoryError, ValueError, IndexError):  # numpy's refusals; IndexError near 2**63
             raise BifreeInputError(f"a {self.nx} x {self.ny} grid does not fit in memory") from None
 
 
@@ -566,7 +566,7 @@ def density_to_json_dict(g: DensityGrid) -> dict:
     return {**axes_to_json_dict(g), "values": g.values.tolist()}
 
 
-_AXES = {"xmin": float, "xmax": float, "ymin": float, "ymax": float, "nx": int, "ny": int}
+_AXES = {"xmin": float, "xmax": float, "ymin": float, "ymax": float, "nx": json_int, "ny": json_int}
 
 
 def density_from_json_dict(data: dict) -> DensityGrid:

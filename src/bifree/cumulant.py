@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from ._io import BifreeInputError, json_object, load_json, read_fields, write_files
+from ._io import BifreeInputError, json_int, json_object, load_json, read_fields, write_files
 from .bnclattice import (
     ENUMERATION_CAP,
     BNCPartition,
@@ -489,10 +489,10 @@ def spec_to_json_dict(spec: CumulantSpec) -> dict:
 
 
 def _pattern(value) -> Pattern:
-    return tuple((side, int(index)) for side, index in value)
+    return tuple((side, json_int(index)) for side, index in value)
 
 
-_SPEC_FIELDS = {"n": int, "m": int, "entries": list, "degree_bound": int}
+_SPEC_FIELDS = {"n": json_int, "m": json_int, "entries": list, "degree_bound": json_int}
 _ENTRY_FIELDS = {"pattern": _pattern, "value": lambda v: Fraction(str(v))}
 
 
@@ -502,6 +502,8 @@ def spec_from_json_dict(data: Mapping) -> CumulantSpec:
     entries: dict[Pattern, Fraction] = {}
     for item in fields["entries"]:
         entry = read_fields(item, "cumulant spec entry", _ENTRY_FIELDS)
+        if entry["pattern"] in entries:
+            raise BifreeInputError(f"cumulant spec repeats the pattern {entry['pattern']}")
         entries[entry["pattern"]] = entry["value"]
     return CumulantSpec(fields["n"], fields["m"], entries, fields["degree_bound"])
 

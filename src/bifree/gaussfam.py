@@ -9,9 +9,12 @@ matrix, by contracting one tensor per word length, and serve as an
 independent oracle.  Closed forms:
 polynomial conjugate variables solve A b = e_k, Fisher information is
 Tr(A^-1), entropy is (n+m)/2 log(2 pi e) + 1/2 log det A, and the entropy
-dimension is rank(A).  The entropy is also recovered numerically by
-integrating the Fisher information of the family perturbed along A + tI,
-by a step-halving trapezoid rule in s = log t.
+dimension is rank(A), decided once per covariance: an eigenvalue counts
+when it exceeds ``SINGULAR_TOL`` times the largest.  So the Fisher
+information is finite, the entropy finite, the conjugate variables exist
+and the dimension is n+m all together or not at all.  The entropy is also
+recovered numerically by integrating the Fisher information of the family
+perturbed along A + tI, by a step-halving trapezoid rule in s = log t.
 
 Infinity and minus infinity are returned as ``math.inf`` / ``-math.inf``,
 never as sentinel floats.
@@ -27,17 +30,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._io import BifreeInputError, NonConvergenceError, read_fields
+from ._io import BifreeInputError, NonConvergenceError, json_int, read_fields
 from .bnclattice import sigma_chi
 
 Pattern = Sequence[tuple[str, int]]
 
 LOG_2PIE = math.log(2 * math.pi * math.e)
 
-#: Relative eigenvalue threshold below which a covariance counts as singular.
+#: An eigenvalue counts toward the rank when it exceeds this times the largest.
 SINGULAR_TOL = 1e-12
-#: Relative singular-value threshold for the numerical rank.
-RANK_TOL = 1e-8
 #: Decreasing epsilons on which the limit form of the dimension is extrapolated.
 DIMENSION_EPS = tuple(0.25 * 0.5 ** i for i in range(10))
 
@@ -47,7 +48,7 @@ class SingularCovarianceError(BifreeInputError):
 
 
 class RankAmbiguityWarning(UserWarning):
-    """A singular value sits too close to the rank threshold to classify."""
+    """An eigenvalue sits too close to the rank threshold to classify."""
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,10 @@ class Covariance:
     n: int
     m: int
     A: np.ndarray
-    # eigenvalues of A, ascending, from the PSD check: the closed forms read them
+    # eigenvalues of A, ascending, clipped at 0 after the PSD check, and their
+    # rank: every closed form reads these, so singularity is decided once
     _eigs: np.ndarray = field(init=False, compare=False, repr=False)
+    _rank: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         k = self.n + self.m
@@ -74,10 +77,12 @@ class Covariance:
         eigs = np.linalg.eigvalsh(A)
         if k and eigs[0] < -1e-10 * scale:
             raise BifreeInputError("covariance must be positive semidefinite")
+        eigs = np.maximum(eigs, 0.0)
+        rank = int((eigs > SINGULAR_TOL * eigs.max(initial=0.0)).sum())
         A.setflags(write=False)
         eigs.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "_eigs", eigs)
+        for name, value in (("A", A), ("_eigs", eigs), ("_rank", rank)):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -99,8 +104,8 @@ class Covariance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Covariance":
-        fields = read_fields(data, "covariance",
-                             {"n": int, "m": int, "matrix": partial(np.asarray, dtype=float)})
+        fields = read_fields(data, "covariance", {"n": json_int, "m": json_int,
+                                                  "matrix": partial(np.asarray, dtype=float)})
         return cls(fields["n"], fields["m"], fields["matrix"])
 
 
@@ -195,20 +200,14 @@ def fock_moment(model: FockModel, pattern: Pattern) -> float:
 # -- closed forms ----------------------------------------------------------------
 
 
-def _is_singular(eigs: np.ndarray) -> bool:
-    # eigs ascending, as np.linalg.eigvalsh returns them
-    return eigs.size > 0 and eigs[0] <= SINGULAR_TOL * max(eigs[-1], 1.0)
-
-
 def conjugate_coeffs(cov: Covariance, k: int) -> np.ndarray:
     """Coefficients of the k-th polynomial conjugate variable (1-based k):
     the solution of A b = e_k, i.e. column k of the inverse covariance."""
     if not 1 <= k <= cov.size:
         raise BifreeInputError(f"k must be in 1..{cov.size}")
-    if _is_singular(cov._eigs):
-        raise SingularCovarianceError(
-            "singular covariance: no polynomial conjugate variable (Fisher information is infinite)"
-        )
+    if cov._rank < cov.size:
+        raise SingularCovarianceError("singular covariance: no polynomial conjugate variable "
+                                      "(Fisher information is infinite)")
     e = np.zeros(cov.size)
     e[k - 1] = 1.0
     return np.linalg.solve(cov.A, e)
@@ -221,21 +220,20 @@ def fisher(cov: Covariance) -> float:
 
 def fisher_perturbed(cov: Covariance, t: float) -> float:
     """Fisher information along the perturbation A + tI: the sum of
-    1/(lambda_i + t) over the eigenvalues lambda_i of A."""
+    1/(lambda_i + t) over the eigenvalues lambda_i of A, each clipped at 0.
+    That sum is finite for t > 0; at t = 0 a singular A gives infinity."""
     if not (math.isfinite(t) and t >= 0):
         raise BifreeInputError(f"t must be finite and nonnegative, got {t}")
-    eigs = cov._eigs + t
-    if _is_singular(eigs):
+    if t == 0 and cov._rank < cov.size:
         return math.inf
-    return float((1.0 / eigs).sum())
+    return float((1.0 / (cov._eigs + t)).sum())
 
 
 def entropy_closed(cov: Covariance) -> float:
     """(n+m)/2 log(2 pi e) + 1/2 log det A; minus infinity when A is singular."""
-    eigs = cov._eigs
-    if _is_singular(eigs):
+    if cov._rank < cov.size:
         return -math.inf
-    return 0.5 * cov.size * LOG_2PIE + 0.5 * float(np.log(eigs).sum())
+    return 0.5 * cov.size * LOG_2PIE + 0.5 * float(np.log(cov._eigs).sum())
 
 
 # -- entropy by quadrature --------------------------------------------------------
@@ -330,27 +328,16 @@ def entropy_quadrature(
 
 
 def entropy_dimension(cov: Covariance) -> int:
-    """Closed form: the numerical rank of the covariance.
-
-    Singular values within a factor of 10 of the threshold are reported via
-    ``RankAmbiguityWarning`` rather than silently classified.
-    """
-    if cov.size == 0:
-        return 0
-    svals = np.abs(cov._eigs)  # a symmetric matrix's singular values
-    top = float(svals.max(initial=0.0))
-    if top == 0.0:
-        return 0
-    cut = RANK_TOL * top
-    ambiguous = [s for s in svals if cut / 10.0 < s < cut * 10.0]
+    """Closed form: the rank of A, the count of eigenvalues above
+    ``SINGULAR_TOL`` times the largest (0 when A is 0), so n+m exactly when
+    the Fisher information is finite.  Eigenvalues within a factor of 10 of
+    that cut raise ``RankAmbiguityWarning`` rather than pass silently."""
+    cut = SINGULAR_TOL * cov._eigs.max(initial=0.0)
+    ambiguous = [float(s) for s in cov._eigs if cut / 10.0 < s < cut * 10.0]
     if ambiguous:
-        warnings.warn(
-            f"singular values {ambiguous} lie within a factor of 10 of the rank "
-            f"threshold {cut:.3e}; rank decision is ambiguous",
-            RankAmbiguityWarning,
-            stacklevel=2,
-        )
-    return int((svals > cut).sum())
+        warnings.warn(f"eigenvalues {ambiguous} lie within a factor of 10 of the rank threshold "
+                      f"{cut:.3e}; rank decision is ambiguous", RankAmbiguityWarning, stacklevel=2)
+    return cov._rank
 
 
 def _extrapolate_to_zero(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -366,6 +353,8 @@ def _extrapolate_to_zero(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 def entropy_dimension_limit(fisher_fn: Callable[[float], float], n_plus_m: int) -> float:
     """Limit form of the dimension: (n+m) - lim eps * Phi(eps) as eps -> 0+,
-    evaluated on ``DIMENSION_EPS`` with Richardson extrapolation."""
+    evaluated on ``DIMENSION_EPS`` with Richardson extrapolation.  It cannot
+    see an eigenvalue far below the smallest epsilon (about 4.9e-4): on
+    diag(1, 1e-10) it gives about 1, where the closed form gives 2."""
     values = [eps * fisher_fn(eps) for eps in DIMENSION_EPS]
     return n_plus_m - _extrapolate_to_zero(DIMENSION_EPS, values)

@@ -82,8 +82,12 @@ class TestDensityGrid:
             GridSpec(nx, ny)
 
     def test_grid_spec_axes_too_long_to_hold_are_bad_input(self):
-        with pytest.raises(bp.BifreeInputError, match="does not fit in memory"):
-            GridSpec(10 ** 30, 8).axes()  # numpy refuses the size before allocating
+        # numpy refuses each size before allocating: about 2**63 points with an
+        # IndexError from linspace, the others with a ValueError
+        for size in (2 ** 63 - 1, 2 ** 63, 2 ** 64, 10 ** 30):
+            for nx, ny in ((size, 8), (8, size)):
+                with pytest.raises(bp.BifreeInputError, match=f"a {nx} x {ny} grid does not fit in memory"):
+                    GridSpec(nx, ny).axes()
 
     def test_rejects_negative(self):
         x = np.linspace(0, 1, 8)

@@ -78,6 +78,14 @@ class TestGaussianCli:
         quad = float(capsys.readouterr().out)
         assert abs(closed - quad) < 1e-6
 
+    def test_entropy_quadrature_singular_json(self, tmp_path, capsys):
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps({"n": 1, "m": 1, "matrix": [[1.0, 1.0], [1.0, 1.0]]}))
+        args = ["gaussian", "entropy", "--cov", str(path), "--format", "json", "--method", "quadrature"]
+        assert main(args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"entropy": "-inf", "error_bound": "inf", "evaluations": 1, "method": "quadrature"}
+
     def test_entropy_quadrature_small_eigenvalue(self, tmp_path, capsys):
         # eigenvalues 1.999999 and 1e-6
         path = tmp_path / "cov.json"
@@ -107,6 +115,26 @@ class TestGaussianCli:
     def test_dimension(self, cov_file, capsys):
         assert main(["gaussian", "dimension", "--cov", cov_file]) == 0
         assert capsys.readouterr().out.strip() == "2"
+
+    def test_dimension_limit(self, cov_file, capsys):
+        assert main(["gaussian", "dimension", "--cov", cov_file, "--method", "limit",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "limit"
+        assert payload["dimension"] == pytest.approx(2.0, abs=1e-6)
+
+    def test_small_eigenvalue_is_one_decision(self, tmp_path, capsys):
+        # eigenvalue ratio 1e-10, above the 1e-12 cut: finite Fisher
+        # information and entropy, full dimension; the limit form cannot
+        # resolve an eigenvalue this far below its smallest epsilon
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps({"n": 1, "m": 1, "matrix": [[1.0, 0.0], [0.0, 1e-10]]}))
+        printed = {}
+        for argv in (["fisher"], ["entropy"], ["dimension"], ["dimension", "--method", "limit"]):
+            assert main(["gaussian", *argv, "--cov", str(path)]) == 0
+            printed[" ".join(argv)] = capsys.readouterr().out.strip()
+        assert printed == {"fisher": "10000000001", "entropy": "-8.6750483986", "dimension": "2",
+                           "dimension --method limit": "1.0000004092"}
 
     def test_fisher_perturbed(self, cov_file, capsys):
         assert main(["gaussian", "fisher", "--cov", cov_file, "--t", "1.0"]) == 0
@@ -287,6 +315,10 @@ class TestCumulantCli:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1 and "field 'value'" in err
 
+    def test_cumulant_of_no_letters_rejected(self, spec_file, capsys):
+        assert main(["cumulants", "--spec", spec_file, "--word", "1"]) == 2
+        assert capsys.readouterr().err == "error: cumulants need at least one letter\n"
+
     def test_moment_of_undeclared_letters_rejected(self, spec_file, capsys):
         assert main(["moments", "--spec", spec_file, "--word", "X5 Y7"]) == 2
         assert "arity" in capsys.readouterr().err
@@ -332,6 +364,13 @@ class TestCumulantCli:
         argv = ["conjugate-check", "--spec", spec_file, "--xi", "x1", "--max-degree", max_degree]
         assert main(argv) == 2
         assert "variables only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("xi, line", [("4/3*X1 - 2/3*Y1", "PASS (21 words up to degree 5)"),
+                                          ("X1", "FAIL at Y1: 1/2 != 0")], ids=["pass", "fail"])
+    def test_conjugate_check_text(self, spec_file, capsys, xi, line):
+        argv = ["conjugate-check", "--spec", spec_file, "--xi", xi, "--max-degree", "5"]
+        assert main(argv + ["--format", "text"]) == 0
+        assert capsys.readouterr().out == line + "\n"
 
     def test_conjugate_check_reports_failure(self, spec_file, capsys):
         rc = main(
@@ -519,6 +558,17 @@ def test_grid_size_below_two_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["fisher"], ["conjugate"], ["make-semicircular", "--out"]])
+def test_grid_too_long_to_hold_exits_2(tmp_path, capsys, argv):
+    # at 2**63 points numpy's linspace raises an IndexError, not a ValueError
+    out = tmp_path / "g.json"
+    argv = ["bipartite", *argv, *([str(out)] if argv[-1] == "--out" else [])]
+    n = 2 ** 63
+    assert main(argv + ["--c", "0.5", "--n", str(n)]) == 2
+    assert capsys.readouterr().err == f"error: a {n} x {n} grid does not fit in memory\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("values", [{"values_csv": "g.csv"}, {"values": [[1, 1], [1, 1]]}],
                          ids=["header", "inline"])
 def test_grid_file_size_below_two_exits_2_naming_the_file(tmp_path, capsys, values):
@@ -559,6 +609,28 @@ FILE_ERRORS = [
     (["bipartite", "conjugate", "--grid"],
      {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": 2, "values": [[0, 0], [0, 0]]},
      "density has zero mass on the grid"),
+    (["moments", "--word", "X1 X1", "--spec"],
+     {"n": 1, "m": 1, "entries": [{"pattern": [["l", 1], ["l", 1]], "value": "1"},
+                                  {"pattern": [["l", 1], ["l", 1]], "value": "2"}]},
+     "cumulant spec repeats the pattern (('l', 1), ('l', 1))"),
+    # integer fields take JSON integers only: no float, 2.0 included, and no boolean
+    (["gaussian", "fisher", "--cov"], {"n": 1.5, "m": 1, "matrix": [[1, 0], [0, 1]]},
+     "covariance JSON field 'n' is malformed: expected an integer, got 1.5"),
+    (["gaussian", "dimension", "--cov"], {"n": True, "m": 1, "matrix": [[1, 0], [0, 1]]},
+     "covariance JSON field 'n' is malformed: expected an integer, got True"),
+    (["gaussian", "entropy", "--cov"], {"n": 1, "m": 1.0, "matrix": [[1, 0], [0, 1]]},
+     "covariance JSON field 'm' is malformed: expected an integer, got 1.0"),
+    (["moments", "--word", "X1 X1", "--spec"],
+     {"n": 1, "m": 1, "entries": [{"pattern": [["l", 1.5], ["l", 1]], "value": "1"}]},
+     "cumulant spec entry JSON field 'pattern' is malformed: expected an integer, got 1.5"),
+    (["cumulants", "--word", "X1", "--spec"], {"n": 1, "m": 1, "degree_bound": 4.0},
+     "cumulant spec JSON field 'degree_bound' is malformed: expected an integer, got 4.0"),
+    (["bipartite", "fisher", "--grid"],
+     {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 3.5, "ny": 2, "values": [[1, 1], [1, 1]]},
+     "density JSON field 'nx' is malformed: expected an integer, got 3.5"),
+    (["bipartite", "fisher", "--grid"],
+     {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": False, "values_csv": "g.csv"},
+     "density JSON field 'ny' is malformed: expected an integer, got False"),
 ]
 
 
@@ -585,6 +657,18 @@ def test_unrecognized_argument_is_reported_with_the_subcommand_usage(capsys, arg
     err = capsys.readouterr().err
     assert err.startswith(f"usage: bifree {command} ")
     assert f"bifree {command}: error: unrecognized arguments: {argv[-1]}\n" in err
+
+
+def test_quiet_silences_the_non_product_support_warning(tmp_path):
+    # a diagonal band: most of the product of its marginal supports is empty
+    x = np.linspace(-1, 1, 48)
+    path = tmp_path / "band.json"
+    bp.save_density(bp.make_density_grid(x, x, (np.abs(x[:, None] - x[None, :]) < 0.3) * 1.0), str(path))
+    loud = run_child("-m", "bifree.cli", "bipartite", "fisher", "--grid", str(path))
+    quiet = run_child("-m", "bifree.cli", "bipartite", "fisher", "--grid", str(path), "--quiet")
+    assert loud.returncode == quiet.returncode == 0
+    assert "NonProductSupportWarning" in loud.stderr and quiet.stderr == ""
+    assert quiet.stdout == loud.stdout
 
 
 class TestStreamedOutputsMatchWholeText:

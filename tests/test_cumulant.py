@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bifree._io import BifreeInputError
 from bifree.bnclattice import (
     ENUMERATION_CAP,
     BNCPartition,
@@ -541,6 +542,13 @@ class TestSpecJson:
     def test_dict_round_trip(self):
         spec = CumulantSpec(2, 1, {(("l", 2), ("r", 1)): Fraction(-5, 3)})
         assert spec_from_json_dict(spec_to_json_dict(spec)).entries == spec.entries
+
+    @pytest.mark.parametrize("values", [("1", "2"), ("1", "1"), ("0", "1")])
+    def test_repeated_pattern_refused(self, values):
+        # neither entry silently wins, whatever the two values are
+        entries = [{"pattern": [["l", 1], ["r", 1]], "value": v} for v in values]
+        with pytest.raises(BifreeInputError, match=r"repeats the pattern \(\('l', 1\), \('r', 1\)\)"):
+            spec_from_json_dict({"n": 1, "m": 1, "entries": entries})
 
 
 class TestFunctionals:

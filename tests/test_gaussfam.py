@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -11,7 +12,7 @@ from bifree.cumulant import CumulantMomentFunctional, gaussian_cumulant_spec
 from bifree.derivation import QuotientKind, conjugate_check
 from bifree.gaussfam import (
     LOG_2PIE,
-    RANK_TOL,
+    SINGULAR_TOL,
     Covariance,
     NonConvergenceError,
     RankAmbiguityWarning,
@@ -68,7 +69,7 @@ class TestCovariance:
 
     def test_json_round_trip(self):
         cov = cov2(0.25)
-        again = Covariance.from_json_dict(cov.to_json_dict())
+        again = Covariance.from_json_dict(json.loads(json.dumps(cov.to_json_dict())))
         assert np.array_equal(again.A, cov.A)
         assert (again.n, again.m) == (1, 1)
 
@@ -502,6 +503,49 @@ class TestEntropyQuadrature:
             entropy_quadrature(noisy, 2, tol=1e-12)
 
 
+class TestOneRank:
+    """Every closed form reads the covariance's one rank, so the Fisher
+    information, the entropy, the conjugate variables and the dimension are
+    finite, finite, solvable and full all together or not at all."""
+
+    @pytest.mark.parametrize("s", [-10, 0, 10])
+    @pytest.mark.parametrize("r", [1e-7, 1e-9, 1e-10, 1e-11, 1e-13, 0.0])
+    def test_closed_forms_agree(self, r, s):
+        cov = Covariance(1, 1, 10.0 ** s * np.diag([1.0, r]))
+        try:
+            conjugate_coeffs(cov, 1)
+            solvable = True
+        except SingularCovarianceError:
+            solvable = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankAmbiguityWarning)
+            full = entropy_dimension(cov) == 2
+        facts = [math.isfinite(fisher(cov)), math.isfinite(entropy_closed(cov)), full, solvable]
+        assert facts == [r > SINGULAR_TOL] * 4
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_rank_is_scale_invariant(self, scale):
+        # no floor at 1: a covariance is singular or not whatever its units
+        cov = Covariance(1, 1, scale * np.eye(2))
+        assert entropy_dimension(cov) == 2
+        assert fisher(cov) == pytest.approx(2.0 / scale, rel=1e-14)
+        assert entropy_closed(cov) == pytest.approx(LOG_2PIE + math.log(scale), rel=1e-14)
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-20, 1e-12, 1.0])
+    def test_perturbed_singular_is_finite_for_positive_t(self, t):
+        # only t = 0 reads the rank: A + tI is nonsingular for every t > 0
+        cov = Covariance(1, 1, np.diag([1.0, 0.0]))
+        assert fisher_perturbed(cov, 0.0) == math.inf
+        assert fisher_perturbed(cov, t) == 1.0 / (1.0 + t) + 1.0 / t
+
+    def test_negative_rounding_eigenvalue_clipped(self):
+        # a -1e-11 eigenvalue passes the PSD check and reads as 0: the
+        # perturbed sum stays positive and finite however small t is
+        cov = Covariance(1, 1, np.diag([1.0, -1e-11]))
+        assert entropy_dimension(cov) == 1
+        assert fisher_perturbed(cov, 1e-12) == 1.0 / (1.0 + 1e-12) + 1e12
+
+
 class TestEntropyDimension:
     def test_closed_form_ranks(self):
         assert entropy_dimension(cov2(0.5)) == 2
@@ -510,7 +554,7 @@ class TestEntropyDimension:
             assert entropy_dimension(Covariance(k, 0, np.eye(k))) == k
 
     def test_ambiguity_warned(self):
-        a = np.diag([1.0, 3e-8])
+        a = np.diag([1.0, 3e-12])
         with pytest.warns(RankAmbiguityWarning):
             entropy_dimension(Covariance(1, 1, a))
 
@@ -525,7 +569,7 @@ class TestEntropyDimension:
             cov = Covariance(n, k - n, scale * rand_psd(rng, k, rank=int(rng.integers(0, k + 1))))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RankAmbiguityWarning)
-                assert entropy_dimension(cov) == rank_by_svd(cov.A, RANK_TOL)
+                assert entropy_dimension(cov) == rank_by_svd(cov.A, SINGULAR_TOL)
 
     def test_limit_form_matches_rank(self):
         # nonzero eigenvalues kept away from 0 so the epsilon probes sit inside

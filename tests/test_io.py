@@ -3,13 +3,14 @@ import importlib
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bifree
-from bifree._io import BifreeInputError, json_object, json_rows, load_json, write_files
+from bifree._io import BifreeInputError, json_int, json_object, json_rows, load_json, read_fields, write_files
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5, 0.0]
 
@@ -173,6 +174,18 @@ def test_every_value_error_class_is_a_bifree_input_error():
                     assert issubclass(cls, BifreeInputError), f"{path.name}: {cls.__name__}"
     assert set(classes) >= {"BifreeInputError", "ArityError", "CapExceededError",
                             "DegreeBoundError", "ZeroMassError", "SingularCovarianceError"}
+
+
+@pytest.mark.parametrize("value", [0, -3, 2 ** 70])
+def test_json_int_takes_a_json_integer(value):
+    assert json_int(json.loads(json.dumps(value))) == value
+
+
+@pytest.mark.parametrize("text", ["2.0", "1.5", "true", "false", '"2"', "null", "[2]"])
+def test_json_int_refuses_anything_else(text):
+    value = json.loads(text)
+    with pytest.raises(BifreeInputError, match=re.escape(f"field 'n' is malformed: expected an integer, got {value!r}")):
+        read_fields({"n": value}, "test", {"n": json_int})
 
 
 def test_non_convergence_error_is_one_class():
