@@ -1,13 +1,13 @@
-"""The file boundary: every JSON file and CLI payload is read, checked and
-written here, in the standard library only, so the exact layer loads it
-without numpy.  JSON text is compact and made by ``json.dumps``, which
-CPython encodes in C; ``indent`` and ``json.dump`` fall back to its
-pure-Python encoder.  The large outputs (grids, fields, lattices) are
-written row by row: ``json_object`` yields the text ``json.dumps`` makes of
-a payload, one row of each row-valued field at a time, so no whole-document
-string and no full list of rows is ever built, and the bytes are the same.
-The library's two error types live here too, so the CLI catches them by
-type without loading a layer.
+"""The file boundary: every JSON file and CLI payload is read and written
+here, in the standard library only, so the exact layer loads it without
+numpy.  JSON text is compact and made by ``json.dumps``, which CPython
+encodes in C; ``indent`` and ``json.dump`` fall back to its pure-Python
+encoder.  The large outputs (grids, fields, lattices) are written row by
+row: ``json_object`` yields the text ``json.dumps`` makes of a payload, one
+row of each row-valued field at a time, so no whole-document string and no
+full list of rows is ever built, and the bytes are the same.  The error
+types live here, so the CLI catches them by type without loading a layer,
+and so do the integer rule and the rational reader the constructors apply.
 """
 
 from __future__ import annotations
@@ -28,25 +28,45 @@ class NonConvergenceError(RuntimeError):
     """The entropy quadrature failed to reach the requested tolerance."""
 
 
-def json_int(value) -> int:
-    """A JSON integer: an ``int``, never a ``bool`` or a float, ``2.0`` included."""
+def integer(value, what: str) -> int:
+    """``value`` if it is an ``int``: never a ``bool`` or a float, ``2.0`` included."""
     if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
+        raise BifreeInputError(f"{what} must be an integer, got {value!r}")
     return value
 
 
-def read_fields(data, what: str, converters: Mapping[str, Callable], defaults: Mapping = {}) -> dict:
-    """Convert ``data[key]`` with each converter, taking an absent key from
-    ``defaults``.  Anything else raises ``BifreeInputError`` naming ``what`` and the key."""
+def rational(value, what: str):
+    """``value`` as a ``Fraction``: an ``int`` or ``Fraction`` as it is, else read from its text,
+    so ``0.1`` and ``"0.1"`` are both 1/10, and a bool, NaN or inf raises ``BifreeInputError``."""
+    from fractions import Fraction  # here, so the lattice CLI never loads it
+    if type(value) in (int, Fraction):
+        return Fraction(value)
+    text = str(value)
+    # a decimal exponent of five digits or more is refused unread: building
+    # its power of 10 alone would take seconds, or more memory than there is
+    if len(text.lower().partition("e")[2].strip().lstrip("+-0")) <= 4:
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise BifreeInputError(f"{what} has a zero denominator: {value!r}") from None
+        except ValueError:  # Fraction's "Invalid literal": a bool, NaN, inf or junk
+            pass
+    raise BifreeInputError(f"{what} must be a rational, got {value!r}")
+
+
+def read_fields(data, what: str, converters: Mapping[str, Callable | None], defaults: Mapping = {}) -> dict:
+    """``data[key]`` for each key of ``converters`` (else ``defaults[key]``), converted unless its
+    converter is ``None``.  Anything else raises ``BifreeInputError`` naming ``what`` and the key."""
     if not isinstance(data, Mapping):
         raise BifreeInputError(f"{what} JSON must be an object, not {type(data).__name__}")
     fields = {}
     for key, convert in converters.items():
         if key not in data and key not in defaults:
             raise BifreeInputError(f"{what} JSON field {key!r} is missing")
+        value = data[key] if key in data else defaults[key]
         try:
-            fields[key] = convert(data[key] if key in data else defaults[key])
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            fields[key] = value if convert is None else convert(value)
+        except (TypeError, ValueError) as exc:
             raise BifreeInputError(f"{what} JSON field {key!r} is malformed: {exc}") from None
     return fields
 

@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._io import BifreeInputError, json_int, json_object, load_json, read_fields, write_files
+from ._io import BifreeInputError, integer, json_object, load_json, read_fields, write_files
 
 
 class ZeroMassError(BifreeInputError):
@@ -83,7 +83,7 @@ class GridSpec:
     ymax: float = 2.0
 
     def __post_init__(self) -> None:
-        if min(self.nx, self.ny) < 2:
+        if min(integer(self.nx, "grid field 'nx'"), integer(self.ny, "grid field 'ny'")) < 2:
             raise BifreeInputError(f"need two or more points per axis, got {self.nx} x {self.ny}")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -566,7 +566,7 @@ def density_to_json_dict(g: DensityGrid) -> dict:
     return {**axes_to_json_dict(g), "values": g.values.tolist()}
 
 
-_AXES = {"xmin": float, "xmax": float, "ymin": float, "ymax": float, "nx": json_int, "ny": json_int}
+_AXES = {"xmin": float, "xmax": float, "ymin": float, "ymax": float, "nx": None, "ny": None}
 
 
 def density_from_json_dict(data: dict) -> DensityGrid:

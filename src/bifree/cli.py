@@ -9,7 +9,9 @@ check, 2 bad input (a ``BifreeInputError``, a missing or unreadable file, a
 refused overwrite, or arguments argparse rejects), 3 a
 ``NonConvergenceError`` (the entropy quadrature reaching its halving cap),
 4 any other exception, a stray ``ValueError`` included, reported with its
-traceback.  Error text goes to standard error.
+traceback, and 141 (128 + SIGPIPE, as a Unix filter killed by the signal
+reports) when the reader of standard output closes it early, which ends the
+run with no message.  Error text goes to standard error.
 ``--format`` is ``json`` or ``text``, except for ``make-semicircular``, which
 writes ``json`` or a JSON header naming its ``csv`` values; ``--grid`` reads
 either form, and ``--grid`` or ``--c`` is required, not both.  JSON output is
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 import warnings
@@ -466,7 +469,11 @@ def main(argv=None) -> int:
     except FileExistsError as exc:  # only the writers' exclusive opens raise it
         print(f"error: refusing to overwrite {exc.filename} without --force", file=sys.stderr)
         return 2
-    except (BifreeInputError, OSError) as exc:
+    except BrokenPipeError:  # the reader closed stdout (``bifree ... | head``): stop quietly
+        # and send what is still buffered to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (BifreeInputError, OSError) as exc:  # a file that cannot be opened, read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from ._io import BifreeInputError, json_int, json_object, load_json, read_fields, write_files
+from ._io import BifreeInputError, integer, json_object, load_json, rational, read_fields, write_files
 from .bnclattice import (
     ENUMERATION_CAP,
     BNCPartition,
@@ -61,6 +61,10 @@ from .ncalg import (
 Pattern = tuple[tuple[str, int], ...]
 
 DEFAULT_DEGREE_BOUND = 10
+#: The largest degree bound a spec may declare: a cumulant-backed functional
+#: builds its reachable lengths up to the bound, and no word near this length
+#: is computable anyway.
+MAX_DEGREE_BOUND = 1000
 
 
 class DegreeBoundError(BifreeInputError):
@@ -77,20 +81,22 @@ class CumulantSpec:
     degree_bound: int = DEFAULT_DEGREE_BOUND
 
     def __post_init__(self) -> None:
-        if min(self.n, self.m, self.degree_bound) < 0:
+        if min(integer(getattr(self, k), f"cumulant spec field {k!r}") for k in ("n", "m", "degree_bound")) < 0:
             raise BifreeInputError("arities and degree bound must be nonnegative")
+        if self.degree_bound > MAX_DEGREE_BOUND:
+            raise BifreeInputError(f"degree bound {self.degree_bound} exceeds the cap {MAX_DEGREE_BOUND}")
         clean: dict[Pattern, Fraction] = {}
         for pattern, value in self.entries.items():
-            pattern = tuple((side, int(index)) for side, index in pattern)
+            pattern = tuple((side, index) for side, index in pattern)
             for side, index in pattern:
                 if side not in (LEFT, RIGHT):
                     raise BifreeInputError(f"bad side {side!r} in pattern")
                 arity = self.n if side == LEFT else self.m
-                if not 1 <= index <= arity:
+                if not 1 <= integer(index, "cumulant spec pattern index") <= arity:
                     raise BifreeInputError(f"pattern index {index} out of range for side {side}")
             if len(pattern) > self.degree_bound:
                 raise DegreeBoundError("pattern longer than degree bound")
-            value = Fraction(value)
+            value = rational(value, "cumulant spec entry field 'value'")
             if value:
                 clean[pattern] = value
         object.__setattr__(self, "entries", clean)
@@ -100,7 +106,7 @@ class CumulantSpec:
 
     def with_entry(self, pattern: Pattern, value: Fraction | int) -> "CumulantSpec":
         entries = dict(self.entries)
-        entries[tuple(pattern)] = Fraction(value)
+        entries[tuple(pattern)] = value
         return CumulantSpec(self.n, self.m, entries, self.degree_bound)
 
 
@@ -117,15 +123,15 @@ def gaussian_cumulant_spec(
     ``cov`` is an (n+m) x (n+m) symmetric table indexed with lefts first.
     Only the pair cumulants are nonzero.
     """
-    k = n + m
+    k = integer(n, "cumulant spec field 'n'") + integer(m, "cumulant spec field 'm'")
     if len(cov) != k or any(len(row) != k for row in cov):
         raise BifreeInputError("covariance table has wrong shape")
     letters = [(LEFT, i + 1) for i in range(n)] + [(RIGHT, j + 1) for j in range(m)]
     entries: dict[Pattern, Fraction] = {}
     for a in range(k):
         for b in range(k):
-            value = Fraction(cov[a][b])
-            if Fraction(cov[b][a]) != value:
+            value = rational(cov[a][b], "covariance table entry")
+            if rational(cov[b][a], "covariance table entry") != value:
                 raise BifreeInputError("covariance table must be symmetric")
             if value:
                 entries[(letters[a], letters[b])] = value
@@ -233,14 +239,14 @@ class TableMomentFunctional(MomentFunctional):
         degree_bound: int = DEFAULT_DEGREE_BOUND,
     ):
         self.mode = mode
-        self.degree_bound = degree_bound
+        self.degree_bound = integer(degree_bound, "table degree bound")
         memo: dict[Word, Pair] = {}
         for word, value in table.items():
             word = normal_form(tuple(word), mode)
             mode.check_word(word)
             if len(word) > degree_bound:
                 raise DegreeBoundError("table word exceeds degree bound")
-            value = Fraction(value)
+            value = rational(value, "table moment")
             memo[word] = (value.numerator, value.denominator)
         if memo.get((), (1, 1)) != (1, 1):
             raise BifreeInputError("the empty word must have moment 1")
@@ -488,23 +494,23 @@ def spec_to_json_dict(spec: CumulantSpec) -> dict:
     }
 
 
-def _pattern(value) -> Pattern:
-    return tuple((side, json_int(index)) for side, index in value)
-
-
-_SPEC_FIELDS = {"n": json_int, "m": json_int, "entries": list, "degree_bound": json_int}
-_ENTRY_FIELDS = {"pattern": _pattern, "value": lambda v: Fraction(str(v))}
-
-
 def spec_from_json_dict(data: Mapping) -> CumulantSpec:
-    fields = read_fields(data, "cumulant spec", _SPEC_FIELDS,
+    fields = read_fields(data, "cumulant spec", dict.fromkeys(("n", "m", "entries", "degree_bound")),
                          {"entries": [], "degree_bound": DEFAULT_DEGREE_BOUND})
-    entries: dict[Pattern, Fraction] = {}
+    if not isinstance(fields["entries"], list):
+        raise BifreeInputError(f"cumulant spec JSON field 'entries' is not a list: {fields['entries']!r}")
+    entries: dict[Pattern, object] = {}
     for item in fields["entries"]:
-        entry = read_fields(item, "cumulant spec entry", _ENTRY_FIELDS)
-        if entry["pattern"] in entries:
-            raise BifreeInputError(f"cumulant spec repeats the pattern {entry['pattern']}")
-        entries[entry["pattern"]] = entry["value"]
+        entry = read_fields(item, "cumulant spec entry", dict.fromkeys(("pattern", "value")))
+        try:  # pairs, hashable: neither side nor index a list or an object
+            pattern = tuple((side, index) for side, index in entry["pattern"])
+            repeated = pattern in entries
+        except (TypeError, ValueError):
+            raise BifreeInputError("cumulant spec entry JSON field 'pattern' is not a list of pairs: "
+                                   f"{entry['pattern']!r}") from None
+        if repeated:
+            raise BifreeInputError(f"cumulant spec repeats the pattern {pattern}")
+        entries[pattern] = entry["value"]
     return CumulantSpec(fields["n"], fields["m"], entries, fields["degree_bound"])
 
 

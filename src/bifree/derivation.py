@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Iterator
 
-from ._io import BifreeInputError
+from ._io import BifreeInputError, integer
 from .ncalg import (
     LEFT,
     RIGHT,
@@ -62,7 +62,7 @@ class QuotientKind:
     def __post_init__(self) -> None:
         if self.side not in (LEFT, RIGHT):
             raise BifreeInputError(f"side must be 'l' or 'r', got {self.side!r}")
-        if self.index < 1:
+        if integer(self.index, "quotient index") < 1:
             raise BifreeInputError("target index must be positive")
 
     @property

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._io import BifreeInputError, NonConvergenceError, json_int, read_fields
+from ._io import BifreeInputError, NonConvergenceError, integer, read_fields
 from .bnclattice import sigma_chi
 
 Pattern = Sequence[tuple[str, int]]
@@ -64,7 +64,7 @@ class Covariance:
     _rank: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        k = self.n + self.m
+        k = integer(self.n, "covariance field 'n'") + integer(self.m, "covariance field 'm'")
         A = np.asarray(self.A, dtype=float)
         if A.shape != (k, k):
             raise BifreeInputError(f"covariance must be {k}x{k}, got {A.shape}")
@@ -104,8 +104,7 @@ class Covariance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Covariance":
-        fields = read_fields(data, "covariance", {"n": json_int, "m": json_int,
-                                                  "matrix": partial(np.asarray, dtype=float)})
+        fields = read_fields(data, "covariance", {"n": None, "m": None, "matrix": partial(np.asarray, dtype=float)})
         return cls(fields["n"], fields["m"], fields["matrix"])
 
 

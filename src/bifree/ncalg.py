@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from ._io import BifreeInputError
+from ._io import BifreeInputError, integer, rational
 
 LEFT = "l"
 RIGHT = "r"
@@ -51,19 +51,19 @@ class Letter(NamedTuple):
 
 
 def lvar(i: int) -> Letter:
-    return Letter(LEFT, i, VAR)
+    return Letter(LEFT, integer(i, "letter index"), VAR)
 
 
 def rvar(j: int) -> Letter:
-    return Letter(RIGHT, j, VAR)
+    return Letter(RIGHT, integer(j, "letter index"), VAR)
 
 
 def lsym(i: int) -> Letter:
-    return Letter(LEFT, i, SYM)
+    return Letter(LEFT, integer(i, "letter index"), SYM)
 
 
 def rsym(j: int) -> Letter:
-    return Letter(RIGHT, j, SYM)
+    return Letter(RIGHT, integer(j, "letter index"), SYM)
 
 
 Word = tuple[Letter, ...]
@@ -85,7 +85,7 @@ class AlgebraMode:
     def __post_init__(self) -> None:
         if self.mode not in ("free", "bipartite"):
             raise BifreeInputError(f"unknown mode {self.mode!r}")
-        if self.left_arity < 0 or self.right_arity < 0:
+        if min(integer(self.left_arity, "left arity"), integer(self.right_arity, "right arity")) < 0:
             raise BifreeInputError("arities must be nonnegative")
 
     @property
@@ -359,12 +359,13 @@ def normalize_tensor(t: TensorPoly, mode: AlgebraMode) -> TensorPoly:
 # A polynomial literal is a list of terms joined by the standalone tokens
 # ``+`` / ``-``; a term is an optional rational coefficient (``3/4*``
 # attached, or a bare number for a scalar term) followed by letter tokens
-# separated by spaces, e.g. ``3/4*X1 Y2 X1 + x1 - 2``.  ``1`` denotes the
-# empty word.  Tensor literals put ``⊗`` between the two legs of each term.
+# separated by spaces, e.g. ``3/4*X1 Y2 X1 + x1 - 2``.  Every coefficient
+# and every token that is not a letter is read by ``_io.rational`` (``0.1``
+# is 1/10).  ``1`` denotes the empty word.  Tensor literals put ``⊗``
+# between the two legs of each term.
 # ---------------------------------------------------------------------------
 
 _LETTER_RE = re.compile(r"^([XYxy])(\d+)$")
-_NUMBER_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 _TOKEN_SIDE = {"X": (LEFT, VAR), "Y": (RIGHT, VAR), "x": (LEFT, SYM), "y": (RIGHT, SYM)}
 
@@ -375,15 +376,6 @@ def letter_from_token(token: str) -> Letter:
         raise BifreeInputError(f"bad letter token {token!r}")
     side, kind = _TOKEN_SIDE[match.group(1)]
     return Letter(side, int(match.group(2)), kind)
-
-
-def _rational(token: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise BifreeInputError(f"zero denominator in {token!r}") from None
-    except ValueError:  # Fraction's "Invalid literal"
-        raise BifreeInputError(f"bad coefficient {token!r}") from None
 
 
 def _literal_terms(text: str) -> list[tuple[Fraction, list[Word]]]:
@@ -407,11 +399,11 @@ def _literal_terms(text: str) -> list[tuple[Fraction, list[Word]]]:
             continue
         if "*" in token:
             number, _, token = token.partition("*")
-            coeff *= _rational(number)
-        if _NUMBER_RE.match(token):
-            coeff *= _rational(token)
-        elif token:
+            coeff *= rational(number, "coefficient")
+        if _LETTER_RE.match(token):
             legs[-1].append(letter_from_token(token))
+        elif token:
+            coeff *= rational(token, "a token that is not a letter")
     return terms
 
 

@@ -22,14 +22,18 @@ from helpers import (
 )
 
 
-def run_child(*args):
-    """Run a fresh interpreter with this checkout's ``bifree`` importable."""
+def child_env():
+    """The environment of a fresh interpreter with this checkout's ``bifree`` importable."""
     src = str(Path(bifree.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
+
+
+def run_child(*args):
+    """Run a fresh interpreter with this checkout's ``bifree`` importable."""
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=child_env(), timeout=120
     )
 
 
@@ -286,12 +290,12 @@ class TestDqCli:
         assert main(["dq", "3/0*X1", "--side", "left"]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.strip() == "error: zero denominator in '3/0'"
+        assert err.strip() == "error: coefficient has a zero denominator: '3/0'"
 
     @pytest.mark.parametrize("number", ["abc", "1/2/3"])
     def test_bad_coefficient_exits_2(self, capsys, number):
         assert main(["dq", f"{number}*X1", "--side", "left"]) == 2
-        assert capsys.readouterr().err == f"error: bad coefficient {number!r}\n"
+        assert capsys.readouterr().err == f"error: coefficient must be a rational, got {number!r}\n"
 
 
 class TestCumulantCli:
@@ -314,6 +318,17 @@ class TestCumulantCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1 and "field 'value'" in err
+
+    def test_float_value_reads_as_its_text(self, tmp_path, capsys):
+        # the JSON number 0.1 is 1/10, as the string "1/10" is
+        outputs = []
+        for value in (0.1, "1/10"):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"n": 1, "m": 1, "entries": [
+                {"pattern": [["l", 1], ["l", 1]], "value": value}]}))
+            assert main(["moments", "--spec", str(path), "--word", "X1 X1"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and json.loads(outputs[0])["value"] == "1/10"
 
     def test_cumulant_of_no_letters_rejected(self, spec_file, capsys):
         assert main(["cumulants", "--spec", spec_file, "--word", "1"]) == 2
@@ -605,7 +620,7 @@ FILE_ERRORS = [
      {"n": 1, "m": 1, "entries": [{"pattern": [["x", 1]], "value": "1"}]}, "bad side 'x' in pattern"),
     (["bipartite", "fisher", "--grid"],
      {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": None, "ny": 2, "values_csv": "v.csv"},
-     "density JSON field 'nx' is malformed"),
+     "grid field 'nx' must be an integer, got None"),
     (["bipartite", "conjugate", "--grid"],
      {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": 2, "values": [[0, 0], [0, 0]]},
      "density has zero mass on the grid"),
@@ -615,22 +630,31 @@ FILE_ERRORS = [
      "cumulant spec repeats the pattern (('l', 1), ('l', 1))"),
     # integer fields take JSON integers only: no float, 2.0 included, and no boolean
     (["gaussian", "fisher", "--cov"], {"n": 1.5, "m": 1, "matrix": [[1, 0], [0, 1]]},
-     "covariance JSON field 'n' is malformed: expected an integer, got 1.5"),
+     "covariance field 'n' must be an integer, got 1.5"),
     (["gaussian", "dimension", "--cov"], {"n": True, "m": 1, "matrix": [[1, 0], [0, 1]]},
-     "covariance JSON field 'n' is malformed: expected an integer, got True"),
+     "covariance field 'n' must be an integer, got True"),
     (["gaussian", "entropy", "--cov"], {"n": 1, "m": 1.0, "matrix": [[1, 0], [0, 1]]},
-     "covariance JSON field 'm' is malformed: expected an integer, got 1.0"),
+     "covariance field 'm' must be an integer, got 1.0"),
     (["moments", "--word", "X1 X1", "--spec"],
      {"n": 1, "m": 1, "entries": [{"pattern": [["l", 1.5], ["l", 1]], "value": "1"}]},
-     "cumulant spec entry JSON field 'pattern' is malformed: expected an integer, got 1.5"),
+     "cumulant spec pattern index must be an integer, got 1.5"),
     (["cumulants", "--word", "X1", "--spec"], {"n": 1, "m": 1, "degree_bound": 4.0},
-     "cumulant spec JSON field 'degree_bound' is malformed: expected an integer, got 4.0"),
+     "cumulant spec field 'degree_bound' must be an integer, got 4.0"),
     (["bipartite", "fisher", "--grid"],
      {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 3.5, "ny": 2, "values": [[1, 1], [1, 1]]},
-     "density JSON field 'nx' is malformed: expected an integer, got 3.5"),
+     "grid field 'nx' must be an integer, got 3.5"),
     (["bipartite", "fisher", "--grid"],
      {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": False, "values_csv": "g.csv"},
-     "density JSON field 'ny' is malformed: expected an integer, got False"),
+     "grid field 'ny' must be an integer, got False"),
+    # the declared degree bound is capped: _reach is built up to it
+    (["moments", "--word", "X1 X1", "--spec"], {"n": 1, "m": 1, "degree_bound": 2 ** 70},
+     "degree bound 1180591620717411303424 exceeds the cap 1000"),
+    # a pattern pair holding a list is not a pair of JSON scalars
+    (["moments", "--word", "X1 X1", "--spec"],
+     {"n": 1, "m": 1, "entries": [{"pattern": [[["l"], 1]], "value": "1"}]},
+     "cumulant spec entry JSON field 'pattern' is not a list of pairs: [[['l'], 1]]"),
+    (["cumulants", "--word", "X1", "--spec"], {"n": 1, "m": 1, "entries": {"pattern": [["l", 1]]}},
+     "cumulant spec JSON field 'entries' is not a list: {'pattern': [['l', 1]]}"),
 ]
 
 
@@ -657,6 +681,19 @@ def test_unrecognized_argument_is_reported_with_the_subcommand_usage(capsys, arg
     err = capsys.readouterr().err
     assert err.startswith(f"usage: bifree {command} ")
     assert f"bifree {command}: error: unrecognized arguments: {argv[-1]}\n" in err
+
+
+@pytest.mark.parametrize("argv", [["lattice", "--chi", "rlrrllrlrrll"],
+                                  ["bipartite", "conjugate", "--c", "0.5", "--n", "128"]])
+def test_closed_reader_ends_quietly_with_141(argv):
+    # the reader takes 20 bytes and closes the pipe, as `bifree ... | head -c 20` does
+    proc = subprocess.Popen([sys.executable, "-m", "bifree.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=child_env())
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_quiet_silences_the_non_product_support_warning(tmp_path):
@@ -790,6 +827,14 @@ class TestSelftest:
         proc = run_child("-O", "-c", code)
         assert proc.returncode == 1, proc.stderr
         assert "FAIL difference-quotient-left" in proc.stdout
+
+
+def test_lattice_leaves_the_rational_modules_out():
+    # _io.rational imports fractions on its first call, so lattice never pays for it
+    code = ("import sys\nfrom bifree.cli import main\nrc = main(['lattice', '--chi', 'lrlr'])\n"
+            "sys.exit(rc or 9 * bool({'fractions', 'decimal'} & set(sys.modules)))\n")
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_import_leaves_scipy_out():

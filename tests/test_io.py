@@ -4,13 +4,14 @@ import json
 import math
 import os
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bifree
-from bifree._io import BifreeInputError, json_int, json_object, json_rows, load_json, read_fields, write_files
+from bifree._io import BifreeInputError, integer, json_object, json_rows, load_json, rational, write_files
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5, 0.0]
 
@@ -178,14 +179,40 @@ def test_every_value_error_class_is_a_bifree_input_error():
 
 @pytest.mark.parametrize("value", [0, -3, 2 ** 70])
 def test_json_int_takes_a_json_integer(value):
-    assert json_int(json.loads(json.dumps(value))) == value
+    # the one integer rule, _io.integer, takes every JSON integer as it is
+    assert integer(json.loads(json.dumps(value)), "field 'n'") == value
 
 
 @pytest.mark.parametrize("text", ["2.0", "1.5", "true", "false", '"2"', "null", "[2]"])
 def test_json_int_refuses_anything_else(text):
     value = json.loads(text)
-    with pytest.raises(BifreeInputError, match=re.escape(f"field 'n' is malformed: expected an integer, got {value!r}")):
-        read_fields({"n": value}, "test", {"n": json_int})
+    with pytest.raises(BifreeInputError, match=re.escape(f"field 'n' must be an integer, got {value!r}")):
+        integer(value, "field 'n'")
+
+
+@pytest.mark.parametrize("value", [0.1, "0.1", "1/10", " 1/10 ", "1e-1", "10e-2", Fraction(1, 10)])
+def test_rational_reads_a_float_from_its_text(value):
+    assert rational(value, "value") == Fraction(1, 10)
+    assert type(rational(value, "value")) is Fraction
+
+
+def test_rational_takes_an_int_and_a_fraction_as_they_are():
+    half = Fraction(1, 2)
+    assert rational(half, "value") == half and type(rational(half, "value")) is Fraction
+    assert rational(2 ** 70, "value") == 2 ** 70 and type(rational(3, "value")) is Fraction
+
+
+@pytest.mark.parametrize("value", [True, False, math.nan, math.inf, -math.inf, "nan", "inf", "abc",
+                                   "", "1/2/3", None, [1], {}, "1e10000", "1e-99999", "0.5e+000012345"])
+def test_rational_refuses_anything_else(value):
+    with pytest.raises(BifreeInputError, match=re.escape(f"value must be a rational, got {value!r}")):
+        rational(value, "value")
+
+
+@pytest.mark.parametrize("value", ["1/0", "-3/0", " 0/0"])
+def test_rational_refuses_a_zero_denominator(value):
+    with pytest.raises(BifreeInputError, match=re.escape(f"value has a zero denominator: {value!r}")):
+        rational(value, "value")
 
 
 def test_non_convergence_error_is_one_class():

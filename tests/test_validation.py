@@ -1,6 +1,7 @@
 """Every validation raise of the public API, one case each: the call, the
 exact error type it raises and the start of its message."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -20,17 +21,22 @@ from bifree.cumulant import (
     gaussian_cumulant_spec,
     moment_pi,
     moments_from_cumulants,
+    spec_from_json_dict,
 )
 from bifree.derivation import QuotientKind
 from bifree.ncalg import (
     AlgebraMode,
     ArityError,
+    NCPolynomial,
     TensorPoly,
+    bipartite_mode,
     free_mode,
+    lsym,
     lvar,
     parse_poly,
     parse_tensor,
     parse_word,
+    rsym,
     rvar,
     tensor_mul,
 )
@@ -80,11 +86,53 @@ CASES = [
     ("moments-from-cumulants-degree",
      lambda: moments_from_cumulants(pair_spec(2), "llr", [(X1,), (X1,), (Y1,)]),
      DegreeBoundError, "degree bound exceeded"),
+    # the integer rule and the rational reader, applied by the constructors
+    ("spec-float-arity", lambda: CumulantSpec(1.5, 1, {}),
+     BifreeInputError, "cumulant spec field 'n' must be an integer, got 1.5"),
+    ("spec-bool-arity", lambda: CumulantSpec(1, True, {}),
+     BifreeInputError, "cumulant spec field 'm' must be an integer, got True"),
+    ("spec-float-degree-bound", lambda: CumulantSpec(1, 1, {}, 4.0),
+     BifreeInputError, "cumulant spec field 'degree_bound' must be an integer, got 4.0"),
+    ("spec-degree-bound-past-the-cap", lambda: CumulantSpec(1, 1, {}, 2 ** 70),
+     BifreeInputError, "degree bound 1180591620717411303424 exceeds the cap 1000"),
+    ("spec-float-pattern-index", lambda: CumulantSpec(1, 1, {(("l", 1.5),): 1}),
+     BifreeInputError, "cumulant spec pattern index must be an integer, got 1.5"),
+    ("spec-bool-pattern-index", lambda: CumulantSpec(1, 1, {(("l", 1), ("l", True)): 1}),
+     BifreeInputError, "cumulant spec pattern index must be an integer, got True"),
+    ("spec-junk-value", lambda: CumulantSpec(1, 1, {(("l", 1),): "abc"}),
+     BifreeInputError, "cumulant spec entry field 'value' must be a rational, got 'abc'"),
+    ("spec-nan-value", lambda: CumulantSpec(1, 1, {(("l", 1),): math.nan}),
+     BifreeInputError, "cumulant spec entry field 'value' must be a rational, got nan"),
+    ("spec-zero-denominator", lambda: CumulantSpec(1, 1, {(("l", 1),): "1/0"}),
+     BifreeInputError, "cumulant spec entry field 'value' has a zero denominator: '1/0'"),
+    ("gaussian-spec-float-arity", lambda: gaussian_cumulant_spec(1.0, 1, [[1, 0], [0, 1]]),
+     BifreeInputError, "cumulant spec field 'n' must be an integer, got 1.0"),
+    ("gaussian-spec-bool-entry", lambda: gaussian_cumulant_spec(1, 1, [[True, 0], [0, 1]]),
+     BifreeInputError, "covariance table entry must be a rational, got True"),
+    ("table-inf-moment", lambda: TableMomentFunctional(MODE, {(X1,): math.inf}),
+     BifreeInputError, "table moment must be a rational, got inf"),
+    ("table-float-degree-bound", lambda: TableMomentFunctional(MODE, {}, 2.0),
+     BifreeInputError, "table degree bound must be an integer, got 2.0"),
     # words, polynomials and tensors
     ("unknown-mode", lambda: AlgebraMode("boolean", 1, 1),
      BifreeInputError, "unknown mode 'boolean'"),
     ("negative-arity", lambda: AlgebraMode("free", -1, 1),
      BifreeInputError, "arities must be nonnegative"),
+    ("bool-arity", lambda: bipartite_mode(True, 1),
+     BifreeInputError, "left arity must be an integer, got True"),
+    ("float-arity", lambda: AlgebraMode("free", 1, 1.5),
+     BifreeInputError, "right arity must be an integer, got 1.5"),
+    ("lvar-float-index", lambda: lvar(1.5), BifreeInputError, "letter index must be an integer, got 1.5"),
+    ("lvar-bool-index", lambda: lvar(True), BifreeInputError, "letter index must be an integer, got True"),
+    ("rvar-float-index", lambda: rvar(2.0), BifreeInputError, "letter index must be an integer, got 2.0"),
+    ("lsym-string-index", lambda: lsym("1"), BifreeInputError, "letter index must be an integer, got '1'"),
+    ("rsym-none-index", lambda: rsym(None), BifreeInputError, "letter index must be an integer, got None"),
+    ("parse-poly-bad-token", lambda: parse_poly("Q7", MODE),
+     BifreeInputError, "a token that is not a letter must be a rational, got 'Q7'"),
+    ("parse-poly-bad-coefficient", lambda: parse_poly("inf*X1", MODE),
+     BifreeInputError, "coefficient must be a rational, got 'inf'"),
+    ("parse-poly-zero-denominator", lambda: parse_poly("1/0 X1", MODE),
+     BifreeInputError, "a token that is not a letter has a zero denominator: '1/0'"),
     ("letter-index-below-one", lambda: parse_word("X0", MODE),
      ArityError, "letter index must be positive"),
     ("tensor-mul-convention",
@@ -102,6 +150,8 @@ CASES = [
      BifreeInputError, "side must be 'l' or 'r', got 'x'"),
     ("quotient-index-below-one", lambda: QuotientKind("l", 0),
      BifreeInputError, "target index must be positive"),
+    ("quotient-float-index", lambda: QuotientKind("l", 1.5),
+     BifreeInputError, "quotient index must be an integer, got 1.5"),
     # lattices
     ("partition-not-bnc", lambda: BNCPartition("llll", ((1, 3), (2, 4))),
      BifreeInputError, "partition ((1, 3), (2, 4)) is not bi-non-crossing for ('l', 'l', 'l', 'l')"),
@@ -110,6 +160,10 @@ CASES = [
     # Gaussian families
     ("covariance-shape", lambda: gf.Covariance(1, 1, np.eye(3)),
      BifreeInputError, "covariance must be 2x2, got (3, 3)"),
+    ("covariance-float-arity", lambda: gf.Covariance(1.0, 1, np.eye(2)),
+     BifreeInputError, "covariance field 'n' must be an integer, got 1.0"),
+    ("covariance-bool-arity", lambda: gf.Covariance(1, True, np.eye(2)),
+     BifreeInputError, "covariance field 'm' must be an integer, got True"),
     ("flat-index-left", lambda: cov2().flat_index("l", 2),
      BifreeInputError, "left index 2 out of range 1..1"),
     ("flat-index-right", lambda: cov2().flat_index("r", 0),
@@ -126,6 +180,10 @@ CASES = [
     ("grid-shape-mismatch", lambda: bp.make_density_grid(np.linspace(0, 1, 3), np.linspace(0, 1, 4),
                                                          np.ones((4, 3))),
      BifreeInputError, "values must have shape (nx, ny) = (3, 4)"),
+    ("grid-float-size", lambda: bp.GridSpec(3.5, 3),
+     BifreeInputError, "grid field 'nx' must be an integer, got 3.5"),
+    ("grid-bool-size", lambda: bp.GridSpec(3, True),
+     BifreeInputError, "grid field 'ny' must be an integer, got True"),
     ("grid-one-point-axis", lambda: bp.make_density_grid(np.zeros(1), np.linspace(0, 1, 4),
                                                          np.ones((1, 4))),
      BifreeInputError, "need two or more points per axis"),
@@ -143,3 +201,26 @@ def test_validation_raise(call, error, message):
         call()
     assert type(info.value) is error
 
+
+
+TENTH = Fraction(1, 10)
+CUMULANT_READERS = {
+    "CumulantSpec": lambda v: CumulantSpec(1, 1, {(("l", 1),): v}).kappa((("l", 1),)),
+    "spec_from_json_dict": lambda v: spec_from_json_dict(
+        {"n": 1, "m": 1, "entries": [{"pattern": [["l", 1]], "value": v}]}).kappa((("l", 1),)),
+    "gaussian_cumulant_spec": lambda v: gaussian_cumulant_spec(1, 1, [[1, v], [v, 1]]).kappa((("l", 1), ("r", 1))),
+    "TableMomentFunctional": lambda v: TableMomentFunctional(MODE, {(X1,): v}).phi((X1,)),
+    "parse_poly-coefficient": lambda v: parse_poly(f"{v}*X1", MODE).coeff((X1,)),
+    "parse_poly-bare-token": lambda v: parse_poly(f"{v} X1", MODE).coeff((X1,)),
+}
+
+
+@pytest.mark.parametrize("reader", CUMULANT_READERS.values(), ids=CUMULANT_READERS)
+@pytest.mark.parametrize("value", [0.1, "1/10", TENTH, "1e-1"], ids=["float", "slash", "Fraction", "exponent"])
+def test_one_rational_reads_alike_through_every_reader(reader, value):
+    read = reader(value)
+    assert read == TENTH and type(read) is Fraction
+
+
+def test_a_bare_number_is_a_scalar_term():
+    assert parse_poly("0.1 + 1e3 - 3/4", MODE) == NCPolynomial.one().scale(Fraction(1, 10) + 1000 - Fraction(3, 4))
